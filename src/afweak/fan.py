@@ -669,7 +669,14 @@ def classify(s, h: int | None = None) -> BiclosedTriple:
     if not stable:
         raise UnstableWindow("b_infinity unstable; enlarge the window")
     member = lambda r: r in s.members
-    t = _classify_from_bits(s.type, dict.fromkeys(bits, True), member, s.H)
+    try:
+        t = _classify_from_bits(s.type, dict.fromkeys(bits, True), member, s.H)
+    except NotBiclosed as e:
+        # the window itself is biclosed, so inconsistent asymptotic data
+        # comes from the cutoff
+        raise UnstableWindow(
+            f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
+        ) from e
     for r in root_window(s.type, s.H):
         if t.member(r) != (r in s.members):
             raise UnstableWindow(
@@ -868,7 +875,8 @@ def classify_oracle(typ: AffineType, member, settle: int) -> BiclosedTriple:
     for key in _all_keys(typ):
         chain = class_chain(typ, key, h)
         vals = {member(r) for r in chain if r.height >= settle}
-        assert len(vals) == 1, "asymptotic membership did not settle"
+        if len(vals) != 1:
+            raise UnstableWindow("asymptotic membership did not settle")
         bits[key] = vals.pop()
     for _ in range(4):
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import closure as _closure
 from .errors import (
@@ -32,14 +32,13 @@ from .fan import (
     FanFace,
     build_biclosed,
     classify,
-    classify_oracle,
     origin_face,
     parahoric,
     _recover_w,
 )
 from .intset import IntSet
-from .orders import PeriodicOrder, order_from_triple
-from .perms import from_window, invert, max_displacement
+from .orders import _block_position_fn, order_from_triple
+from .perms import from_window
 from .roots import AffineType, Root, canonical_root, root_window
 
 
@@ -223,9 +222,6 @@ class ThresholdRelation:
             return "All" if full_below == _eps(b, a) else "AtLeast"
         return "AtLeast"
 
-    def finite_entries(self) -> bool:
-        return all(x.is_finite() for row in self.V for x in row)
-
 
 def relation_from_pairs(m: int, roots) -> ThresholdRelation:
     """The finite relation of an explicit set of family-A roots."""
@@ -303,47 +299,50 @@ def check_order(r: ThresholdRelation) -> None:
 
 
 def iota(t: BiclosedTriple) -> ThresholdRelation:
-    """Embed a family-A triple into L_n as its threshold relation.
+    """The threshold relation of a family-A or family-C triple.
 
-    Singleton classes are ordered increasingly, which is exactly the
-    canonical-orientation choice of the order model.
+    The relation is read off the triple's canonical periodic order, in
+    which singleton classes are ordered increasingly.  Positions inside a
+    block come from the block-position function of ``orders.precedes``;
+    a family-C block below the centre mirrors its negation,
+    pos_k(x) = -pos_{2 mid - k}(-x), and the central block places the
+    multiples of M.  A family-C triple therefore yields, over residues
+    0..M-1, the relation of its sigma-fixed family-A order.
     """
     typ = t.type
-    if typ.family != "A":
-        raise TypeMismatch("iota takes family-A triples")
+    if typ.family not in ("A", "C"):
+        raise TypeMismatch("iota takes family-A or family-C triples")
     m = typ.modulus
-    face = t.face
     o = order_from_triple(t)
-    bo = face.block_of
-    pos: dict[int, int] = {}
-    msize: dict[int, int] = {}
+    face = o.face
+    top = len(face.blocks) - 1
+    block, pos, step = {}, {}, {}
     for k, blk in enumerate(face.blocks):
-        reps = sorted(blk)
-        data = o.data_at(k)
-        uinv = invert(data.perm) if data.perm is not None else None
-        for a in blk:
-            rho = reps.index(a)
-            pos[a] = rho if uinv is None else uinv(rho)
-            msize[a] = len(blk)
+        if typ.family == "C" and 2 * k < top:
+            g = _block_position_fn(o, top - k)
+            f = lambda x, g=g: -g(-x)
+        else:
+            f = _block_position_fn(o, k)
+        for a in (v % m for v in blk):
+            block[a], pos[a] = k, f(a)
+        # +-(period size of the block) per shift of M; negative when reversed
+        step[k] = f(a + m) - pos[a]
     rows = []
     for a in range(m):
         row = []
         for b in range(m):
             lo = _eps(a, b)
-            ka, kb = bo[a], bo[b]
-            if ka < kb:
+            if block[a] < block[b]:
                 row.append(IntSet.empty())
-            elif ka > kb:
+            elif block[a] > block[b]:
                 row.append(IntSet.from_range(lo))
             else:
-                mloc = msize[a]
-                diff = pos[a] - pos[b]
-                if o.data_at(ka).reversed:
-                    # inverted iff d*mloc > diff
-                    row.append(IntSet.from_range(max(lo, diff // mloc + 1)))
+                diff, s = pos[a] - pos[b], step[block[a]]
+                # a comes after b + dM  iff  diff > d * s
+                if s < 0:
+                    row.append(IntSet.from_range(max(lo, -diff // -s + 1)))
                 else:
-                    # inverted iff d*mloc < diff
-                    hi = (diff - 1) // mloc
+                    hi = (diff - 1) // s
                     row.append(
                         IntSet.from_range(lo, hi) if hi >= lo else IntSet.empty()
                     )
@@ -459,37 +458,39 @@ def sigma(t: BiclosedTriple) -> BiclosedTriple:
     return pi(sigma_relation(iota(t)), t.type)
 
 
-def join_A(xs, typ: AffineType | None = None) -> BiclosedTriple:
-    """Exact join in the family-A extended weak order."""
+def _operands(xs, typ: AffineType | None, family: str, name: str):
     xs = list(xs)
     typ = typ or xs[0].type
-    if typ.family != "A":
-        raise TypeMismatch("join_A is for family A")
+    if typ.family != family:
+        raise TypeMismatch(f"{name} is for family {family}")
     if any(x.type != typ for x in xs):
-        raise TypeMismatch("mixed types in join")
+        raise TypeMismatch(f"mixed types in {name}")
+    return xs, typ
+
+
+def _top(typ: AffineType) -> BiclosedTriple:
+    face = origin_face(typ)
+    return build_biclosed(face, frozenset(parahoric(face).ids()), {})
+
+
+def _closed_union(rels) -> ThresholdRelation:
+    return threshold_closure(reduce(ThresholdRelation.union, rels))
+
+
+def join_A(xs, typ: AffineType | None = None) -> BiclosedTriple:
+    """Exact join in the family-A extended weak order."""
+    xs, typ = _operands(xs, typ, "A", "join_A")
     if not xs:
         return build_biclosed(origin_face(typ), frozenset(), {})
-    rel = iota(xs[0])
-    for x in xs[1:]:
-        rel = rel.union(iota(x))
-    closed = threshold_closure(rel)
-    return pi(closed, typ)
+    return pi(_closed_union(map(iota, xs)), typ)
 
 
 def meet_A(xs, typ: AffineType | None = None) -> BiclosedTriple:
     """Exact meet, as the complement-dual join."""
-    xs = list(xs)
-    typ = typ or xs[0].type
-    if typ.family != "A":
-        raise TypeMismatch("meet_A is for family A")
+    xs, typ = _operands(xs, typ, "A", "meet_A")
     if not xs:
-        face = origin_face(typ)
-        return build_biclosed(face, frozenset(parahoric(face).ids()), {})
-    comp = iota(xs[0]).complement()
-    for x in xs[1:]:
-        comp = comp.union(iota(x).complement())
-    closed = threshold_closure(comp)
-    return pi(closed.complement(), typ)
+        return _top(typ)
+    return pi(_closed_union(iota(x).complement() for x in xs).complement(), typ)
 
 
 # ---------------------------------------------------------------------------
@@ -501,37 +502,14 @@ def a_ambient(typ: AffineType) -> AffineType:
 
 
 def embed_c(t: BiclosedTriple) -> BiclosedTriple:
-    """A C-triple as the sigma-fixed family-A triple of the same order."""
-    typ = t.type
-    if typ.family != "C":
+    """A C-triple as the sigma-fixed family-A triple of the same order.
+
+    Exact: the projection pi of the C-triple's threshold relation, with
+    no windowed oracle involved.
+    """
+    if t.type.family != "C":
         raise TypeMismatch("embed_c takes family-C triples")
-    o = order_from_triple(t)
-    amb = a_ambient(typ)
-
-    def member(r: Root) -> bool:
-        return _precedes_raw(o, r.j, r.i)
-
-    disp = max(
-        [max_displacement(u) for _, u in t.w] or [0]
-    )
-    return classify_oracle(amb, member, 2 * disp + 6)
-
-
-def _precedes_raw(o: PeriodicOrder, a: int, b: int) -> bool:
-    """precedes() with the zero-class admitted (canonical insertion)."""
-    typ = o.type
-    face = o.face
-    ka = face.block_of[face.residue(a)]
-    kb = face.block_of[face.residue(b)]
-    if ka != kb:
-        return ka < kb
-    mid = len(face.blocks) // 2
-    if typ.family != "A" and ka < mid:
-        return _precedes_raw(o, -b, -a)
-    from .orders import _block_position_fn
-
-    pos = _block_position_fn(o, ka)
-    return pos(a) < pos(b)
+    return pi(iota(t), a_ambient(t.type))
 
 
 def restrict_c(t: BiclosedTriple, typ: AffineType) -> BiclosedTriple:
@@ -568,38 +546,37 @@ def restrict_c(t: BiclosedTriple, typ: AffineType) -> BiclosedTriple:
     return out
 
 
-def join_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
-    """Join in family C: embed, join in family A, pull the fixed point back."""
-    xs = list(xs)
-    typ = typ or xs[0].type
-    if typ.family != "C":
-        raise TypeMismatch("join_C is for family C")
-    if not xs:
-        return build_biclosed(origin_face(typ), frozenset(), {})
-    joined = join_A([embed_c(x) for x in xs], a_ambient(typ))
-    if sigma(joined) != joined:
-        raise SigmaFixednessViolated("join of sigma-fixed points moved")
-    out = restrict_c(joined, typ)
-    if embed_c(out) != joined:
+def _pull_back(t: BiclosedTriple, typ: AffineType, what: str) -> BiclosedTriple:
+    """restrict_c of a family-A result, checked to be a sigma-fixed point
+    that the C-result embeds onto."""
+    if sigma(t) != t:
+        raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
+    out = restrict_c(t, typ)
+    if embed_c(out) != t:
         raise SigmaFixednessViolated("pull-back does not embed correctly")
     return out
+
+
+def join_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
+    """Exact join in family C.
+
+    The inputs' threshold relations are united and closed in the family-A
+    ambient; the sigma-fixed result is pulled back by restrict_c.
+    """
+    xs, typ = _operands(xs, typ, "C", "join_C")
+    if not xs:
+        return build_biclosed(origin_face(typ), frozenset(), {})
+    joined = pi(_closed_union(map(iota, xs)), a_ambient(typ))
+    return _pull_back(joined, typ, "join")
 
 
 def meet_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
-    xs = list(xs)
-    typ = typ or xs[0].type
-    if typ.family != "C":
-        raise TypeMismatch("meet_C is for family C")
+    """Exact meet in family C: the complement-dual route of join_C."""
+    xs, typ = _operands(xs, typ, "C", "meet_C")
     if not xs:
-        face = origin_face(typ)
-        return build_biclosed(face, frozenset(parahoric(face).ids()), {})
-    met = meet_A([embed_c(x) for x in xs], a_ambient(typ))
-    if sigma(met) != met:
-        raise SigmaFixednessViolated("meet of sigma-fixed points moved")
-    out = restrict_c(met, typ)
-    if embed_c(out) != met:
-        raise SigmaFixednessViolated("pull-back does not embed correctly")
-    return out
+        return _top(typ)
+    comp = _closed_union(iota(x).complement() for x in xs)
+    return _pull_back(pi(comp.complement(), a_ambient(typ)), typ, "meet")
 
 
 # ---------------------------------------------------------------------------

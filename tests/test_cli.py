@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: JSON round-trips, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import afweak
 from afweak.cli import run
 
 WORKED_FACE = [[1, 3], [0, 2]]
@@ -258,3 +262,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["close"])  # missing --in
     assert exc.value.code == 2
+
+
+def test_verify_all_under_optimize(capsys):
+    # python -O strips asserts: every check behind verify must still hold
+    src = os.path.dirname(os.path.dirname(afweak.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.run(
+        [sys.executable, "-O", "-m", "afweak.cli", "verify", "all"],
+        capture_output=True,
+        env=env,
+        timeout=600,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert run(["verify", "all"]) == 0
+    assert child.stdout == capsys.readouterr().out.encode()

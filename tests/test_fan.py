@@ -11,11 +11,13 @@ from afweak.errors import (
     NotBiclosed,
     TooLarge,
     UnpairedPhiPrime,
+    UnstableWindow,
 )
 from afweak.fan import (
     act,
     build_biclosed,
     classify,
+    classify_oracle,
     dominant_chamber,
     enumerate_faces,
     face_from_blocks,
@@ -169,6 +171,12 @@ def test_classify_errors():
     bad = window_set(A2, 4, [canonical_root(A2, 0, 3)])
     with pytest.raises(NotBiclosed):
         classify(bad)
+
+
+def test_classify_oracle_unsettled_membership():
+    # membership alternating with the height never settles asymptotically
+    with pytest.raises(UnstableWindow):
+        classify_oracle(A2, lambda r: r.height % 2 == 0, 2)
 
 
 def test_classify_round_trip_exhaustive_small():

@@ -1,12 +1,13 @@
 """Joins and meets: windows, threshold relations, families A and C."""
 
 import itertools
+import os
 import random
 
 import pytest
 
 from afweak.closure import WindowSet, close
-from afweak.errors import NotAnOrder, TooLarge, TypeMismatch
+from afweak.errors import NotAnOrder, TooLarge, TypeMismatch, UnstableWindow
 from afweak.fan import (
     build_biclosed,
     classify,
@@ -18,6 +19,7 @@ from afweak.fan import (
 )
 from afweak.lattice import (
     FiniteOrderWindow,
+    a_ambient,
     check_order,
     embed_c,
     finite_group,
@@ -38,8 +40,9 @@ from afweak.lattice import (
     threshold_closure,
     try_join,
 )
-from afweak.orders import periodic_order, precedes
+from afweak.orders import order_from_triple, periodic_order, precedes
 from afweak.perms import (
+    from_window,
     identity,
     multiply,
     reflection,
@@ -53,7 +56,11 @@ A4 = AffineType("A", 4)
 A5 = AffineType("A", 5)
 C1 = AffineType("C", 1)
 C2 = AffineType("C", 2)
+C3 = AffineType("C", 3)
+C4 = AffineType("C", 4)
 D2 = AffineType("D", 2)
+
+SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 
 
 def _word(typ, *letters):
@@ -255,12 +262,20 @@ def test_sigma_commutes_with_join_and_meet():
 
 
 def test_embed_restrict_c():
-    rng = random.Random(8)
-    for _ in range(25):
-        t = _rand_triple(C2, rng, 2)
-        e = embed_c(t)
-        assert sigma(e) == e
-        assert restrict_c(e, C2) == t
+    # reference: the embedded set is {(i, j) : j precedes i} of the C-order
+    rng = random.Random(SEED)
+    for typ, count in ((C1, 10), (C2, 25), (C3, 15), (C4, 10)):
+        amb = a_ambient(typ)
+        m = amb.modulus
+        for _ in range(count):
+            t = _rand_triple(typ, rng, 2)
+            o = order_from_triple(t)
+            e = embed_c(t)
+            for r in root_window(amb, 4):
+                if r.i % m and r.j % m:
+                    assert e.member(r) == precedes(o, r.j, r.i), (t, r)
+            assert sigma(e) == e
+            assert restrict_c(e, typ) == t
 
 
 def test_join_C_basics():
@@ -297,13 +312,18 @@ def test_join_C_matches_windowed_oracle():
 
 def test_meet_C():
     rng = random.Random(11)
-    for _ in range(10):
-        x, y = _rand_triple(C2, rng, 2), _rand_triple(C2, rng, 2)
-        m = meet_C([x, y])
-        for r in root_window(C2, 5):
-            if m.member(r):
-                assert x.member(r) and y.member(r)
-        assert join_C([m, x]) == x
+    for typ, pairs in ((C2, 10), (C4, 3)):
+        for _ in range(pairs):
+            x, y = _rand_triple(typ, rng, 2), _rand_triple(typ, rng, 2)
+            j, m = join_C([x, y]), meet_C([x, y])
+            for r in root_window(typ, 5):
+                if m.member(r):
+                    assert x.member(r) and y.member(r)
+                if x.member(r) or y.member(r):
+                    assert j.member(r)
+            assert join_C([y, x]) == j and meet_C([y, x]) == m
+            assert join_C([x, x]) == x and meet_C([x, x]) == x
+            assert join_C([m, x]) == x and meet_C([j, x]) == x
 
 
 # ------------------------------------------------------------ finite joins
@@ -393,6 +413,29 @@ def test_try_join_agrees_with_finite_parabolic():
         multiply(reflection(D2, 1, 2), reflection(D2, 1, 3))
     )
     assert res.triple == both
+
+
+def test_try_join_cutoff_dependent_face_is_unstable():
+    # the closure of the union is stable at h/2h = 3/6, but the height-6
+    # window's asymptotic data is inconsistent; from h = 5 on it is certified
+    B3 = AffineType("B", 3)
+    x = build_biclosed(
+        face_from_blocks(B3, [[-3, -1, 2], [0], [-2, 1, 3]]),
+        [],
+        {"blk2": from_window(A3, [0, 4, 2])},
+    )
+    y = build_biclosed(
+        face_from_blocks(B3, [[1, 2], [-3, 0, 3], [-2, -1]]),
+        ["blk2"],
+        {"blk2": from_window(A2, [-1, 4])},
+    )
+    with pytest.raises(UnstableWindow):
+        try_join([x, y], 3)
+    res = try_join([x, y], 5)
+    assert res.ok
+    for r in root_window(B3, 5):
+        if x.member(r) or y.member(r):
+            assert res.triple.member(r)
 
 
 def test_try_join_type_guard():
