@@ -3,12 +3,14 @@
 JSON is the single interchange format; every JSON the tool emits is
 accepted back by the matching --in flag.  DOT output is write-only.
 Exit codes: 0 success, 1 domain errors (the error name and witness go to
-stderr), 2 usage errors.
+stderr), 2 usage errors, malformed input files included (one line on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -26,6 +28,36 @@ from .errors import AfweakError
 # serialization
 
 
+class InputError(ValueError):
+    """Malformed input: unreadable, not JSON, or missing or ill-typed keys.
+
+    The CLI reports it as a usage error (exit 2); a well-formed input
+    naming something invalid, such as a non-root pair, is a domain error.
+    """
+
+
+def _describe(e: Exception) -> str:
+    if isinstance(e, KeyError):
+        return f"missing key {e}"
+    return f"{type(e).__name__}: {e}".replace("\n", " ")
+
+
+def _input_parser(fn):
+    """Re-raise the errors a malformed JSON value causes as InputError."""
+
+    @functools.wraps(fn)
+    def parse(*args):
+        try:
+            return fn(*args)
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"{fn.__name__}: {_describe(e)}") from e
+
+    return parse
+
+
+@_input_parser
 def type_from_json(d) -> _roots.AffineType:
     return _roots.AffineType(d["family"], int(d["n"]))
 
@@ -38,6 +70,7 @@ def root_to_json(r: _roots.Root) -> dict:
     return {**type_to_json(r.type), "i": r.i, "j": r.j}
 
 
+@_input_parser
 def root_from_json(d) -> _roots.Root:
     return _roots.canonical_root(type_from_json(d), int(d["i"]), int(d["j"]))
 
@@ -50,6 +83,7 @@ def windowset_to_json(s: _closure.WindowSet) -> dict:
     }
 
 
+@_input_parser
 def windowset_from_json(d) -> _closure.WindowSet:
     typ = type_from_json(d)
     roots = frozenset(
@@ -62,6 +96,7 @@ def perm_to_json(w: _perms.AffinePermutation) -> dict:
     return {**type_to_json(w.type), "window": list(w.window)}
 
 
+@_input_parser
 def perm_from_json(d) -> _perms.AffinePermutation:
     typ = type_from_json(d)
     if "word" in d:
@@ -87,6 +122,7 @@ def face_to_json_blocks(face: _fan.FanFace) -> list:
     return [sorted(b) for b in face.blocks]
 
 
+@_input_parser
 def face_from_json(typ, blocks) -> _fan.FanFace:
     return _fan.face_from_blocks(typ, [frozenset(b) for b in blocks])
 
@@ -100,6 +136,7 @@ def triple_to_json(t: _fan.BiclosedTriple) -> dict:
     }
 
 
+@_input_parser
 def triple_from_json(d) -> _fan.BiclosedTriple:
     typ = type_from_json(d)
     face = face_from_json(typ, d["face"])
@@ -127,6 +164,7 @@ def order_to_json(o: _orders.PeriodicOrder) -> dict:
     }
 
 
+@_input_parser
 def order_from_json(d) -> _orders.PeriodicOrder:
     typ = type_from_json(d)
     face = face_from_json(typ, d["blocks"])
@@ -153,9 +191,17 @@ def load_any_triple(d) -> _fan.BiclosedTriple:
     raise AfweakError("unrecognized input object")
 
 
-def _load(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+def _load(path: str) -> dict:
+    """Read one JSON input object; unreadable or non-object files are
+    InputErrors."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise InputError(f"{path}: {_describe(e)}") from e
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return d
 
 
 def _emit(obj, out: str | None):
@@ -482,6 +528,9 @@ def run(argv) -> int:
     }
     try:
         return handlers[args.cmd](args)
+    except InputError as e:
+        print(f"afweak: malformed input: {e}", file=sys.stderr)
+        return 2
     except AfweakError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1

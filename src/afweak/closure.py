@@ -11,7 +11,6 @@ the compute-at-H-and-2H stability protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnstableCutoff
@@ -61,11 +60,17 @@ def _window_index(typ: AffineType, h: int):
 
 
 @lru_cache(maxsize=64)
+def _window_vectors(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors of root_window(typ, h), in the same order."""
+    return tuple(r.vector() for r in root_window(typ, h))
+
+
+@lru_cache(maxsize=64)
 def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
     """All rank-2 planes meeting the window, as betweenness-ordered tuples
     of indices into root_window(typ, h).  Cached: independent of the set."""
     roots, index = _window_index(typ, h)
-    vecs = [r.vector() for r in roots]
+    vecs = _window_vectors(typ, h)
     by_plane: dict[tuple, set[int]] = {}
     n = len(roots)
     for p in range(n):
@@ -183,21 +188,41 @@ def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
     return FiniteBiclosedCertificate(True)
 
 
+def _pivots(u, v) -> tuple[int, int]:
+    """Two coordinates onto which the span of independent u, v projects
+    isomorphically: the first non-zero column, then the first later one
+    with a non-zero 2x2 minor."""
+    p = 0
+    while not (u[p] or v[p]):
+        p += 1
+    q = p + 1
+    while u[p] * v[q] == u[q] * v[p]:
+        q += 1
+    return p, q
+
+
 def doubling_check(s: WindowSet) -> bool:
     """True iff no triple of D(S) = S u -(window\\S) has a vanishing
-    positive combination, searching each rank-2 plane of the window."""
+    positive combination, searching each rank-2 plane of the window.
+
+    Exact in integers: each plane is projected onto two pivot
+    coordinates, a linear isomorphism onto Z^2, so the sign tests on
+    the projected vectors decide the plane's cone geometry.
+    """
     typ, h = s.type, s.H
-    roots, _ = _window_index(typ, h)
-    planes = _window_planes(typ, h)
-    for plane in planes:
-        key = _rref_plane_key(roots[plane[0]].vector(), roots[plane[-1]].vector())
-        dvecs = []
-        for k in plane:
-            x, y = _solve_in_plane(key, roots[k].vector())
-            if roots[k] in s.members:
-                dvecs.append((x, y))
-            else:
-                dvecs.append((-x, -y))
+    roots, index = _window_index(typ, h)
+    vecs = _window_vectors(typ, h)
+    inset = bytearray(len(roots))
+    for r in s.members:
+        inset[index[r]] = 1
+    for plane in _window_planes(typ, h):
+        if len(plane) < 3:
+            continue  # a vanishing combination needs three vectors
+        p, q = _pivots(vecs[plane[0]], vecs[plane[-1]])
+        dvecs = [
+            (vecs[k][p], vecs[k][q]) if inset[k] else (-vecs[k][p], -vecs[k][q])
+            for k in plane
+        ]
         m = len(dvecs)
         for a in range(m):
             xa, ya = dvecs[a]
@@ -206,12 +231,13 @@ def doubling_check(s: WindowSet) -> bool:
                 det = xa * yb - ya * xb
                 if det == 0:
                     continue
+                sgn = 1 if det > 0 else -1
                 for c in range(b + 1, m):
                     xc, yc = dvecs[c]
-                    # solve p*(a) + q*(b) = -(c)
-                    p = Fraction(-xc * yb + yc * xb, det)
-                    q = Fraction(-xa * yc + ya * xc, det)
-                    if p > 0 and q > 0:
+                    # -(c) = x*(a) + y*(b) with x, y > 0: both Cramer
+                    # numerators have the sign of det
+                    if (sgn * (yc * xb - xc * yb) > 0
+                            and sgn * (xc * ya - yc * xa) > 0):
                         return False
     return True
 

@@ -292,9 +292,13 @@ class Component:
             else:
                 k = (r.j - 1) // 2
                 vec = tuple(-c for c in self.gamma) + (k + 1,)
-            sign, out = vector_to_root(self.parent, vec)
-            assert sign == 1
-            return out
+            got = vector_to_root(self.parent, vec)
+            if got is None or got[0] != 1:
+                raise ComponentMismatch(
+                    f"{r} of component {self.id} maps to {vec}, "
+                    "which is not a positive root"
+                )
+            return got[1]
         return canonical_root(self.parent, self.rho_inv(r.i), self.rho_inv(r.j))
 
     def local_simple_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DependentRoots, NotARoot
+from .errors import AfweakError, DependentRoots, NotARoot
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -143,14 +143,6 @@ def canonical_root(typ: AffineType, i: int, j: int) -> Root:
     cand = _translate_first(typ, i, j)
     mirror = _translate_first(typ, -j, -i)
     return Root(typ, *min(cand, mirror))
-
-
-def is_root(typ: AffineType, i: int, j: int) -> bool:
-    try:
-        canonical_root(typ, i, j)
-    except NotARoot:
-        return False
-    return True
 
 
 def _pair_vector(typ: AffineType, i: int, j: int) -> tuple[int, ...]:
@@ -333,7 +325,9 @@ def _solve_in_plane(basis, vec):
 def _angular_sort(basis, members: list[Root]) -> list[Root]:
     """Sort plane members by angle; betweenness = interval in this order."""
     coords = {r: _solve_in_plane(basis, r.vector()) for r in members}
-    assert all(c is not None for c in coords.values())
+    outside = [r for r, c in coords.items() if c is None]
+    if outside:
+        raise AfweakError(f"{outside} lie outside the plane {basis}")
 
     def cmp(r1, r2):
         a, b = coords[r1], coords[r2]
@@ -474,7 +468,11 @@ def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
         if got is not None and got[0] == 1:
             members.add(got[1])
     members = sorted(members, key=Root.sort_key)
-    assert 2 <= len(members) <= 4, members
+    if not 2 <= len(members) <= 4:
+        raise AfweakError(
+            f"the plane of {a} and {b} holds {len(members)} positive "
+            f"roots, not 2-4: {members}"
+        )
     ordered = _angular_sort(basis, members)
     if ordered[-1].sort_key() < ordered[0].sort_key():
         ordered.reverse()

@@ -2,13 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import afweak
-from afweak.cli import run
+from afweak.cli import run, windowset_to_json
+from afweak.closure import window_set
+from afweak.roots import AffineType, root_window
+from afweak.verify import _rand_triple
 
 WORKED_FACE = [[1, 3], [0, 2]]
 
@@ -22,6 +26,21 @@ def _write(tmp_path, name, obj):
 def _capture(capsys):
     out = capsys.readouterr().out
     return json.loads(out)
+
+
+def _child(*args, flags=()):
+    """Run ``python [flags] -m afweak.cli args`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(afweak.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "afweak.cli", *args],
+        capture_output=True,
+        env=env,
+        timeout=600,
+    )
 
 
 def test_close_and_check(tmp_path, capsys):
@@ -266,17 +285,37 @@ def test_usage_error_exit_code():
 
 def test_verify_all_under_optimize(capsys):
     # python -O strips asserts: every check behind verify must still hold
-    src = os.path.dirname(os.path.dirname(afweak.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    child = subprocess.run(
-        [sys.executable, "-O", "-m", "afweak.cli", "verify", "all"],
-        capture_output=True,
-        env=env,
-        timeout=600,
-    )
+    child = _child("verify", "all", flags=("-O",))
     assert child.returncode == 0, child.stderr.decode()
     assert run(["verify", "all"]) == 0
     assert child.stdout == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": "A", "n": 3}',  # no "roots"
+        "not json",
+        '{"family": "A", "n": 2, "H": 1, "roots": [[0, 5]]}',  # above H
+    ],
+    ids=["missing-key", "not-json", "root-above-H"],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    child = _child("close", "--in", str(path))
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_check_child_matches_in_process(tmp_path, capsys):
+    typ = AffineType("D", 4)
+    biclosed = _rand_triple(typ, random.Random(3)).window(6)
+    lone = window_set(typ, 6, [next(r for r in root_window(typ, 6) if r.height == 1)])
+    for s, code in ((biclosed, 0), (lone, 1)):
+        path = _write(tmp_path, "s.json", windowset_to_json(s))
+        assert run(["check", "--in", path]) == code
+        child = _child("check", "--in", path)
+        assert child.returncode == code
+        assert child.stdout == capsys.readouterr().out.encode()

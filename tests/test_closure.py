@@ -1,6 +1,9 @@
 """The windowed oracle layer: closure, interior, certificates, B_infinity."""
 
+import itertools
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,9 +28,17 @@ from afweak.perms import (
     multiply,
     simple_reflections,
 )
-from afweak.roots import AffineType, canonical_root, root_window
+from afweak.roots import (
+    AffineType,
+    _rref_plane_key,
+    _solve_in_plane,
+    canonical_root,
+    root_window,
+)
+from afweak.verify import _rand_triple
 
 A2 = AffineType("A", 2)
+A3 = AffineType("A", 3)
 A4 = AffineType("A", 4)
 FAMILIES = (
     AffineType("A", 3),
@@ -167,6 +178,44 @@ def test_doubling_agrees_with_biclosed_on_stable_sets():
             # low sets are finite candidates: their witnesses, if any, fit
             # well inside the window, so the two checks must agree
             assert is_biclosed(s).ok == doubling_check(s)
+
+
+def _reference_doubling(s):
+    """The doubling criterion in plane coordinates over the rationals:
+    an RREF basis per plane and Fraction Cramer quotients."""
+    roots, _ = _window_index(s.type, s.H)
+    for plane in _window_planes(s.type, s.H):
+        basis = _rref_plane_key(roots[plane[0]].vector(), roots[plane[-1]].vector())
+        dvecs = []
+        for k in plane:
+            x, y = _solve_in_plane(basis, roots[k].vector())
+            dvecs.append((x, y) if roots[k] in s.members else (-x, -y))
+        for (xa, ya), (xb, yb), (xc, yc) in itertools.combinations(dvecs, 3):
+            det = xa * yb - ya * xb
+            if (det and Fraction(yc * xb - xc * yb, det) > 0
+                    and Fraction(xc * ya - yc * xa, det) > 0):
+                return False
+    return True
+
+
+def test_doubling_matches_rational_reference():
+    # windows of random triples, one-root flips of them and random subsets
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
+    answers = set()
+    for typ in (A3, AffineType("B", 3), AffineType("C", 2), AffineType("D", 3)):
+        for h in (4, 5, 6):
+            window = root_window(typ, h)
+            for _ in range(2):
+                w = _rand_triple(typ, rng).window(h)
+                for s in (
+                    w,
+                    window_set(typ, h, w.members ^ {rng.choice(window)}),
+                    window_set(typ, h, rng.sample(window, rng.randrange(len(window) + 1))),
+                ):
+                    got = doubling_check(s)
+                    assert got == _reference_doubling(s), (typ, h, s.sorted_members())
+                    answers.add(got)
+    assert answers == {True, False}
 
 
 def test_b_infinity_examples():

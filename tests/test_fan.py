@@ -109,6 +109,16 @@ def test_parahoric_decompositions():
     assert [c.id for c in parahoric(f).components] == []
 
 
+def test_split_component_rejects_a_negative_image(monkeypatch):
+    # the sign check survives python -O: it is a raise, not an assert
+    comp = parahoric(origin_face(D2)).components[0]
+    local = canonical_root(comp.ctype, 0, 1)
+    want = comp.to_global(local)
+    monkeypatch.setattr("afweak.fan.vector_to_root", lambda typ, vec: (-1, want))
+    with pytest.raises(ComponentMismatch):
+        comp.to_global(local)
+
+
 def test_phi_prime_from_blocks_pairing():
     f = face_from_blocks(C2, [{-2}, {-1}, {0}, {1}, {2}])
     assert phi_prime_from_blocks(f, []) == frozenset()

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from afweak.errors import DependentRoots, NotARoot
+from afweak.errors import AfweakError, DependentRoots, NotARoot
 from afweak.roots import (
     AffineType,
     canonical_root,
     delta_height,
     finite_class,
     negate_class,
+    plane_key,
     rank2_subsystem,
     root_window,
     vector_to_root,
+    _angular_sort,
     _solve_in_plane,
     _rref_plane_key,
 )
@@ -130,6 +132,12 @@ def test_rank2_dependent():
     r = canonical_root(A4, 0, 1)
     with pytest.raises(DependentRoots):
         rank2_subsystem(r, r)
+
+
+def test_angular_sort_rejects_roots_outside_the_plane():
+    a, b = canonical_root(A4, 0, 1), canonical_root(A4, 1, 2)
+    with pytest.raises(AfweakError, match="outside the plane"):
+        _angular_sort(plane_key(a, b), [a, canonical_root(A4, 2, 3)])
 
 
 def _in_open_cone(basis, ends, mid):
