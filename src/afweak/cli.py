@@ -204,6 +204,17 @@ def _load(path: str) -> dict:
     return d
 
 
+def _option_list(option: str, text: str) -> list:
+    """The JSON list given to a command-line option; else an InputError."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{option}: {_describe(e)}") from e
+    if not isinstance(value, list):
+        raise InputError(f"{option}: expected a JSON list")
+    return value
+
+
 def _emit(obj, out: str | None):
     text = json.dumps(obj, sort_keys=True, indent=2)
     if out:
@@ -265,9 +276,11 @@ def _cmd_classify(args):
 
 def _cmd_build(args):
     typ = _roots.AffineType(args.family, args.n)
-    face = face_from_json(typ, json.loads(args.face))
+    face = face_from_json(typ, _option_list("--face", args.face))
     if args.phi_blocks is not None:
-        phi = _fan.phi_prime_from_blocks(face, json.loads(args.phi_blocks))
+        phi = _fan.phi_prime_from_blocks(
+            face, _option_list("--phi-blocks", args.phi_blocks)
+        )
     else:
         phi = frozenset(args.phi or ())
     wmap = {}
@@ -277,7 +290,8 @@ def _cmd_build(args):
             cid, _, spec_ = item.partition("=")
             comp = decomp.by_id(cid)
             if spec_.lstrip().startswith("["):
-                wmap[cid] = _perms.from_window(comp.ctype, json.loads(spec_))
+                window = _option_list("--w", spec_)
+                wmap[cid] = _perms.from_window(comp.ctype, window)
             else:
                 wmap[cid] = word_element(comp.ctype, spec_.replace(",", " "))
     t = _fan.build_biclosed(face, phi, wmap)
@@ -384,9 +398,11 @@ def _cmd_faces(args):
 
 def _cmd_hasse(args):
     typ = _roots.AffineType(args.family, args.n)
-    face = face_from_json(typ, json.loads(args.face))
+    face = face_from_json(typ, _option_list("--face", args.face))
     if args.phi_blocks is not None:
-        phi = _fan.phi_prime_from_blocks(face, json.loads(args.phi_blocks))
+        phi = _fan.phi_prime_from_blocks(
+            face, _option_list("--phi-blocks", args.phi_blocks)
+        )
     else:
         phi = frozenset(args.phi or ())
     frag = _fan.path_component_poset(face, phi, args.bound)

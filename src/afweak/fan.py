@@ -14,8 +14,8 @@ e~_j - e~_i is the difference of the block indices of the residues.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import (
     ComponentMismatch,
@@ -485,11 +485,15 @@ class BiclosedTriple:
     face: FanFace
     phi_prime: frozenset[str]
     w: tuple[tuple[str, AffinePermutation], ...]  # sorted by component id
-    inv_global: frozenset[Root] = field(compare=False)
 
     @property
     def type(self) -> AffineType:
         return self.face.type
+
+    @cached_property
+    def inv_global(self) -> frozenset[Root]:
+        """The component inversions as global roots, derived on first use."""
+        return _global_inversions(parahoric(self.face), self.w)
 
     def w_map(self) -> dict[str, AffinePermutation]:
         return dict(self.w)
@@ -519,10 +523,12 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
     """Assemble and validate a triple; w maps component ids to elements.
 
     Missing components default to the identity; identity components are
-    normalized away so triples compare canonically.
+    normalized away so triples compare canonically.  Equal faces, Phi'
+    sets and component tuples are shared between triples, which keeps
+    many triples small.
     """
     decomp = parahoric(face)
-    phi = frozenset(phi_prime)
+    phi = _interned(frozenset(phi_prime))
     unknown = phi - set(decomp.ids())
     if unknown:
         raise ComponentMismatch(f"phi_prime names unknown components {sorted(unknown)}")
@@ -531,7 +537,6 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
     if unknown:
         raise ComponentMismatch(f"w names unknown components {sorted(unknown)}")
     items = []
-    global_inv: set[Root] = set()
     for comp in decomp.components:
         u = w.get(comp.id)
         if u is None:
@@ -543,10 +548,23 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
         if u == identity(comp.ctype):
             continue
         items.append((comp.id, u))
-        for loc in inversions(u):
-            global_inv.add(comp.to_global(loc))
     items.sort(key=lambda kv: kv[0])
-    return BiclosedTriple(face, phi, tuple(items), frozenset(global_inv))
+    # only splitA1 images can fail to be roots: check them when building
+    split = [kv for kv in items if decomp.by_id(kv[0]).kind == "splitA1"]
+    _global_inversions(decomp, split)
+    return BiclosedTriple(decomp.face, phi, _interned(tuple(items)))
+
+
+@lru_cache(maxsize=4096)
+def _interned(value):
+    """The first-seen object equal to value, so equal parts are shared."""
+    return value
+
+
+def _global_inversions(decomp: ParahoricDecomposition, w) -> frozenset[Root]:
+    return frozenset(
+        decomp.by_id(cid).to_global(loc) for cid, u in w for loc in inversions(u)
+    )
 
 
 def membership(t: BiclosedTriple, r: Root) -> bool:

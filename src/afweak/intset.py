@@ -1,252 +1,267 @@
 """Exact eventually-periodic subsets of the integers, bounded below.
 
-A set is stored as a finite part below a threshold T plus a periodic
-tail {x >= T : x mod P in residues}.  The family is closed under union,
-intersection, Minkowski sum, complement within [lo, oo) and Kleene star
-of subsets of [1, oo), which is exactly what the transitive closure of
-translation-invariant inversion relations consumes.  All operations are
-exact; normalization makes equality structural.
+A set is a finite part below a threshold T plus a tail {x >= T : x mod P
+in residues}, held as Python-int bitmasks.  Union and intersection are |
+and & of windows and of residue masks lifted to lcm(P) by multiplying
+with (2^lcm - 1)/(2^P - 1); complement is ~, shift rotates residues, a
+Minkowski sum shift-ORs one window over the runs of the other, and rays
+[T, oo) add and unite in closed form.  Everything the closure of
+translation-invariant inversion relations consumes stays in the family.
+All operations are exact; least period, then least threshold, make
+equality structural.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import lcm
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IntSet:
-    fin: frozenset[int]
-    T: int
-    P: int
-    res: frozenset[int]  # residues mod P active for x >= T
-
-    # -- construction -----------------------------------------------------
+class IntSet(NamedTuple):
+    lo: int  # least finite point (0 when there is none)
+    fin: int  # bit i: lo + i is in the set; every such point is below T
+    T: int  # tail threshold (0 for finite sets)
+    P: int  # tail period (1 for finite sets)
+    res: int  # bit r: residue r mod P is in the tail
 
     @staticmethod
     def empty() -> "IntSet":
-        return _make(frozenset(), 0, 1, frozenset())
+        return _EMPTY
 
     @staticmethod
     def points(xs) -> "IntSet":
-        return _make(frozenset(xs), 0, 1, frozenset())
+        xs = set(xs)
+        lo = min(xs, default=0)
+        return IntSet(lo, sum(1 << (x - lo) for x in xs), 0, 1, 0)
 
     @staticmethod
     def from_range(lo: int, hi: int | None = None) -> "IntSet":
         """[lo, hi] when hi is given, else [lo, oo)."""
         if hi is None:
-            return _make(frozenset(), lo, 1, frozenset({0}))
-        if hi < lo:
-            return IntSet.empty()
-        return IntSet.points(range(lo, hi + 1))
+            return IntSet(0, 0, lo, 1, 1)
+        return IntSet(lo, _ones(hi - lo + 1), 0, 1, 0) if hi >= lo else _EMPTY
 
     @staticmethod
     def tail(start: int, period: int, residues) -> "IntSet":
-        return _make(frozenset(), start, period, frozenset(r % period for r in residues))
-
-    # -- predicates --------------------------------------------------------
+        return _canon(start, 0, start, period, sum({1 << r % period for r in residues}))
 
     def __contains__(self, x: int) -> bool:
-        if x in self.fin:
-            return True
-        return bool(self.res) and x >= self.T and x % self.P in self.res
+        if self.res and x >= self.T:
+            return bool(self.res >> (x % self.P) & 1)
+        return x >= self.lo and bool(self.fin >> (x - self.lo) & 1)
 
     def is_empty(self) -> bool:
-        return not self.fin and not self.res
+        return not (self.fin or self.res)
 
     def is_finite(self) -> bool:
         return not self.res
 
     def min(self) -> int | None:
         if self.fin:
-            return min(self.fin)
-        if self.res:
-            return min(x for x in range(self.T, self.T + self.P) if x % self.P in self.res)
-        return None
+            return self.lo
+        if self.P == 1:
+            return self.T if self.res else None
+        return self.T + _low(_rot(self.res, self.T, self.P))
 
     def max_finite(self) -> int | None:
         """Largest element, for finite sets only."""
         if self.res:
             raise ValueError("set has a periodic tail")
-        return max(self.fin) if self.fin else None
+        return self.lo + self.fin.bit_length() - 1 if self.fin else None
 
     def upto(self, hi: int) -> list[int]:
         lo = self.min()
-        if lo is None:
-            return []
-        return [x for x in range(lo, hi + 1) if x in self]
+        return [] if lo is None else _points(lo, _bits(self, lo, hi + 1))
 
     def is_cofinal_from(self) -> int | None:
         """K when the set equals fin-part plus the full ray [K, oo)."""
-        if len(self.res) != self.P:
-            return None
-        k = self.T
-        while k - 1 in self.fin:
-            k -= 1
-        return k
-
-    # -- algebra -----------------------------------------------------------
+        # canonical: a full tail has period 1 and T - 1 is not a finite point
+        return self.T if self.res == 1 and self.P == 1 else None
 
     def union(self, other: "IntSet") -> "IntSet":
-        p = lcm(self.P, other.P)
-        t = max(_t_eff(self), _t_eff(other))
-        res = frozenset(
-            r for r in range(p) if (r in _lift(self, p)) or (r in _lift(other, p))
-        )
-        lo = _min2(self, other)
-        if lo is None:
-            return IntSet.empty()
-        fin = frozenset(x for x in range(lo, t) if x in self or x in other)
-        return _make(fin, t, p, res)
+        a, b = self, other
+        if a.is_empty() or b.is_empty():
+            return b if a.is_empty() else a
+        if not (a.res or b.res):
+            lo = min(a.lo, b.lo)
+            return IntSet(lo, a.fin << (a.lo - lo) | b.fin << (b.lo - lo), 0, 1, 0)
+        if _is_ray(a) and _is_ray(b):
+            return a if a.T <= b.T else b
+        lo = min(a.lo if a.fin else a.T, b.lo if b.fin else b.T)
+        return _canon(lo, *_merged(a, b, int.__or__, lo))
 
     def intersection(self, other: "IntSet") -> "IntSet":
-        p = lcm(self.P, other.P)
-        t = max(_t_eff(self), _t_eff(other))
-        res = frozenset(
-            r for r in range(p) if (r in _lift(self, p)) and (r in _lift(other, p))
-        )
-        lo = _min2(self, other)
-        if lo is None:
-            return IntSet.empty()
-        fin = frozenset(x for x in range(lo, t) if x in self and x in other)
-        return _make(fin, t, p, res)
+        if self.is_empty() or other.is_empty():
+            return _EMPTY
+        lo = max(self.min(), other.min())
+        return _canon(lo, *_merged(self, other, int.__and__, lo))
 
     def complement_in(self, lo: int) -> "IntSet":
         """[lo, oo) minus this set."""
         t = max(_t_eff(self), lo)
-        res = frozenset(r for r in range(self.P) if r not in self.res)
-        fin = frozenset(x for x in range(lo, t) if x not in self)
-        return _make(fin, t, self.P, res)
+        return _canon(lo, ~_bits(self, lo, t), t, self.P, ~self.res & _ones(self.P))
 
     def issubset(self, other: "IntSet") -> bool:
-        return self.union(other) == other
+        if _is_ray(other):
+            return self.is_empty() or self.min() >= other.T
+        bits, _, _, res = _merged(self, other, lambda x, y: x & ~y, self.min() or 0)
+        return not (bits or res)
 
     def intersects(self, other: "IntSet") -> bool:
-        return not self.intersection(other).is_empty()
+        bits, _, _, res = _merged(self, other, int.__and__, self.min() or 0)
+        return bool(bits or res)
 
     def shift(self, c: int) -> "IntSet":
-        return _make(
-            frozenset(x + c for x in self.fin),
-            self.T + c,
-            self.P,
-            frozenset((r + c) % self.P for r in self.res),
-        )
+        lo, t = self.lo + c if self.fin else 0, self.T + c if self.res else 0
+        return IntSet(lo, self.fin, t, self.P, _rot(self.res, -c, self.P))
 
     def minkowski(self, other: "IntSet") -> "IntSet":
         """{x + y : x in self, y in other}, exactly.
 
         Beyond T_a + T_b + 2*lcm(P_a, P_b) the sumset is lcm-periodic, so
-        an explicit scan up to that bound determines it completely.
+        the sums below that bound plus one period determine it completely.
         """
-        if self.is_empty() or other.is_empty():
-            return IntSet.empty()
-        if self.is_finite() and other.is_finite():
-            return IntSet.points(
-                x + y for x in self.fin for y in other.fin
-            )
-        la, lb = self.min(), other.min()
-        L = lcm(self.P, other.P)
-        t_out = _t_eff(self) + _t_eff(other) + 2 * L
-        lo = la + lb
-
-        def member(s: int) -> bool:
-            return any((s - x) in other for x in self.upto(s - lb))
-
-        fin = frozenset(x for x in range(lo, t_out) if member(x))
-        res = frozenset(x % L for x in range(t_out, t_out + L) if member(x))
-        return _make(fin, t_out, L, res)
+        a, b = self, other
+        if a.is_empty() or b.is_empty():
+            return _EMPTY
+        if b.fin == 1 and not b.res:
+            return a.shift(b.lo)
+        if a.fin == 1 and not a.res:
+            return b.shift(a.lo)
+        la, lb = a.min(), b.min()
+        if _is_ray(a) or _is_ray(b):
+            return IntSet(0, 0, la + lb, 1, 1)
+        if not (a.res or b.res):
+            return IntSet(la + lb, _sum_bits(a.fin, b.fin), 0, 1, 0)
+        L = lcm(a.P, b.P)
+        t = _t_eff(a) + _t_eff(b) + 2 * L
+        w = _sum_bits(_bits(a, la, t + L - lb), _bits(b, lb, t + L - la))
+        tail = w >> (t - la - lb) & _ones(L)
+        return _canon(la + lb, w, t, L, _rot(tail, -t, L))
 
     def star(self) -> "IntSet":
         """{0} u self u (self+self) u ...; requires min(self) >= 1.
 
-        Uses the Apery trick: with m = min(self) the star is closed under
-        adding m, so per class mod m it is a ray from the least reachable
-        value.  A finite generating slice of the set suffices because
-        P*m is itself a sum of m's.
+        Apery trick: with m = min(self) the star is, per class mod m, a ray
+        from the least reachable value; the least generator of each class
+        in a slice of P*(m+1) beyond T suffices (P*m is a sum of m's).
         """
         if self.is_empty():
-            return IntSet.points([0])
+            return IntSet(0, 1, 0, 1, 0)
         m = self.min()
         if m < 1:
             raise ValueError("star needs a subset of [1, oo)")
-        gens = self.upto(_t_eff(self) + self.P * (m + 1))
-        INF = None
-        ap: dict[int, int | None] = {c: INF for c in range(m)}
-        ap[0] = 0
-        # Dijkstra over Z/m with edge weights the generators
-        import heapq
-
-        heap = [(0, 0)]
+        gens = {g % m: g for g in reversed(self.upto(_t_eff(self) + self.P * (m + 1)))}
+        ap, heap = {0: 0}, [(0, 0)]  # Dijkstra over Z/m
         while heap:
-            val, c = heapq.heappop(heap)
-            if ap[c] is not None and val > ap[c]:
+            val, c = heappop(heap)
+            if val > ap[c]:
                 continue
-            for g in gens:
-                c2 = (c + g) % m
-                v2 = val + g
-                if ap[c2] is None or v2 < ap[c2]:
+            for g in gens.values():
+                c2, v2 = (c + g) % m, val + g
+                if c2 not in ap or v2 < ap[c2]:
                     ap[c2] = v2
-                    heapq.heappush(heap, (v2, c2))
-        finite = {c: v for c, v in ap.items() if v is not None}
-        t = max(finite.values()) + 1
-        fin = frozenset(
-            x
-            for v in finite.values()
-            for x in range(v, t, m)
-        )
-        res = frozenset(v % m for v in finite.values())
-        return _make(fin, t, m, res)
+                    heappush(heap, (v2, c2))
+        t = max(ap.values()) + 1
+        fin = sum(_periodic(1 << v % m, m, 0, t) >> v << v for v in ap.values())
+        return _canon(0, fin, t, m, sum(1 << v % m for v in ap.values()))
 
     def __repr__(self):
-        bits = sorted(self.fin)
-        if self.res:
-            return f"IntSet({bits} + tail[{self.T}+, mod {self.P}: {sorted(self.res)}])"
-        return f"IntSet({bits})"
+        tail = f" + tail[{self.T}+, mod {self.P}: {_points(0, self.res)}]"
+        return f"IntSet({_points(self.lo, self.fin)}{tail if self.res else ''})"
 
 
-def _lift(s: IntSet, p: int) -> frozenset[int]:
-    """Residues mod p (a multiple of s.P) matching s's tail pattern."""
-    return frozenset(r for r in range(p) if r % s.P in s.res)
+_EMPTY = IntSet(0, 0, 0, 1, 0)
+
+
+def _ones(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _low(x: int) -> int:
+    """Index of the lowest set bit."""
+    return (x & -x).bit_length() - 1
+
+
+def _points(base: int, bits: int) -> list[int]:
+    return [base + i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _rot(res: int, c: int, p: int) -> int:
+    """The p-bit pattern whose bit j is bit (j + c) mod p of res."""
+    c %= p
+    return (res >> c | res << (p - c)) & _ones(p)
+
+
+def _periodic(res: int, p: int, start: int, n: int) -> int:
+    """Bits over [start, start + n) of {x : bit x mod p of res}."""
+    if n <= 0:
+        return 0
+    k = -(-n // p)
+    return _rot(res, start, p) * (_ones(p * k) // _ones(p)) & _ones(n)
+
+
+def _is_ray(s: IntSet) -> bool:
+    return s.P == 1 and s.res == 1 and not s.fin
 
 
 def _t_eff(s: IntSet) -> int:
     """A threshold beyond which membership is purely the tail pattern."""
-    return max(s.T, max(s.fin) + 1) if s.fin else s.T
+    return s.T if s.res else s.lo + s.fin.bit_length()
 
 
-def _min2(a: IntSet, b: IntSet):
-    xs = [v for v in (a.min(), b.min()) if v is not None]
-    return min(xs) if xs else None
+def _bits(s: IntSet, a: int, b: int) -> int:
+    """s intersected with [a, b): bit i stands for the point a + i."""
+    if b <= a:
+        return 0
+    out = s.fin << (s.lo - a) if s.lo >= a else s.fin >> (a - s.lo)
+    if s.res and s.T < b:
+        t = max(s.T, a)
+        out |= _periodic(s.res, s.P, t, b - t) << (t - a)
+    return out & _ones(b - a)
 
 
-def _make(fin: frozenset[int], t: int, p: int, res: frozenset[int]) -> IntSet:
-    """Normalize to the canonical representation."""
-    if not res:
-        return IntSet(frozenset(fin), 0, 1, frozenset())
-    # absorb finite points lying on the tail, bump T over strays beyond it
-    stray = {x for x in fin if x >= t}
-    if stray:
-        t_new = max(stray) + 1
-        fin = frozenset(
-            x
-            for x in range(min(min(fin), t), t_new)
-            if (x in fin) or (x >= t and x % p in res)
-        )
-        t = t_new
-    fin = frozenset(x for x in fin if x < t)
-    # minimal period
-    for d in range(1, p + 1):
-        if p % d:
-            continue
-        folded = frozenset(r % d for r in res)
-        if frozenset(r for r in range(p) if r % d in folded) == res:
-            p, res = d, folded
+def _sum_bits(x: int, y: int) -> int:
+    """Bits of {i + j : bit i of x, bit j of y}: y is ORed, smeared by
+    doubling, over each run of ones of the operand with fewer runs."""
+    if (x ^ x >> 1).bit_count() > (y ^ y >> 1).bit_count():
+        x, y = y, x
+    out = 0
+    while x:
+        i = _low(x)
+        carried = x + (1 << i)  # clears the run at i, sets the bit above it
+        k, w, z = _low(carried) - i, 1, y
+        while 2 * w <= k:
+            z, w = z | z << w, 2 * w
+        out |= (z | z << (k - w)) << i
+        x &= carried
+    return out
+
+
+def _merged(a: IntSet, b: IntSet, op, lo: int):
+    """(bits, t, p, res): op of a's and b's windows over [lo, t), t the
+    larger threshold, and of their residue masks lifted to p = lcm(P)."""
+    p, t = lcm(a.P, b.P), max(_t_eff(a), _t_eff(b))
+    res = op(_periodic(a.res, a.P, 0, p), _periodic(b.res, b.P, 0, p))
+    return op(_bits(a, lo, t), _bits(b, lo, t)), t, p, res
+
+
+def _canon(a: int, bits: int, t: int, p: int, res: int) -> IntSet:
+    """Canonical form of {a + i < t : bit i of bits} u {x >= t : bit x mod p
+    of res}: least period, then the threshold retracted while the finite
+    part agrees with the pattern."""
+    for d in range(1, p):  # d = 1 also maps res = 0 to p = 1
+        if not p % d and res == _periodic(res, d, 0, p):
+            p, res = d, res & _ones(d)
             break
-    # retract the threshold point by point while the pattern keeps
-    # matching; res is nonempty, so this stops within one period of the
-    # finite support (the first uncovered pattern residue blocks it)
-    fin = set(fin)
-    while ((t - 1) in fin) == ((t - 1) % p in res):
-        t -= 1
-        fin.discard(t)
-    return IntSet(frozenset(fin), t, p, frozenset(res))
+    bits = bits & _ones(t - a) if t > a else 0
+    if res:
+        diff = bits ^ _periodic(res, p, a, t - a)
+        t = a + diff.bit_length() if diff else min(t, a)
+        while not (diff or res >> (t - 1) % p & 1):
+            t -= 1  # below a the finite part is empty
+        bits &= _ones(t - a) if t > a else 0
+    if not bits:
+        return IntSet(0, 0, t if res else 0, p, res)
+    return IntSet(a + _low(bits), bits >> _low(bits), t if res else 0, p, res)

@@ -118,7 +118,8 @@ def join_window(xs, lo: int | None = None, hi: int | None = None) -> FiniteOrder
         raise ValueError("ground interval required for pair-set inputs")
     closed = _window_closure(lo, hi, pairs)
     out = _order_from_pairs(lo, hi, closed)
-    assert out.inversions() == closed, "closed union was not an order"
+    if out.inversions() != closed:
+        raise NotAnOrder("the closed union is not an order")
     return out
 
 
@@ -143,7 +144,8 @@ def meet_window(xs, lo: int | None = None, hi: int | None = None) -> FiniteOrder
     closed = _window_closure(lo, hi, complement_union)
     meet_pairs = full - closed
     out = _order_from_pairs(lo, hi, meet_pairs)
-    assert out.inversions() == frozenset(meet_pairs), "dual closure not an order"
+    if out.inversions() != frozenset(meet_pairs):
+        raise NotAnOrder("the dual closure is not an order")
     return out
 
 
@@ -210,31 +212,22 @@ class ThresholdRelation:
     def full_shape(self, a: int, b: int) -> str:
         """Shape of the full-order set {d : a comes after b + dM}."""
         v, w = self.V[a][b], self.V[b][a]
-        lo = _eps(a, b)
         if v.is_finite():
-            hi = v.max_finite()
-            if hi is None:
-                below = w.complement_in(_eps(b, a))
-                return "Empty" if below.is_empty() else "AtMost"
-            return "AtMost"
-        if v.is_cofinal_from() == lo and w.is_empty():
-            full_below = w.complement_in(_eps(b, a)).is_cofinal_from()
-            return "All" if full_below == _eps(b, a) else "AtLeast"
-        return "AtLeast"
+            empty = v.is_empty() and w.complement_in(_eps(b, a)).is_empty()
+            return "Empty" if empty else "AtMost"
+        full = v.is_cofinal_from() == _eps(a, b) and w.is_empty()
+        return "All" if full else "AtLeast"
 
 
 def relation_from_pairs(m: int, roots) -> ThresholdRelation:
     """The finite relation of an explicit set of family-A roots."""
-    v = [[IntSet.empty() for _ in range(m)] for _ in range(m)]
     cells: dict[tuple[int, int], set[int]] = {}
     for r in roots:
-        a = r.i
-        b = r.j % m
-        d = (r.j - b) // m
-        cells.setdefault((a, b), set()).add(d)
-    for (a, b), ds in cells.items():
-        v[a][b] = IntSet.points(ds)
-    return ThresholdRelation(m, tuple(tuple(row) for row in v))
+        cells.setdefault((r.i, r.j % m), set()).add(r.j // m)
+    rows = (
+        tuple(IntSet.points(cells.get((a, b), ())) for b in range(m)) for a in range(m)
+    )
+    return ThresholdRelation(m, tuple(rows))
 
 
 def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
@@ -242,8 +235,9 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
 
     Chains a > b + dM > c + eM compose by Minkowski sums of the shift
     sets; loop entries are absorbed exactly through IntSet.star, so the
-    sweep needs no unbounded iteration.  Degenerate inputs surface as
-    NotAnOrder from the validity check downstream, not here.
+    sweep needs no unbounded iteration.  Transitivity of the result is
+    checked on every call (NotAnOrder if it fails); degenerate inputs
+    surface as NotAnOrder from the validity check downstream.
     """
     m = r.M
     v = [list(row) for row in r.V]
@@ -261,8 +255,9 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
     for a in range(m):
         for b in range(m):
             for c in range(m):
-                if not v[a][b].is_empty() and not v[b][c].is_empty():
-                    assert v[a][b].minkowski(v[b][c]).issubset(v[a][c])
+                if not (v[a][b].is_empty() or v[b][c].is_empty()
+                        or v[a][b].minkowski(v[b][c]).issubset(v[a][c])):
+                    raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
     return out
 
 
@@ -287,10 +282,7 @@ def check_order(r: ThresholdRelation) -> None:
                         f" via {b}"
                     )
     for a in range(m):
-        if not r.entry(a, a).is_finite():
-            if r.entry(a, a) != IntSet.from_range(1):
-                raise NotAnOrder(f"diagonal class {a} is partially reversed")
-        elif not r.entry(a, a).is_empty():
+        if r.entry(a, a) not in (IntSet.empty(), IntSet.from_range(1)):
             raise NotAnOrder(f"diagonal class {a} is partially reversed")
 
 
@@ -342,10 +334,7 @@ def iota(t: BiclosedTriple) -> ThresholdRelation:
                 if s < 0:
                     row.append(IntSet.from_range(max(lo, -diff // -s + 1)))
                 else:
-                    hi = (diff - 1) // s
-                    row.append(
-                        IntSet.from_range(lo, hi) if hi >= lo else IntSet.empty()
-                    )
+                    row.append(IntSet.from_range(lo, (diff - 1) // s))
         rows.append(tuple(row))
     return ThresholdRelation(m, tuple(rows))
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import afweak
-from afweak.cli import run, windowset_to_json
+from afweak.cli import run, triple_to_json, windowset_to_json
 from afweak.closure import window_set
 from afweak.roots import AffineType, root_window
 from afweak.verify import _rand_triple
@@ -307,6 +307,41 @@ def test_malformed_input_is_a_usage_error(tmp_path, text):
     err = child.stderr.decode()
     assert child.returncode == 2, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--family", "A", "--n", "3", "--face", "nope"],
+        ["build", "--family", "A", "--n", "3", "--face", "5"],
+        ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+         "--phi-blocks", "{"],
+        ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+         "--w", "blk0=[2, 1"],
+        ["hasse", "--family", "A", "--n", "3", "--face", "nope", "--bound", "2"],
+    ],
+    ids=["build-face", "build-face-not-list", "build-phi-blocks", "build-w",
+         "hasse-face"],
+)
+def test_malformed_option_is_a_usage_error(args):
+    child = _child(*args)
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_join_under_optimize_matches_in_process(tmp_path, capsys):
+    # the order checks behind join are raises, so python -O keeps them
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
+    typ = AffineType("A", 5)
+    paths = [
+        _write(tmp_path, f"t{k}.json", triple_to_json(_rand_triple(typ, rng)))
+        for k in range(2)
+    ]
+    child = _child("join", "--in", *paths, flags=("-O",))
+    assert child.returncode == 0, child.stderr.decode()
+    assert run(["join", "--in", *paths]) == 0
+    assert child.stdout == capsys.readouterr().out.encode()
 
 
 def test_check_child_matches_in_process(tmp_path, capsys):

@@ -119,6 +119,17 @@ def test_split_component_rejects_a_negative_image(monkeypatch):
         comp.to_global(local)
 
 
+def test_build_rejects_a_bad_split_image(monkeypatch):
+    # inv_global is derived on first use; a bad splitA1 image still fails
+    # the build itself
+    face = origin_face(D2)
+    comp = parahoric(face).components[0]
+    u = simple_reflections(comp.ctype)[0]
+    monkeypatch.setattr("afweak.fan.vector_to_root", lambda typ, vec: None)
+    with pytest.raises(ComponentMismatch):
+        build_biclosed(face, frozenset(), {comp.id: u})
+
+
 def test_phi_prime_from_blocks_pairing():
     f = face_from_blocks(C2, [{-2}, {-1}, {0}, {1}, {2}])
     assert phi_prime_from_blocks(f, []) == frozenset()

@@ -1,12 +1,16 @@
 """Brute-force cross-checks of the eventually-periodic set algebra."""
 
+import os
 import random
+from math import lcm
 
 import pytest
 
 from afweak.intset import IntSet
 
 HI = 200
+LO = -60  # below every point of the sets model() draws
+SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 
 
 def brute(s, hi=HI):
@@ -44,7 +48,7 @@ def test_constructors_and_membership():
 
 
 def test_algebra_against_brute_force():
-    rng = random.Random(7)
+    rng = random.Random(SEED + 7)
     for _ in range(500):
         a, b = random_set(rng), random_set(rng)
         ba, bb = brute(a), brute(b)
@@ -66,28 +70,29 @@ def test_canonical_equality():
     assert IntSet.tail(5, 2, [0, 1]) == IntSet.from_range(5)
     assert IntSet.tail(6, 4, [0, 2]) == IntSet.tail(6, 2, [0])
     assert IntSet.points([3, 6]).union(IntSet.tail(9, 3, [0])) == IntSet.tail(3, 3, [0])
-    rng = random.Random(8)
+    rng = random.Random(SEED + 8)
     for _ in range(200):
         a = random_set(rng)
         assert a.union(a) == a
         assert a.union(IntSet.empty()) == a
 
 
-def test_star_against_reachability():
-    def star_brute(s, hi):
-        gens = s.upto(hi)
-        reach = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = x + g
-                if y <= hi and y not in reach:
-                    reach.add(y)
-                    stack.append(y)
-        return reach
+def star_brute(s, hi):
+    gens = s.upto(hi)
+    reach = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = x + g
+            if y <= hi and y not in reach:
+                reach.add(y)
+                stack.append(y)
+    return reach
 
-    rng = random.Random(9)
+
+def test_star_against_reachability():
+    rng = random.Random(SEED + 9)
     for _ in range(250):
         a = random_set(rng).union(IntSet.points([rng.randrange(1, 9)]))
         if a.min() < 1:
@@ -108,3 +113,99 @@ def test_minkowski_of_rays():
             assert IntSet.from_range(a).minkowski(IntSet.from_range(b)) == (
                 IntSet.from_range(a + b)
             )
+
+
+def model(rng):
+    """A random set with points down to -55 and periods up to 12, shifted
+    by a possibly negative amount, with an independent membership test
+    and its eventual period."""
+    kind = rng.randrange(4)
+    c = rng.randrange(-25, 26)
+    if kind == 0:
+        pts = set(rng.sample(range(-30, 30), rng.randrange(6)))
+        s, p, pred = IntSet.points(pts), 1, pts.__contains__
+    elif kind == 1:
+        lo = rng.randrange(-30, 30)
+        s, p, pred = IntSet.from_range(lo), 1, lambda x: x >= lo
+    else:
+        p = rng.randrange(1, 13)
+        start = rng.randrange(-30, 30)
+        res = set(rng.sample(range(p), rng.randrange(1, p + 1)))
+        pts = set(rng.sample(range(-30, 30), rng.randrange(1, 6) if kind == 3 else 0))
+        s = IntSet.points(pts).union(IntSet.tail(start, p, res))
+        pred = lambda x: x in pts or (x >= start and x % p in res)  # noqa: E731
+    return s.shift(c), p, lambda x: pred(x - c)
+
+
+def members(pred, lo=LO, hi=HI):
+    return {x for x in range(lo, hi + 1) if pred(x)}
+
+
+def window(s, lo=LO, hi=HI):
+    return {x for x in range(lo, hi + 1) if x in s}
+
+
+def test_bitmask_algebra_against_predicates():
+    rng = random.Random(SEED + 10)
+    sums = {"finite+tail": 0, "tail+tail": 0}
+    for _ in range(400):
+        (a, _, pa), (b, _, pb) = model(rng), model(rng)
+        ma, mb = members(pa), members(pb)
+        assert window(a) == ma and set(a.upto(HI)) == ma
+        assert window(a.union(b)) == ma | mb
+        assert window(a.intersection(b)) == ma & mb
+        far = 3 * HI
+        wa, wb = members(pa, LO, far), members(pb, LO, far)
+        assert a.issubset(b) == (wa <= wb)
+        assert a.intersects(b) == bool(wa & wb)
+        c = rng.randrange(-40, 40)
+        assert window(a.shift(c)) == {x + c for x in members(pa, LO - c, HI - c)}
+        # complement_in, often from below the least point
+        lo = (a.min() if not a.is_empty() else 0) - rng.randrange(0, 12)
+        assert window(a.complement_in(lo), lo) == set(range(lo, HI + 1)) - ma
+        if a.is_empty() or b.is_empty():
+            continue
+        tails = (not a.is_finite()) + (not b.is_finite())
+        if tails:
+            sums["tail+tail" if tails == 2 else "finite+tail"] += 1
+        # a summand above HI pairs with a negative one, so widen the summands
+        xa, xb = members(pa, LO, HI - LO), members(pb, LO, HI - LO)
+        assert window(a.minkowski(b), 2 * LO) == {
+            x + y for x in xa for y in xb if x + y <= HI
+        }
+    assert min(sums.values()) > 20
+
+
+def test_canonical_form_is_route_independent():
+    rng = random.Random(SEED + 11)
+    for _ in range(300):
+        (a, p, pa), (b, _, _) = model(rng), model(rng)
+        ab = a.union(b)
+        assert ab == b.union(a) and hash(ab) == hash(b.union(a))
+        assert a.intersection(ab) == a and hash(a.intersection(ab)) == hash(a)
+        c = rng.randrange(-40, 40)
+        assert a.shift(c).shift(-c) == a
+        lo = rng.randrange(-70, 20)
+        twice = a.complement_in(lo).complement_in(lo)
+        assert twice == a.intersection(IntSet.from_range(lo))
+        # rebuilt from a window of points and a tail far out, with a
+        # multiple of the period: the threshold and period come back
+        k, q = 100, p * rng.randrange(1, 4)
+        rebuilt = IntSet.points(x for x in range(LO, k) if pa(x)).union(
+            IntSet.tail(k, q, {x % q for x in range(k, k + q) if pa(x)})
+        )
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+    for p in range(1, 13):
+        for q in range(1, 4):
+            lifted = IntSet.tail(-7, p * q, [r for r in range(p * q) if r % p == 3 % p])
+            assert lifted == IntSet.tail(-7, p, [3]) and lifted.P == p
+    assert lcm(4, 6) == IntSet.tail(0, 4, [1]).union(IntSet.tail(0, 6, [2])).P
+
+
+def test_star_of_long_periods_against_reachability():
+    rng = random.Random(SEED + 12)
+    for _ in range(150):
+        a = model(rng)[0].intersection(IntSet.from_range(1))
+        if a.is_empty():
+            continue
+        assert window(a.star(), 0, 160) == star_brute(a, 160)
