@@ -204,15 +204,30 @@ def _load(path: str) -> dict:
     return d
 
 
-def _option_list(option: str, text: str) -> list:
-    """The JSON list given to a command-line option; else an InputError."""
+def _option(option: str, text: str, parse):
+    """parse of the JSON list given to a command-line option; bad JSON, a
+    non-list or ill-typed items are an InputError."""
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as e:
+        if not isinstance(value, list):
+            raise TypeError("expected a JSON list")
+        return parse(value)
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{option}: {_describe(e)}") from e
-    if not isinstance(value, list):
-        raise InputError(f"{option}: expected a JSON list")
-    return value
+
+
+def _face_and_phi(typ, args):
+    """The face and Phi' given to build or hasse by --face, --phi-blocks
+    or --phi."""
+    face = _option("--face", args.face, lambda v: face_from_json(typ, v))
+    if args.phi_blocks is None:
+        return face, frozenset(args.phi or ())
+    return face, _option(
+        "--phi-blocks", args.phi_blocks,
+        lambda v: _fan.phi_prime_from_blocks(face, [int(k) for k in v]),
+    )
 
 
 def _emit(obj, out: str | None):
@@ -275,14 +290,7 @@ def _cmd_classify(args):
 
 
 def _cmd_build(args):
-    typ = _roots.AffineType(args.family, args.n)
-    face = face_from_json(typ, _option_list("--face", args.face))
-    if args.phi_blocks is not None:
-        phi = _fan.phi_prime_from_blocks(
-            face, _option_list("--phi-blocks", args.phi_blocks)
-        )
-    else:
-        phi = frozenset(args.phi or ())
+    face, phi = _face_and_phi(_roots.AffineType(args.family, args.n), args)
     wmap = {}
     if args.w:
         decomp = _fan.parahoric(face)
@@ -290,8 +298,9 @@ def _cmd_build(args):
             cid, _, spec_ = item.partition("=")
             comp = decomp.by_id(cid)
             if spec_.lstrip().startswith("["):
-                window = _option_list("--w", spec_)
-                wmap[cid] = _perms.from_window(comp.ctype, window)
+                wmap[cid] = _option(
+                    "--w", spec_, lambda v: _perms.from_window(comp.ctype, v)
+                )
             else:
                 wmap[cid] = word_element(comp.ctype, spec_.replace(",", " "))
     t = _fan.build_biclosed(face, phi, wmap)
@@ -397,14 +406,7 @@ def _cmd_faces(args):
 
 
 def _cmd_hasse(args):
-    typ = _roots.AffineType(args.family, args.n)
-    face = face_from_json(typ, _option_list("--face", args.face))
-    if args.phi_blocks is not None:
-        phi = _fan.phi_prime_from_blocks(
-            face, _option_list("--phi-blocks", args.phi_blocks)
-        )
-    else:
-        phi = frozenset(args.phi or ())
+    face, phi = _face_and_phi(_roots.AffineType(args.family, args.n), args)
     frag = _fan.path_component_poset(face, phi, args.bound)
     if args.dot:
         with open(args.dot, "w") as fh:

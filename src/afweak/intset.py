@@ -15,15 +15,36 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import lcm
-from typing import NamedTuple
 
 
-class IntSet(NamedTuple):
+class IntSet:
+    """Immutable; equal sets have equal fields, so == and hash are structural."""
+
+    __slots__ = ("lo", "fin", "T", "P", "res")
     lo: int  # least finite point (0 when there is none)
     fin: int  # bit i: lo + i is in the set; every such point is below T
     T: int  # tail threshold (0 for finite sets)
     P: int  # tail period (1 for finite sets)
     res: int  # bit r: residue r mod P is in the tail
+
+    def __init__(self, lo: int, fin: int, T: int, P: int, res: int):
+        _set_lo(self, lo)
+        _set_fin(self, fin)
+        _set_T(self, T)
+        _set_P(self, P)
+        _set_res(self, res)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntSet is immutable")
+
+    def _key(self) -> tuple[int, int, int, int, int]:
+        return self.lo, self.fin, self.T, self.P, self.res
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is IntSet and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def empty() -> "IntSet":
@@ -83,9 +104,6 @@ class IntSet(NamedTuple):
         a, b = self, other
         if a.is_empty() or b.is_empty():
             return b if a.is_empty() else a
-        if not (a.res or b.res):
-            lo = min(a.lo, b.lo)
-            return IntSet(lo, a.fin << (a.lo - lo) | b.fin << (b.lo - lo), 0, 1, 0)
         if _is_ray(a) and _is_ray(b):
             return a if a.T <= b.T else b
         lo = min(a.lo if a.fin else a.T, b.lo if b.fin else b.T)
@@ -125,15 +143,9 @@ class IntSet(NamedTuple):
         a, b = self, other
         if a.is_empty() or b.is_empty():
             return _EMPTY
-        if b.fin == 1 and not b.res:
-            return a.shift(b.lo)
-        if a.fin == 1 and not a.res:
-            return b.shift(a.lo)
         la, lb = a.min(), b.min()
         if _is_ray(a) or _is_ray(b):
             return IntSet(0, 0, la + lb, 1, 1)
-        if not (a.res or b.res):
-            return IntSet(la + lb, _sum_bits(a.fin, b.fin), 0, 1, 0)
         L = lcm(a.P, b.P)
         t = _t_eff(a) + _t_eff(b) + 2 * L
         w = _sum_bits(_bits(a, la, t + L - lb), _bits(b, lb, t + L - la))
@@ -172,6 +184,10 @@ class IntSet(NamedTuple):
         return f"IntSet({_points(self.lo, self.fin)}{tail if self.res else ''})"
 
 
+# slot setters: __init__ is the only writer, and it bypasses __setattr__
+_set_lo, _set_fin, _set_T, _set_P, _set_res = (
+    getattr(IntSet, k).__set__ for k in IntSet.__slots__
+)
 _EMPTY = IntSet(0, 0, 0, 1, 0)
 
 

@@ -317,11 +317,20 @@ def test_malformed_input_is_a_usage_error(tmp_path, text):
         ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
          "--phi-blocks", "{"],
         ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+         "--phi-blocks", "[[0]]"],
+        ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
          "--w", "blk0=[2, 1"],
+        ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+         "--w", "blk0=[\"a\", 1]"],
+        ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+         "--w", "blk0=[[2], 1]"],
         ["hasse", "--family", "A", "--n", "3", "--face", "nope", "--bound", "2"],
+        ["hasse", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+         "--phi-blocks", "[{}]", "--bound", "2"],
     ],
-    ids=["build-face", "build-face-not-list", "build-phi-blocks", "build-w",
-         "hasse-face"],
+    ids=["build-face", "build-face-not-list", "build-phi-blocks",
+         "build-phi-blocks-item", "build-w", "build-w-item", "build-w-nested",
+         "hasse-face", "hasse-phi-blocks-item"],
 )
 def test_malformed_option_is_a_usage_error(args):
     child = _child(*args)

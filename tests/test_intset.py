@@ -77,6 +77,18 @@ def test_canonical_equality():
         assert a.union(IntSet.empty()) == a
 
 
+def test_no_tuple_behaviour():
+    # set-like misuse must fail loudly, not act on the representation
+    s = IntSet.points([-2, 0]).union(IntSet.tail(3, 4, [1, 2]))
+    for misuse in (lambda: s + s, lambda: s * 2, lambda: len(s), lambda: list(s),
+                   lambda: s < s):
+        with pytest.raises(TypeError):
+            misuse()
+    with pytest.raises(AttributeError):
+        s.T = 0
+    assert IntSet.empty() != (0, 0, 0, 1, 0)
+
+
 def star_brute(s, hi):
     gens = s.upto(hi)
     reach = {0}
