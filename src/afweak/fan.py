@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 
 from .errors import (
     ComponentMismatch,
+    InvalidWindow,
     NotBiclosed,
     TooLarge,
     TypeMismatch,
@@ -36,6 +37,7 @@ from .perms import (
     root_action,
     simple_reflections,
     elements_up_to_length,
+    from_window,
 )
 from .roots import (
     AffineType,
@@ -623,12 +625,55 @@ def _simple_pairs_of(typ: AffineType):
 
 
 def _recover_w(decomp: ParahoricDecomposition, x: set[Root]):
-    """Peel a finite Phi_F-inversion set into component elements.
+    """Split a finite Phi_F-inversion set into component elements.
 
-    Repeatedly strips a simple root of W_F from x, transforming the rest
-    by the corresponding reflection; the letters assemble left-to-right
-    into the component words.
+    Family A reads each element off its inversions in time linear in the
+    set (``_from_inversions``); the signed families peel.
     """
+    if decomp.face.type.family == "A":
+        return _recover_w_a(decomp, x)
+    return _peel(decomp, x)
+
+
+def _recover_w_a(decomp: ParahoricDecomposition, x: set[Root]):
+    m = decomp.face.type.modulus
+    comp_of = {s: comp for comp in decomp.components for s in comp.reps}
+    local: dict[str, set[Root]] = {}
+    for r in x:
+        comp = comp_of.get(r.i % m)
+        if comp is None or r.j % m not in comp.reps:
+            raise NotBiclosed("the zero part is not a parahoric inversion set")
+        local.setdefault(comp.id, set()).add(
+            canonical_root(comp.ctype, comp.rho(r.i), comp.rho(r.j)))
+    return {comp.id: _from_inversions(comp.ctype, local[comp.id])
+            for comp in decomp.components if comp.id in local}
+
+
+def _from_inversions(typ: AffineType, inv: set[Root]) -> AffinePermutation:
+    """The family-A element u with N(u) = inv, else NotBiclosed.
+
+    With v = u^{-1}, (p, q) is an inversion iff p < q and v(p) > v(q), and
+    v(p) - p = #{inversions (p, q)} - #{inversions (q, p)}: v moves p past
+    exactly the points it inverts with.
+    """
+    m = typ.modulus
+    shift = [0] * m
+    for r in inv:
+        shift[r.i % m] += 1
+        shift[r.j % m] -= 1
+    try:
+        u = invert(from_window(typ, [p + shift[p % m] for p in range(1, m + 1)]))
+    except InvalidWindow:
+        u = None
+    if u is None or inversions(u) != inv:
+        raise NotBiclosed("the zero part is not a parahoric inversion set")
+    return u
+
+
+def _peel(decomp: ParahoricDecomposition, x: set[Root]):
+    """Repeatedly strip a simple root of W_F from x, transforming the rest
+    by the corresponding reflection; the letters assemble left-to-right
+    into the component words."""
     typ = decomp.face.type
     simples = []
     for comp in decomp.components:

@@ -328,6 +328,11 @@ def _central_order_perm(face: FanFace, wmap) -> AffinePermutation:
     blk = face.blocks[mid]
     reps = sorted(v % m for v in blk if v % m != 0)
     c = len(reps) // 2
+    if [parahoric(face).by_id(cid).kind for cid in wmap] == ["central"]:
+        # the component's relabeling is rho below, so its element already
+        # is the block permutation
+        (u,) = wmap.values()
+        return from_window(AffineType("C", c), u.window)
     g = global_element(face, wmap)
 
     def rho(x: int) -> int:

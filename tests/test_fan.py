@@ -14,6 +14,8 @@ from afweak.errors import (
     UnstableWindow,
 )
 from afweak.fan import (
+    _peel,
+    _recover_w,
     act,
     build_biclosed,
     classify,
@@ -330,6 +332,42 @@ def test_action_free_on_orbit():
             img = act(g, base)
             assert img not in seen
             seen.add(img)
+
+
+def test_inversion_read_off_matches_peel():
+    # family A reads component elements off their inversions; the peel
+    # must agree on inversion sets and reject the same non-inversion sets
+    rng = random.Random(23)
+    for _ in range(120):
+        typ = AffineType("A", rng.randrange(3, 7))
+        blocks = [[] for _ in range(rng.randrange(1, 4))]
+        for v in range(typ.modulus):
+            blocks[rng.randrange(len(blocks))].append(v)
+        f = face_from_blocks(typ, [b for b in blocks if b])
+        decomp = parahoric(f)
+        wmap = {}
+        for c in decomp.components:
+            gens = simple_reflections(c.ctype)
+            wmap[c.id] = _word(c.ctype, *[rng.randrange(len(gens))
+                                          for _ in range(rng.randrange(9))])
+        x = set(build_biclosed(f, [], wmap).inv_global)
+        assert _recover_w(decomp, x) == _peel(decomp, x)
+        zero = [r for r in root_window(typ, 3) if f.pairing_sign(r) == 0]
+        for _ in range(3):
+            y = x ^ set(rng.sample(zero, min(len(zero), rng.randrange(1, 4))))
+            try:
+                want = _peel(decomp, y)
+            except NotBiclosed:
+                with pytest.raises(NotBiclosed):
+                    _recover_w(decomp, y)
+            else:
+                assert _recover_w(decomp, y) == want
+    # roots off Phi_F: from a singleton block, and across two blocks
+    for blocks, root in (([{0}, {1, 2, 3}], (0, 1)), ([{0, 1}, {2, 3}], (0, 2))):
+        decomp = parahoric(face_from_blocks(A4, blocks))
+        for recover in (_recover_w, _peel):
+            with pytest.raises(NotBiclosed):
+                recover(decomp, {canonical_root(A4, *root)})
 
 
 def test_path_component_poset():

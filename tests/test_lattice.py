@@ -7,7 +7,14 @@ import random
 import pytest
 
 from afweak.closure import WindowSet, close
-from afweak.errors import NotAnOrder, TooLarge, TypeMismatch, UnstableWindow
+from afweak.errors import (
+    NotAnOrder,
+    NotARoot,
+    NotBiclosed,
+    TooLarge,
+    TypeMismatch,
+    UnstableWindow,
+)
 from afweak.fan import (
     build_biclosed,
     classify,
@@ -17,8 +24,10 @@ from afweak.fan import (
     phi_prime_from_blocks,
     triple_of_element,
 )
+from afweak.intset import IntSet
 from afweak.lattice import (
     FiniteOrderWindow,
+    ThresholdRelation,
     a_ambient,
     check_order,
     embed_c,
@@ -175,6 +184,37 @@ def test_check_order_flags_non_orders():
     bad = relation_from_pairs(2, [canonical_root(A2, 0, 3)])
     with pytest.raises(NotAnOrder):
         check_order(bad)
+
+
+def test_pi_rejects_or_round_trips_perturbed_blocks():
+    # the in-block inversions pi hands to the component read-off come
+    # straight from the cells; a perturbed cell must be rejected, or the
+    # relation must be a genuine order again
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")) + 43)
+    seen = set()
+    for _ in range(150):
+        typ = rng.choice((A3, A4, A5))
+        t = _rand_triple(typ, rng, 6)
+        r = iota(t)
+        blocks = [b for b in t.face.blocks if len(b) > 1]
+        if not blocks:
+            continue
+        blk = sorted(rng.choice(blocks))
+        a, b = rng.sample(blk, 2)
+        v = [list(row) for row in r.V]
+        e, eps = v[a][b], int(a > b)  # entries hold shifts d >= eps
+        if e.is_empty() or rng.random() < 0.5:
+            v[a][b] = e.union(IntSet.points([eps + rng.randrange(4)]))
+        else:
+            v[a][b] = e.intersection(IntSet.from_range(e.min() + 1))
+        r2 = ThresholdRelation(r.M, tuple(tuple(row) for row in v))
+        try:
+            out = pi(r2, typ)
+        except (NotAnOrder, NotBiclosed, NotARoot) as err:
+            seen.add(type(err))
+            continue
+        assert iota(out).V == r2.V
+    assert NotBiclosed in seen
 
 
 def test_pi_iota_identity():

@@ -12,6 +12,7 @@ from afweak.errors import (
 )
 from afweak.fan import (
     build_biclosed,
+    global_element,
     classify,
     dominant_chamber,
     enumerate_faces,
@@ -22,6 +23,7 @@ from afweak.fan import (
 )
 from afweak.orders import (
     DTwist,
+    _central_order_perm,
     compare,
     d_twist_set,
     inversion_set,
@@ -34,6 +36,7 @@ from afweak.orders import (
 )
 from afweak.perms import (
     elements_up_to_length,
+    from_window,
     identity,
     multiply,
     reflection,
@@ -142,6 +145,31 @@ def test_inversion_set_round_trip_exhaustive():
                             assert len(set(phi) & splits) == 1
                             continue
                         assert inversion_set(o) == t
+
+
+def test_central_order_perm_of_one_component():
+    # a lone central component is relabeled by rho, so the block
+    # permutation is its element; compare with the global realization
+    rng = random.Random(5)
+    for fam, n, central in (("C", 2, [[0, 1, -1]]), ("C", 3, [[0, 2, -2, 3, -3]]),
+                            ("B", 3, [[0, 1, -1, 3, -3]]), ("C", 3, [[0, 1, -1]])):
+        typ = AffineType(fam, n)
+        m = typ.modulus
+        rest = [v for v in range(1, n + 1) if v not in central[0]]
+        f = face_from_blocks(typ, [[-v] for v in reversed(rest)] + central
+                             + [[v] for v in rest])
+        comp = next(c for c in parahoric(f).components if c.kind == "central")
+        gens = simple_reflections(comp.ctype)
+        reps = sorted(v % m for v in central[0] if v % m)
+        for _ in range(15):
+            u = identity(comp.ctype)
+            for _ in range(rng.randrange(8)):
+                u = multiply(u, gens[rng.randrange(len(gens))])
+            g = global_element(f, {comp.id: u})
+            c = len(reps) // 2
+            want = from_window(AffineType("C", c), [
+                comp.rho(g(comp.rho_inv(k))) for k in range(1, c + 1)])
+            assert _central_order_perm(f, {comp.id: u}) == want
 
 
 def test_normalize_central_moves():
