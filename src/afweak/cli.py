@@ -555,7 +555,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``afweak ... | head``); point
+        # stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

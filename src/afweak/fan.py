@@ -36,6 +36,7 @@ from .perms import (
     reflection,
     root_action,
     simple_reflections,
+    _simple_pairs,
     elements_up_to_length,
     from_window,
 )
@@ -46,6 +47,7 @@ from .roots import (
     class_chain,
     finite_class,
     negate_class,
+    primitive_direction,
     root_window,
     signed_residue,
     vector_to_root,
@@ -222,54 +224,32 @@ def enumerate_faces(typ: AffineType) -> tuple[FanFace, ...]:
 class Component:
     """One indecomposable factor of a parahoric subgroup.
 
-    ``kind`` selects the relabeling:  "ablock" components are the
-    A-family factors over the integers whose residue lies in one block;
-    "central" components sit over the self-negated central block; a
-    "splitA1" is one of the two A~1 factors of a split central D~2.
+    ``kind`` names the factor:  "ablock" components are the A-family
+    factors over the integers whose residue lies in one block; "central"
+    components sit over the self-negated central block; a "splitA1" is one
+    of the two A~1 factors of a split central D~2.  The first two are
+    relabeled onto their own group by ``_rho`` over ``reps``.
     """
 
     id: str
     ctype: AffineType
     kind: str
-    reps: tuple[int, ...]  # ablock/central: sorted period representatives
+    reps: tuple[int, ...]  # ablock/central: see _block_reps
     gamma: tuple[int, ...] = ()  # splitA1: positive finite direction
     parent: AffineType = None
 
     # -- the order isomorphism rho between the global and local ground sets
 
     def rho(self, x: int) -> int:
-        m = self.parent.modulus
-        if self.kind == "central":
-            mm = self.ctype.modulus
-            s = x % m
-            if s == 0:
-                return (x // m) * mm
-            t = self.reps.index(s) + 1
-            return t + ((x - s) // m) * mm
-        lm = self.ctype.modulus
-        s = x % m
-        t = self.reps.index(s)
-        return t + ((x - s) // m) * lm
+        return _rho(self.reps, self.parent.modulus, x)
 
     def rho_inv(self, y: int) -> int:
-        m = self.parent.modulus
-        if self.kind == "central":
-            mm = self.ctype.modulus
-            s = y % mm
-            if s == 0:
-                return (y // mm) * m
-            return self.reps[s - 1] + ((y - s) // mm) * m
-        lm = self.ctype.modulus
-        s = y % lm
-        return self.reps[s] + ((y - s) // lm) * m
+        return _rho_inv(self.reps, self.parent.modulus, y)
 
     def covers_residue(self, sres: int) -> bool:
         if self.kind == "splitA1":
             raise AssertionError("use class membership for splitA1")
-        if self.kind == "central" and sres == 0:
-            return True
-        m = self.parent.modulus
-        return sres % m in self.reps
+        return sres % self.parent.modulus in self.reps
 
     def to_local(self, r: Root) -> Root:
         if self.kind == "splitA1":
@@ -280,9 +260,8 @@ class Component:
             if fin == tuple(-c for c in self.gamma):
                 return canonical_root(self.ctype, 0, 2 * k - 1)
             raise ComponentMismatch(f"{r} is not in component {self.id}")
-        m = self.parent.modulus
         i, j = r.i, r.j
-        if i % m not in self.reps and (self.kind != "central" or i % m != 0):
+        if i % self.parent.modulus not in self.reps:
             i, j = -r.j, -r.i  # mirror representatives live in the block
         return canonical_root(self.ctype, self.rho(i), self.rho(j))
 
@@ -303,14 +282,9 @@ class Component:
             return got[1]
         return canonical_root(self.parent, self.rho_inv(r.i), self.rho_inv(r.j))
 
-    def local_simple_pairs(self) -> tuple[tuple[int, int], ...]:
-        from .perms import _simple_pairs
-
-        return _simple_pairs(self.ctype)
-
     def global_simple_roots(self) -> tuple[Root, ...]:
         out = []
-        for i, j in self.local_simple_pairs():
+        for i, j in _simple_pairs(self.ctype):
             out.append(self.to_global(canonical_root(self.ctype, i, j)))
         return tuple(out)
 
@@ -347,7 +321,7 @@ class ParahoricDecomposition:
                 if splits:
                     fin = finite_class(r)
                     for c in splits:
-                        gk = finite_class_of_vector(c.gamma)
+                        gk = primitive_direction(c.gamma)
                         if fin in (gk, negate_class(gk)):
                             return c
                     raise AssertionError("split component not found")
@@ -358,13 +332,28 @@ class ParahoricDecomposition:
         raise AssertionError(f"no component for {r} (singleton block?)")
 
 
-def finite_class_of_vector(fin: tuple[int, ...]) -> tuple[int, ...]:
-    from math import gcd
+def _block_reps(face: FanFace, k: int) -> tuple[int, ...]:
+    """Sorted residues mod M of the ground integers of block k.
 
-    g = 0
-    for c in fin:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in fin)
+    The central block of a signed family also holds the multiples of M
+    (residue 0), in family D too, where 0 is not listed in the block.
+    """
+    m = face.type.modulus
+    reps = {v % m for v in face.blocks[k]}
+    if face.type.family != "A" and 2 * k + 1 == len(face.blocks):
+        reps.add(0)
+    return tuple(sorted(reps))
+
+
+def _rho(reps: tuple[int, ...], m: int, x: int) -> int:
+    """The increasing bijection onto Z from the integers whose residues mod
+    m lie in the sorted ``reps``: one period of m advances by len(reps)."""
+    return reps.index(x % m) + (x // m) * len(reps)
+
+
+def _rho_inv(reps: tuple[int, ...], m: int, y: int) -> int:
+    size = len(reps)
+    return reps[y % size] + (y // size) * m
 
 
 @lru_cache(maxsize=4096)
@@ -376,77 +365,52 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
     can select exactly one of them.
     """
     typ = face.type
-    m = typ.modulus
-    comps: list[Component] = []
-    if typ.family == "A":
-        for k, b in enumerate(face.blocks):
-            if len(b) >= 2:
-                comps.append(
-                    Component(
-                        id=f"blk{k}",
-                        ctype=AffineType("A", len(b)),
-                        kind="ablock",
-                        reps=tuple(sorted(v % m for v in b)),
-                        parent=typ,
-                    )
-                )
-        return ParahoricDecomposition(face, tuple(comps))
     mid = len(face.blocks) // 2
-    for k in range(mid + 1, len(face.blocks)):
-        b = face.blocks[k]
-        if len(b) >= 2:
-            comps.append(
-                Component(
-                    id=f"blk{k}",
-                    ctype=AffineType("A", len(b)),
-                    kind="ablock",
-                    reps=tuple(sorted(v % m for v in b)),
-                    parent=typ,
-                )
-            )
+    comps = [
+        Component(
+            id=f"blk{k}",
+            ctype=AffineType("A", len(b)),
+            kind="ablock",
+            reps=_block_reps(face, k),
+            parent=typ,
+        )
+        for k, b in enumerate(face.blocks)
+        if len(b) >= 2 and (typ.family == "A" or k > mid)
+    ]
+    if typ.family == "A":
+        return ParahoricDecomposition(face, tuple(comps))
     central = face.blocks[mid]
-    nonzero = sorted(v % m for v in central if v != 0)
     if typ.family in ("B", "C"):
         c = (len(central) - 1) // 2
-        if c >= 1:
-            comps.append(
-                Component(
-                    id="ctr",
-                    ctype=AffineType(typ.family, c),
-                    kind="central",
-                    reps=tuple(nonzero),
-                    parent=typ,
-                )
-            )
     else:
         c = len(central) // 2
-        if c == 2:
-            z1, z2 = sorted(v for v in central if 0 < v <= typ.n)
-            same = [0] * typ.n
-            same[z2 - 1], same[z1 - 1] = 1, -1
-            mixed = [0] * typ.n
-            mixed[z2 - 1], mixed[z1 - 1] = 1, 1
-            for tag, fin in ((f"{z1},{z2}", same), (f"{z1},{-z2}", mixed)):
-                comps.append(
-                    Component(
-                        id=f"ctrA1:{tag}",
-                        ctype=AffineType("A", 2),
-                        kind="splitA1",
-                        reps=(),
-                        gamma=tuple(fin),
-                        parent=typ,
-                    )
-                )
-        elif c >= 3:
+    if typ.family == "D" and c == 2:
+        z1, z2 = sorted(v for v in central if 0 < v <= typ.n)
+        same = [0] * typ.n
+        same[z2 - 1], same[z1 - 1] = 1, -1
+        mixed = [0] * typ.n
+        mixed[z2 - 1], mixed[z1 - 1] = 1, 1
+        for tag, fin in ((f"{z1},{z2}", same), (f"{z1},{-z2}", mixed)):
             comps.append(
                 Component(
-                    id="ctr",
-                    ctype=AffineType("D", c),
-                    kind="central",
-                    reps=tuple(nonzero),
+                    id=f"ctrA1:{tag}",
+                    ctype=AffineType("A", 2),
+                    kind="splitA1",
+                    reps=(),
+                    gamma=tuple(fin),
                     parent=typ,
                 )
             )
+    elif c >= (3 if typ.family == "D" else 1):
+        comps.append(
+            Component(
+                id="ctr",
+                ctype=AffineType(typ.family, c),
+                kind="central",
+                reps=_block_reps(face, mid),
+                parent=typ,
+            )
+        )
     return ParahoricDecomposition(face, tuple(comps))
 
 
@@ -606,7 +570,7 @@ def _local_word(u: AffinePermutation) -> list[int]:
     """A reduced word for u, as indices into its simple reflections."""
     gens = simple_reflections(u.type)
     simple_roots = [
-        canonical_root(u.type, i, j) for i, j in _simple_pairs_of(u.type)
+        canonical_root(u.type, i, j) for i, j in _simple_pairs(u.type)
     ]
     word = []
     cur = u
@@ -616,12 +580,6 @@ def _local_word(u: AffinePermutation) -> list[int]:
         word.append(s)
         cur = multiply(gens[s], cur)
     return word
-
-
-def _simple_pairs_of(typ: AffineType):
-    from .perms import _simple_pairs
-
-    return _simple_pairs(typ)
 
 
 def _recover_w(decomp: ParahoricDecomposition, x: set[Root]):
@@ -788,7 +746,7 @@ def _key_vectors(typ: AffineType):
                 fin = [0] * typ.n
                 fin[b] += 1
                 fin[a] -= 1
-                out[(a, b)] = finite_class_of_vector(tuple(fin))
+                out[(a, b)] = primitive_direction(tuple(fin))
         return out
     ground = [v for v in range(-typ.n, typ.n + 1) if v != 0]
     for a in ground:
@@ -806,10 +764,55 @@ def _key_vectors(typ: AffineType):
                 fin[a - 1] -= 1
             else:
                 fin[-a - 1] += 1
-            key = finite_class_of_vector(tuple(fin))
+            key = primitive_direction(tuple(fin))
             if key in _all_keys(typ):
                 out[(a, b)] = key
     return out
+
+
+def _ordered_blocks(ground, equal, after, error) -> list[frozenset[int]]:
+    """The blocks of a total preorder given by pairwise comparisons.
+
+    ``equal`` pairs share a block; an ``after`` pair (a, b) puts a's block
+    above b's.  Blocks are listed bottom to top, by the number of blocks
+    transitively below each one: the direct comparisons may skip a pair
+    (the +-singletons of family D) that is ordered only through other
+    blocks.  A strict comparison inside a block or a block order that is
+    not total raises ``error``.
+    """
+    parent = {v: v for v in ground}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in equal:
+        parent[find(a)] = find(b)
+    blocks: dict[int, set[int]] = {}
+    for v in ground:
+        blocks.setdefault(find(v), set()).add(v)
+    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
+    below: dict[frozenset, set[frozenset]] = {x: set() for x in fsets.values()}
+    for a, b in after:
+        fa, fb = fsets[find(a)], fsets[find(b)]
+        if fa == fb:
+            raise error("strict comparison inside a block")
+        below[fa].add(fb)
+    changed = True
+    while changed:
+        changed = False
+        for x in below.values():
+            grow = set().union(*(below[y] for y in x))
+            if not grow <= x:
+                x |= grow
+                changed = True
+    blist = sorted(below, key=lambda x: (len(below[x]), sorted(x)))
+    for i, x in enumerate(blist):
+        if any(y in below[x] for y in blist[i + 1:]):
+            raise error("block order is not total")
+    return blist
 
 
 def _face_from_bits(typ: AffineType, bits) -> tuple[FanFace, frozenset[str]]:
@@ -819,57 +822,19 @@ def _face_from_bits(typ: AffineType, bits) -> tuple[FanFace, frozenset[str]]:
         ground = list(range(typ.modulus))
     else:
         ground = [v for v in range(-typ.n, typ.n + 1) if v != 0]
-    # union-find over "functional is equal" pairs
-    parent = {v: v for v in ground}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    after = []  # (a, b) meaning f_a > f_b
+    equal, after = [], []  # functional equal; (a, b) meaning f_a > f_b
     for (a, b), key in keyvec.items():
         if a > b and (b, a) in keyvec:
             continue
         in_ab = bits[key]
         in_ba = bits[keyvec[(b, a)]]
         if in_ab == in_ba:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            equal.append((a, b))
         elif in_ab:
             after.append((a, b))
         else:
             after.append((b, a))
-    blocks: dict[int, set[int]] = {}
-    for v in ground:
-        blocks.setdefault(find(v), set()).add(v)
-    order_above: dict[frozenset, set[frozenset]] = {}
-    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
-    for a, b in after:
-        fa, fb = fsets[find(a)], fsets[find(b)]
-        if fa == fb:
-            raise NotBiclosed("inconsistent asymptotic data (strict inside a block)")
-        order_above.setdefault(fa, set()).add(fb)
-    blist = sorted(set(fsets.values()), key=lambda s: sorted(s))
-    # sort bottom-to-top by the number of blocks transitively below each
-    # one; direct comparisons can miss +-singleton pairs (family D), which
-    # only acquire their order through intermediate blocks
-    below = {x: set(order_above.get(x, ())) for x in blist}
-    changed = True
-    while changed:
-        changed = False
-        for x in blist:
-            grow = set().union(*(below[y] for y in below[x])) if below[x] else set()
-            if not grow <= below[x]:
-                below[x] |= grow
-                changed = True
-    blist.sort(key=lambda x: len(below[x]))
-    for i in range(len(blist)):
-        for j in range(i + 1, len(blist)):
-            if blist[j] in below[blist[i]]:
-                raise NotBiclosed("asymptotic block order is not total")
+    blist = _ordered_blocks(ground, equal, after, NotBiclosed)
     if typ.family == "A":
         try:
             face = FanFace(typ, tuple(blist))

@@ -34,6 +34,7 @@ from .fan import (
     classify,
     origin_face,
     parahoric,
+    _ordered_blocks,
     _recover_w,
 )
 from .intset import IntSet
@@ -345,25 +346,17 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
         raise TypeMismatch("pi needs the family-A type matching the modulus")
     m = r.M
     check_order(r)
-    parent = {a: a for a in range(m)}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    after = []
+    equal, after = [], []
     for a in range(m):
         for b in range(a + 1, m):
             va, vb = r.entry(a, b), r.entry(b, a)
             fa, fb = va.is_finite(), vb.is_finite()
             if fa and fb:
-                parent[find(a)] = find(b)
+                equal.append((a, b))
             elif not fa and not fb:
                 if va.is_cofinal_from() is None or vb.is_cofinal_from() is None:
                     raise NotAnOrder(f"entry ({a},{b}) has a patterned tail")
-                parent[find(a)] = find(b)
+                equal.append((a, b))
             elif fa:
                 if not va.is_empty() or vb != IntSet.from_range(_eps(b, a)):
                     raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
@@ -372,24 +365,7 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
                 if not vb.is_empty() or va != IntSet.from_range(_eps(a, b)):
                     raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
                 after.append((a, b))
-    blocks: dict[int, set[int]] = {}
-    for a in range(m):
-        blocks.setdefault(find(a), set()).add(a)
-    fsets = {rep: frozenset(v) for rep, v in blocks.items()}
-    below: dict[frozenset, set[frozenset]] = {}
-    for a, b in after:
-        fa, fb = fsets[find(a)], fsets[find(b)]
-        if fa == fb:
-            raise NotAnOrder("strict comparison inside a block")
-        below.setdefault(fa, set()).add(fb)
-    blist = sorted(set(fsets.values()), key=sorted)
-    counts = {x: len(below.get(x, ())) for x in blist}
-    blist.sort(key=lambda x: counts[x])
-    for i, x in enumerate(blist):
-        for y in blist[i + 1:]:
-            if y in below.get(x, set()):
-                raise NotAnOrder("block order is not total")
-    face = FanFace(typ, tuple(blist))
+    face = FanFace(typ, tuple(_ordered_blocks(range(m), equal, after, NotAnOrder)))
     phi = set()
     x_roots: set[Root] = set()
     for k, blk in enumerate(face.blocks):

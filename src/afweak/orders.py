@@ -16,6 +16,7 @@ describe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,9 +31,20 @@ from .fan import (
     build_biclosed,
     global_element,
     parahoric,
+    _block_reps,
     _recover_w,
+    _rho,
+    _rho_inv,
 )
-from .perms import AffinePermutation, from_window, identity, invert, max_displacement, reflection
+from .perms import (
+    AffinePermutation,
+    from_window,
+    identity,
+    invert,
+    max_displacement,
+    multiply,
+    reflection,
+)
 from .roots import AffineType, Root, canonical_root
 
 
@@ -121,32 +133,8 @@ def standard_order(typ: AffineType) -> PeriodicOrder:
 
 def _block_position_fn(o: PeriodicOrder, k: int):
     """Position of a ground integer inside block k (larger = later)."""
-    face = o.face
-    typ = face.type
-    m = typ.modulus
-    blk = face.blocks[k]
+    rho = functools.partial(_rho, _block_reps(o.face, k), o.type.modulus)
     data = o.data_at(k)
-    central = typ.family != "A" and k == len(face.blocks) // 2
-    if central:
-        reps = tuple(sorted(v % m for v in blk if v % m != 0))
-        mm = len(reps) + 1
-
-        def rho(x: int) -> int:
-            s = x % m
-            if s == 0:
-                return (x // m) * mm
-            t = reps.index(s) + 1
-            return t + ((x - s) // m) * mm
-
-    else:
-        reps = tuple(sorted(v % m for v in blk))
-        lm = len(reps)
-
-        def rho(x: int) -> int:
-            s = x % m
-            t = reps.index(s)
-            return t + ((x - s) // m) * lm
-
     if data.perm is None:
         pos = rho
     else:
@@ -186,8 +174,6 @@ def compare(o: PeriodicOrder, a: int, b: int) -> str:
 
 def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
     """The ground integers of [lo, hi] listed in order."""
-    import functools
-
     m = o.type.modulus
     pts = [
         x
@@ -322,32 +308,17 @@ def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
 
 def _central_order_perm(face: FanFace, wmap) -> AffinePermutation:
     """Realize central component elements as one C-type block permutation."""
-    typ = face.type
-    m = typ.modulus
+    m = face.type.modulus
     mid = len(face.blocks) // 2
-    blk = face.blocks[mid]
-    reps = sorted(v % m for v in blk if v % m != 0)
+    reps = _block_reps(face, mid)
     c = len(reps) // 2
     if [parahoric(face).by_id(cid).kind for cid in wmap] == ["central"]:
-        # the component's relabeling is rho below, so its element already
-        # is the block permutation
+        # the component is relabeled over the same reps, so its element
+        # already is the block permutation
         (u,) = wmap.values()
         return from_window(AffineType("C", c), u.window)
     g = global_element(face, wmap)
-
-    def rho(x: int) -> int:
-        s = x % m
-        if s == 0:
-            return (x // m) * (2 * c + 1)
-        return reps.index(s) + 1 + ((x - s) // m) * (2 * c + 1)
-
-    def rho_inv(y: int) -> int:
-        s = y % (2 * c + 1)
-        if s == 0:
-            return (y // (2 * c + 1)) * m
-        return reps[s - 1] + ((y - s) // (2 * c + 1)) * m
-
-    window = tuple(rho(g(rho_inv(k))) for k in range(1, c + 1))
+    window = tuple(_rho(reps, m, g(_rho_inv(reps, m, k))) for k in range(1, c + 1))
     return from_window(AffineType("C", c), window)
 
 
@@ -392,7 +363,7 @@ def normalize(o: PeriodicOrder) -> PeriodicOrder:
         while frontier:
             cur = frontier.pop()
             for t_ in moves:
-                nxt = _mult(cur, t_)
+                nxt = multiply(cur, t_)
                 if nxt not in variants:
                     variants.add(nxt)
                     frontier.append(nxt)
@@ -401,12 +372,6 @@ def normalize(o: PeriodicOrder) -> PeriodicOrder:
             BlockData(data.reversed, None if best.is_identity() else best)
         )
     return PeriodicOrder(face, tuple(out))
-
-
-def _mult(u, v):
-    from .perms import multiply
-
-    return multiply(u, v)
 
 
 # ---------------------------------------------------------------------------

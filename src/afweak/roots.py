@@ -235,10 +235,12 @@ def finite_class(r: Root) -> tuple[int, ...]:
 
     Two roots lie on the same delta-string exactly when their keys agree.
     """
-    fin = r.vector()[:-1]
-    g = 0
-    for c in fin:
-        g = gcd(g, abs(c))
+    return primitive_direction(r.vector()[:-1])
+
+
+def primitive_direction(fin: tuple[int, ...]) -> tuple[int, ...]:
+    """A non-zero integer vector divided by the gcd of its entries."""
+    g = gcd(*fin)
     return tuple(c // g for c in fin)
 
 

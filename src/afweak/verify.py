@@ -19,14 +19,6 @@ from . import roots as _roots
 A = _roots.AffineType
 
 
-def _word(typ, *letters):
-    gens = _perms.simple_reflections(typ)
-    w = _perms.identity(typ)
-    for s in letters:
-        w = _perms.multiply(w, gens[s])
-    return w
-
-
 def _rand_element(typ, rng, max_len=4):
     gens = _perms.simple_reflections(typ)
     w = _perms.identity(typ)
@@ -35,7 +27,9 @@ def _rand_element(typ, rng, max_len=4):
     return w
 
 
-def _rand_triple(typ, rng, max_len=3):
+def random_triple(typ, rng, max_len=3):
+    """A random triple: a face, each component in Phi' with probability
+    0.4, and component elements of random words of length <= max_len."""
     faces = _fan.enumerate_faces(typ)
     face = faces[rng.randrange(len(faces))]
     decomp = _fan.parahoric(face)
@@ -71,7 +65,7 @@ def suite_paper_examples(rng):
     s0 = _perms.reflection(A("A", 3), 0, 1)
     yield "s0 window in the rank-3 group", s0.window == (0, 2, 4)
 
-    w = _word(a4, 0, 1)
+    w = _perms.word(a4, (0, 1))
     yield "inversions of s0*s1", (
         sorted(r.pair() for r in _perms.inversions(w)) == [(0, 1), (0, 2)]
     )
@@ -138,7 +132,7 @@ def suite_paper_examples(rng):
     yield "worked-join membership table", member_ok
     yield "worked-join classification round-trip", _fan.classify(tb.window(6)) == tb
 
-    w1, w2 = _word(a4, 0, 1), _word(a4, 2, 3)
+    w1, w2 = _perms.word(a4, (0, 1)), _perms.word(a4, (2, 3))
     j = _lattice.join_A([_fan.triple_of_element(w1), _fan.triple_of_element(w2)])
     yield "exact join of the worked example", j == tb
     yield "worked-join one-indexed labels", j.face.one_indexed_blocks() == ((1, 3), (2, 4))
@@ -182,11 +176,11 @@ def suite_paper_examples(rng):
 
     e = _perms.identity(a4)
     u = _rand_element(a4, rng, 3)
-    tw = _fan.triple_of_element(_word(a4, 1, 2))
+    tw = _fan.triple_of_element(_perms.word(a4, (1, 2)))
     yield "action identity and composition", (
         _fan.act(e, tw) == tw
         and _fan.act(u, tw)
-        == _fan.triple_of_element(_perms.multiply(u, _word(a4, 1, 2)))
+        == _fan.triple_of_element(_perms.multiply(u, _perms.word(a4, (1, 2))))
     )
 
 
@@ -215,14 +209,14 @@ def suite_roundtrip(rng):
         yield f"classify-build round-trip {typ.family}{typ.n} ({checked} triples)", ok
     ok = True
     for _ in range(40):
-        t = _rand_triple(A("A", 4), rng)
+        t = random_triple(A("A", 4), rng)
         if _lattice.pi(_lattice.iota(t), t.type) != t:
             ok = False
     yield "pi after iota is the identity", ok
     ok = True
     for typ in (A("A", 3), A("C", 2), A("B", 2)):
         for _ in range(20):
-            t = _rand_triple(typ, rng)
+            t = random_triple(typ, rng)
             try:
                 o = _orders.order_from_triple(t)
             except _orders.DRepresentationRequired:
@@ -237,7 +231,7 @@ def suite_lattice_axioms(rng):
     for typ in (A("A", 3), A("A", 4)):
         ok_ub = ok_lub = True
         for _ in range(25):
-            x, y = _rand_triple(typ, rng), _rand_triple(typ, rng)
+            x, y = random_triple(typ, rng), random_triple(typ, rng)
             j = _lattice.join_A([x, y])
             m = _lattice.meet_A([x, y])
             w = 6
@@ -246,7 +240,7 @@ def suite_lattice_axioms(rng):
                     ok_ub = False
                 if m.member(r) and not (x.member(r) and y.member(r)):
                     ok_ub = False
-            z = _lattice.join_A([j, _rand_triple(typ, rng)])
+            z = _lattice.join_A([j, random_triple(typ, rng)])
             for r in _roots.root_window(typ, w):
                 if j.member(r) and not z.member(r):
                     ok_lub = False
@@ -254,13 +248,13 @@ def suite_lattice_axioms(rng):
         yield f"join stays below larger bounds in A-{typ.n}", ok_lub
     ok = True
     for _ in range(15):
-        x = _rand_triple(A("A", 4), rng)
+        x = random_triple(A("A", 4), rng)
         if _lattice.join_A([x, x]) != x or _lattice.meet_A([x, x]) != x:
             ok = False
     yield "idempotence", ok
     ok = True
     for _ in range(20):
-        x, y = _rand_triple(A("A", 5), rng, 2), _rand_triple(A("A", 5), rng, 2)
+        x, y = random_triple(A("A", 5), rng, 2), random_triple(A("A", 5), rng, 2)
         if _lattice.sigma(_lattice.join_A([x, y])) != _lattice.join_A(
             [_lattice.sigma(x), _lattice.sigma(y)]
         ):
@@ -275,7 +269,7 @@ def suite_oracle_equivalence(rng):
     for typ, joiner in ((A("A", 3), _lattice.join_A), (A("C", 2), _lattice.join_C)):
         ok = True
         for _ in range(15):
-            x, y = _rand_triple(typ, rng, 2), _rand_triple(typ, rng, 2)
+            x, y = random_triple(typ, rng, 2), random_triple(typ, rng, 2)
             j = joiner([x, y])
             h = 5
             union = frozenset(

@@ -52,6 +52,7 @@ from afweak.roots import (
     negate_class,
     root_window,
 )
+from afweak.verify import random_triple
 
 SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 
@@ -64,33 +65,10 @@ D2 = AffineType("D", 2)
 D3 = AffineType("D", 3)
 
 
-def _word(typ, *letters):
-    gens = simple_reflections(typ)
-    w = identity(typ)
-    for s in letters:
-        w = multiply(w, gens[s])
-    return w
-
-
 def _report(k, label, t0, budget):
     dt = time.time() - t0
     assert dt < budget, f"criterion {k} exceeded its {budget}s budget ({dt:.1f}s)"
     print(f"[acceptance] criterion {k:2d} PASS  ({dt:.2f}s)  {label}")
-
-
-def _rand_triple(typ, rng, max_len=4):
-    faces = enumerate_faces(typ)
-    face = faces[rng.randrange(len(faces))]
-    decomp = parahoric(face)
-    phi = frozenset(i for i in decomp.ids() if rng.random() < 0.4)
-    wmap = {}
-    for c in decomp.components:
-        gens = simple_reflections(c.ctype)
-        u = identity(c.ctype)
-        for _ in range(rng.randrange(max_len + 1)):
-            u = multiply(u, gens[rng.randrange(len(gens))])
-        wmap[c.id] = u
-    return build_biclosed(face, phi, wmap)
 
 
 def test_criterion_1_worked_join():
@@ -244,7 +222,7 @@ def test_criterion_9_lattice_property_suites():
     for typ, join, meet in instances:
         oracle_checked = 0
         for pair in range(200):
-            x, y = _rand_triple(typ, rng), _rand_triple(typ, rng)
+            x, y = random_triple(typ, rng, 4), random_triple(typ, rng, 4)
             j = join([x, y])
             m = meet([x, y])
             for r in root_window(typ, 5):
@@ -256,11 +234,11 @@ def test_criterion_9_lattice_property_suites():
                 # the join sits below sampled common upper bounds, the
                 # meet above sampled lower bounds
                 for _ in range(20):
-                    z = join([x, y, _rand_triple(typ, rng, 2)])
+                    z = join([x, y, random_triple(typ, rng, 2)])
                     for r in root_window(typ, 4):
                         if j.member(r):
                             assert z.member(r)
-                    zz = meet([x, y, _rand_triple(typ, rng, 2)])
+                    zz = meet([x, y, random_triple(typ, rng, 2)])
                     for r in root_window(typ, 4):
                         if zz.member(r):
                             assert m.member(r)
@@ -288,15 +266,15 @@ def test_criterion_9_lattice_property_suites():
         assert oracle_checked >= 30
     # pi / iota and the idempotent p on samples
     for _ in range(50):
-        t = _rand_triple(A4, rng)
+        t = random_triple(A4, rng, 4)
         assert pi(iota(t), A4) == t
     for _ in range(20):
-        x, y = _rand_triple(A4, rng, 2), _rand_triple(A4, rng, 2)
+        x, y = random_triple(A4, rng, 2), random_triple(A4, rng, 2)
         z = threshold_closure(iota(x).union(iota(y)))
         p1 = iota(pi(z, A4))
         assert iota(pi(p1, A4)).V == p1.V  # p idempotent
         # p monotone: the fixed point stays under any closed refinement
-        w = threshold_closure(p1.union(iota(_rand_triple(A4, rng, 1))))
+        w = threshold_closure(p1.union(iota(random_triple(A4, rng, 1))))
         assert all(
             p1.entry(a, b).issubset(w.entry(a, b))
             for a in range(4)
@@ -310,7 +288,7 @@ def test_criterion_10_sigma_suite():
     rng = random.Random(SEED)
     A5 = AffineType("A", 5)
     for _ in range(100):
-        x, y = _rand_triple(A5, rng, 2), _rand_triple(A5, rng, 2)
+        x, y = random_triple(A5, rng, 2), random_triple(A5, rng, 2)
         sx, sy = sigma(x), sigma(y)
         assert sigma(sx) == x
         assert sigma(join_A([x, y])) == join_A([sx, sy])

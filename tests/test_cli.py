@@ -12,7 +12,7 @@ import afweak
 from afweak.cli import run, triple_to_json, windowset_to_json
 from afweak.closure import window_set
 from afweak.roots import AffineType, root_window
-from afweak.verify import _rand_triple
+from afweak.verify import random_triple
 
 WORKED_FACE = [[1, 3], [0, 2]]
 
@@ -28,7 +28,7 @@ def _capture(capsys):
     return json.loads(out)
 
 
-def _child(*args, flags=()):
+def _child(*args, flags=(), stdout=subprocess.PIPE):
     """Run ``python [flags] -m afweak.cli args`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(afweak.__file__))
     env = dict(os.environ)
@@ -37,7 +37,8 @@ def _child(*args, flags=()):
     )
     return subprocess.run(
         [sys.executable, *flags, "-m", "afweak.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
         timeout=600,
     )
@@ -283,6 +284,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_closed_stdout_exits_without_traceback():
+    # like `afweak build ... | head -1` with the reader already gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _child("build", "--family", "A", "--n", "3",
+                       "--face", "[[0,1],[2]]", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in child.stderr, child.stderr.decode()
+    assert child.returncode == 1
+
+
 def test_verify_all_under_optimize(capsys):
     # python -O strips asserts: every check behind verify must still hold
     child = _child("verify", "all", flags=("-O",))
@@ -344,7 +358,7 @@ def test_join_under_optimize_matches_in_process(tmp_path, capsys):
     rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
     typ = AffineType("A", 5)
     paths = [
-        _write(tmp_path, f"t{k}.json", triple_to_json(_rand_triple(typ, rng)))
+        _write(tmp_path, f"t{k}.json", triple_to_json(random_triple(typ, rng)))
         for k in range(2)
     ]
     child = _child("join", "--in", *paths, flags=("-O",))
@@ -355,7 +369,7 @@ def test_join_under_optimize_matches_in_process(tmp_path, capsys):
 
 def test_check_child_matches_in_process(tmp_path, capsys):
     typ = AffineType("D", 4)
-    biclosed = _rand_triple(typ, random.Random(3)).window(6)
+    biclosed = random_triple(typ, random.Random(3)).window(6)
     lone = window_set(typ, 6, [next(r for r in root_window(typ, 6) if r.height == 1)])
     for s, code in ((biclosed, 0), (lone, 1)):
         path = _write(tmp_path, "s.json", windowset_to_json(s))

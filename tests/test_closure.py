@@ -35,7 +35,7 @@ from afweak.roots import (
     canonical_root,
     root_window,
 )
-from afweak.verify import _rand_triple
+from afweak.verify import random_triple
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -206,7 +206,7 @@ def test_doubling_matches_rational_reference():
         for h in (4, 5, 6):
             window = root_window(typ, h)
             for _ in range(2):
-                w = _rand_triple(typ, rng).window(h)
+                w = random_triple(typ, rng).window(h)
                 for s in (
                     w,
                     window_set(typ, h, w.members ^ {rng.choice(window)}),

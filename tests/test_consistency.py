@@ -29,6 +29,7 @@ from afweak.perms import (
     simple_reflections,
 )
 from afweak.roots import AffineType, root_window
+from afweak.verify import random_triple
 
 A4 = AffineType("A", 4)
 SMALL_RANKS = (AffineType("C", 1), AffineType("B", 1))
@@ -162,20 +163,6 @@ def test_join_closure_equals_oracle_closure_on_window():
 def test_larger_ranks_spot_checks():
     rng = random.Random(24)
 
-    def rand_triple(typ, maxlen=2):
-        faces = enumerate_faces(typ)
-        face = faces[rng.randrange(len(faces))]
-        decomp = parahoric(face)
-        phi = frozenset(i for i in decomp.ids() if rng.random() < 0.4)
-        wmap = {}
-        for c in decomp.components:
-            gens = simple_reflections(c.ctype)
-            u = identity(c.ctype)
-            for _ in range(rng.randrange(maxlen + 1)):
-                u = multiply(u, gens[rng.randrange(len(gens))])
-            wmap[c.id] = u
-        return build_biclosed(face, phi, wmap)
-
     B3 = AffineType("B", 3)
     kinds = {
         (c.kind, c.ctype.family, c.ctype.n)
@@ -184,7 +171,7 @@ def test_larger_ranks_spot_checks():
     }
     assert ("central", "B", 2) in kinds  # rank-2 central B factors occur
     for _ in range(15):
-        t = rand_triple(B3)
+        t = random_triple(B3, rng, 2)
         h = max(6, 2 * max([r.height for r in t.inv_global], default=1) + 2)
         assert classify(t.window(h)) == t
         assert inversion_set(order_from_triple(t)) == t
@@ -197,7 +184,7 @@ def test_larger_ranks_spot_checks():
     }
     assert ("splitA1", "A", 2) in kinds and ("central", "D", 3) in kinds
     for _ in range(8):
-        t = rand_triple(D4)
+        t = random_triple(D4, rng, 2)
         h = max(6, 2 * max([r.height for r in t.inv_global], default=1) + 2)
         assert classify(t.window(h)) == t
 
@@ -205,7 +192,7 @@ def test_larger_ranks_spot_checks():
     from afweak.lattice import join_C
 
     for _ in range(5):
-        x, y = rand_triple(C3), rand_triple(C3)
+        x, y = random_triple(C3, rng, 2), random_triple(C3, rng, 2)
         j = join_C([x, y])
         for r in root_window(C3, 4):
             if x.member(r) or y.member(r):

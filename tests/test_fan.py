@@ -38,6 +38,7 @@ from afweak.perms import (
     multiply,
     reflection,
     simple_reflections,
+    word,
 )
 from afweak.roots import AffineType, canonical_root, root_window
 
@@ -49,14 +50,6 @@ C2 = AffineType("C", 2)
 B2 = AffineType("B", 2)
 D2 = AffineType("D", 2)
 D3 = AffineType("D", 3)
-
-
-def _word(typ, *letters):
-    gens = simple_reflections(typ)
-    w = identity(typ)
-    for s in letters:
-        w = multiply(w, gens[s])
-    return w
 
 
 def test_face_counts():
@@ -181,7 +174,7 @@ def test_membership_zero_part_xor():
 
 
 def test_triple_of_element():
-    w = _word(A4, 0, 1)
+    w = word(A4, [0, 1])
     t = triple_of_element(w)
     assert t.face == origin_face(A4)
     assert not t.phi_prime
@@ -287,10 +280,10 @@ def test_b_infinity_matches_face_data():
 
 
 def test_action_examples():
-    w = _word(A4, 1, 2)
+    w = word(A4, [1, 2])
     t = triple_of_element(w)
     assert act(identity(A4), t) == t
-    v = _word(A4, 0)
+    v = word(A4, [0])
     assert act(v, t) == triple_of_element(multiply(v, w))
 
 
@@ -299,11 +292,11 @@ def test_action_is_group_action():
     for typ in (A3, C2, D2):
         gens = simple_reflections(typ)
         for _ in range(6):
-            t = triple_of_element(_word(typ, *[
+            t = triple_of_element(word(typ, [
                 rng.randrange(len(gens)) for _ in range(rng.randrange(3))
             ]))
-            u = _word(typ, *[rng.randrange(len(gens)) for _ in range(2)])
-            v = _word(typ, *[rng.randrange(len(gens)) for _ in range(2)])
+            u = word(typ, [rng.randrange(len(gens)) for _ in range(2)])
+            v = word(typ, [rng.randrange(len(gens)) for _ in range(2)])
             assert act(u, act(v, t)) == act(multiply(u, v), t)
 
 
@@ -312,7 +305,7 @@ def test_action_formula_on_parahoric():
     f = face_from_blocks(A4, [{1, 3}, {0, 2}])
     phi = phi_prime_from_blocks(f, [1])
     base = build_biclosed(f, phi, {})
-    wmap = {"blk1": _word(A2, 0, 1)}
+    wmap = {"blk1": word(A2, [0, 1])}
     g = global_element(f, wmap)
     lhs = act(g, base)
     rhs = build_biclosed(f, phi, wmap)
@@ -348,8 +341,8 @@ def test_inversion_read_off_matches_peel():
         wmap = {}
         for c in decomp.components:
             gens = simple_reflections(c.ctype)
-            wmap[c.id] = _word(c.ctype, *[rng.randrange(len(gens))
-                                          for _ in range(rng.randrange(9))])
+            wmap[c.id] = word(c.ctype, [rng.randrange(len(gens))
+                                        for _ in range(rng.randrange(9))])
         x = set(build_biclosed(f, [], wmap).inv_global)
         assert _recover_w(decomp, x) == _peel(decomp, x)
         zero = [r for r in root_window(typ, 3) if f.pairing_sign(r) == 0]

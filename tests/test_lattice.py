@@ -18,9 +18,7 @@ from afweak.errors import (
 from afweak.fan import (
     build_biclosed,
     classify,
-    enumerate_faces,
     face_from_blocks,
-    parahoric,
     phi_prime_from_blocks,
     triple_of_element,
 )
@@ -52,12 +50,12 @@ from afweak.lattice import (
 from afweak.orders import order_from_triple, periodic_order, precedes
 from afweak.perms import (
     from_window,
-    identity,
     multiply,
     reflection,
     simple_reflections,
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
+from afweak.verify import random_triple
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -70,29 +68,6 @@ C4 = AffineType("C", 4)
 D2 = AffineType("D", 2)
 
 SEED = int(os.environ.get("AFWEAK_SEED", "0"))
-
-
-def _word(typ, *letters):
-    gens = simple_reflections(typ)
-    w = identity(typ)
-    for s in letters:
-        w = multiply(w, gens[s])
-    return w
-
-
-def _rand_triple(typ, rng, max_len=3):
-    faces = enumerate_faces(typ)
-    face = faces[rng.randrange(len(faces))]
-    decomp = parahoric(face)
-    phi = frozenset(i for i in decomp.ids() if rng.random() < 0.4)
-    wmap = {}
-    for c in decomp.components:
-        gens = simple_reflections(c.ctype)
-        u = identity(c.ctype)
-        for _ in range(rng.randrange(max_len + 1)):
-            u = multiply(u, gens[rng.randrange(len(gens))])
-        wmap[c.id] = u
-    return build_biclosed(face, phi, wmap)
 
 
 # ----------------------------------------------------------------- windows
@@ -172,7 +147,7 @@ def test_threshold_closure_reproduces_the_join_order():
 def test_threshold_closure_is_transitive_and_idempotent():
     rng = random.Random(2)
     for _ in range(10):
-        t1, t2 = _rand_triple(A4, rng, 2), _rand_triple(A4, rng, 2)
+        t1, t2 = random_triple(A4, rng, 2), random_triple(A4, rng, 2)
         u = iota(t1).union(iota(t2))
         c = threshold_closure(u)
         assert threshold_closure(c).V == c.V
@@ -194,7 +169,7 @@ def test_pi_rejects_or_round_trips_perturbed_blocks():
     seen = set()
     for _ in range(150):
         typ = rng.choice((A3, A4, A5))
-        t = _rand_triple(typ, rng, 6)
+        t = random_triple(typ, rng, 6)
         r = iota(t)
         blocks = [b for b in t.face.blocks if len(b) > 1]
         if not blocks:
@@ -221,11 +196,11 @@ def test_pi_iota_identity():
     rng = random.Random(3)
     for typ in (A3, A4):
         for _ in range(50):
-            t = _rand_triple(typ, rng)
+            t = random_triple(typ, rng)
             assert pi(iota(t), typ) == t
     # p = iota(pi(.)) is idempotent and monotone on closures
     for _ in range(20):
-        t1, t2 = _rand_triple(A4, rng, 2), _rand_triple(A4, rng, 2)
+        t1, t2 = random_triple(A4, rng, 2), random_triple(A4, rng, 2)
         c = threshold_closure(iota(t1).union(iota(t2)))
         p1 = iota(pi(c, A4))
         assert iota(pi(p1, A4)).V == p1.V
@@ -246,7 +221,7 @@ def test_join_A_small_identities():
     bot = join_A([], A4)
     top = meet_A([], A4)
     for _ in range(15):
-        x = _rand_triple(A4, rng)
+        x = random_triple(A4, rng)
         assert join_A([x, x]) == x
         assert meet_A([x, x]) == x
         assert join_A([x, bot]) == x
@@ -260,7 +235,7 @@ def test_join_meet_are_lattice_operations():
     rng = random.Random(5)
     for typ in (A3, A4):
         for _ in range(20):
-            x, y = _rand_triple(typ, rng), _rand_triple(typ, rng)
+            x, y = random_triple(typ, rng), random_triple(typ, rng)
             j = join_A([x, y])
             m = meet_A([x, y])
             for r in root_window(typ, 6):
@@ -279,11 +254,11 @@ def test_join_meet_are_lattice_operations():
 def test_sigma_involution_and_fixed_points():
     rng = random.Random(6)
     for _ in range(30):
-        t = _rand_triple(A5, rng, 2)
+        t = random_triple(A5, rng, 2)
         assert sigma(sigma(t)) == t
     # sigma at the threshold level agrees with negation of the order
     for _ in range(10):
-        t = _rand_triple(A5, rng, 2)
+        t = random_triple(A5, rng, 2)
         rel = iota(t)
         srel = sigma_relation(rel)
         for _ in range(100):
@@ -296,7 +271,7 @@ def test_sigma_involution_and_fixed_points():
 def test_sigma_commutes_with_join_and_meet():
     rng = random.Random(7)
     for _ in range(20):
-        x, y = _rand_triple(A5, rng, 2), _rand_triple(A5, rng, 2)
+        x, y = random_triple(A5, rng, 2), random_triple(A5, rng, 2)
         assert sigma(join_A([x, y])) == join_A([sigma(x), sigma(y)])
         assert sigma(meet_A([x, y])) == meet_A([sigma(x), sigma(y)])
 
@@ -308,7 +283,7 @@ def test_embed_restrict_c():
         amb = a_ambient(typ)
         m = amb.modulus
         for _ in range(count):
-            t = _rand_triple(typ, rng, 2)
+            t = random_triple(typ, rng, 2)
             o = order_from_triple(t)
             e = embed_c(t)
             for r in root_window(amb, 4):
@@ -324,7 +299,7 @@ def test_join_C_basics():
     assert j.window(6).members == frozenset(root_window(C1, 6))
     rng = random.Random(9)
     for _ in range(10):
-        x = _rand_triple(C2, rng, 2)
+        x = random_triple(C2, rng, 2)
         assert join_C([x, x]) == x
         assert join_C([x, join_C([], C2)]) == x
 
@@ -333,7 +308,7 @@ def test_join_C_matches_windowed_oracle():
     rng = random.Random(10)
     checked = 0
     for _ in range(30):
-        x, y = _rand_triple(C2, rng, 2), _rand_triple(C2, rng, 2)
+        x, y = random_triple(C2, rng, 2), random_triple(C2, rng, 2)
         j = join_C([x, y])
         h = 5
         union = frozenset(
@@ -354,7 +329,7 @@ def test_meet_C():
     rng = random.Random(11)
     for typ, pairs in ((C2, 10), (C4, 3)):
         for _ in range(pairs):
-            x, y = _rand_triple(typ, rng, 2), _rand_triple(typ, rng, 2)
+            x, y = random_triple(typ, rng, 2), random_triple(typ, rng, 2)
             j, m = join_C([x, y]), meet_C([x, y])
             for r in root_window(typ, 5):
                 if m.member(r):
@@ -432,8 +407,8 @@ def test_try_join_identities_and_bounds():
     assert try_join([tu, tu], 5).triple == tu
     B2 = AffineType("B", 2)
     for _ in range(8):
-        x = _rand_triple(B2, rng, 2)
-        y = _rand_triple(B2, rng, 2)
+        x = random_triple(B2, rng, 2)
+        y = random_triple(B2, rng, 2)
         res = try_join([x, y], 5)
         if res.ok:
             for r in root_window(B2, 5):

@@ -11,6 +11,9 @@ from afweak.errors import (
     OutOfDomain,
 )
 from afweak.fan import (
+    _block_reps,
+    _rho,
+    _rho_inv,
     build_biclosed,
     global_element,
     classify,
@@ -23,6 +26,7 @@ from afweak.fan import (
 )
 from afweak.orders import (
     DTwist,
+    _block_position_fn,
     _central_order_perm,
     compare,
     d_twist_set,
@@ -148,6 +152,33 @@ def test_inversion_set_round_trip_exhaustive():
 
 
 def test_central_order_perm_of_one_component():
+    # every block's relabeling is an increasing bijection of its ground
+    # integers onto Z that advances by len(reps) per period; the central
+    # block of a signed family owns the multiples of M, in family D too
+    # (including the split D~2 centre that _central_order_perm relabels)
+    for fam, ns in (("A", (2, 3, 4)), ("B", (2, 3)), ("C", (1, 2, 3)),
+                    ("D", (2, 3, 4))):
+        for n in ns:
+            typ = AffineType(fam, n)
+            m = typ.modulus
+            for face in enumerate_faces(typ):
+                mid = len(face.blocks) // 2
+                o = periodic_order(face)
+                comps = {c.id: c for c in parahoric(face).components}
+                for k in range(0 if fam == "A" else mid, len(face.blocks)):
+                    reps = _block_reps(face, k)
+                    ground = [x for x in range(-3 * m, 3 * m)
+                              if face.block_of.get(face.residue(x), mid) == k]
+                    images = [_rho(reps, m, x) for x in ground]
+                    assert images == list(range(images[0], images[0] + len(ground)))
+                    for x in ground:
+                        assert _rho(reps, m, x + m) == _rho(reps, m, x) + len(reps)
+                        assert _rho_inv(reps, m, _rho(reps, m, x)) == x
+                    assert list(map(_block_position_fn(o, k), ground)) == images
+                    comp = comps.get("ctr" if fam != "A" and k == mid else f"blk{k}")
+                    if comp is not None:
+                        assert comp.reps == reps and comp.ctype.modulus == len(reps)
+                        assert list(map(comp.rho, ground)) == images
     # a lone central component is relabeled by rho, so the block
     # permutation is its element; compare with the global realization
     rng = random.Random(5)
