@@ -65,16 +65,13 @@ from .orders import (
     standard_order,
 )
 from .lattice import (
-    FiniteOrderWindow,
     ThresholdRelation,
     iota,
     join_A,
     join_C,
     join_finite,
-    join_window,
     meet_A,
     meet_C,
-    meet_window,
     pi,
     sigma,
     threshold_closure,

@@ -31,7 +31,6 @@ from .perms import (
     identity,
     inversions,
     invert,
-    max_displacement,
     multiply,
     reflection,
     root_action,
@@ -44,7 +43,6 @@ from .roots import (
     AffineType,
     Root,
     canonical_root,
-    class_chain,
     finite_class,
     negate_class,
     primitive_direction,
@@ -245,25 +243,6 @@ class Component:
 
     def rho_inv(self, y: int) -> int:
         return _rho_inv(self.reps, self.parent.modulus, y)
-
-    def covers_residue(self, sres: int) -> bool:
-        if self.kind == "splitA1":
-            raise AssertionError("use class membership for splitA1")
-        return sres % self.parent.modulus in self.reps
-
-    def to_local(self, r: Root) -> Root:
-        if self.kind == "splitA1":
-            vec = r.vector()
-            fin, k = vec[:-1], vec[-1]
-            if fin == self.gamma:
-                return canonical_root(self.ctype, 1, 2 + 2 * k)
-            if fin == tuple(-c for c in self.gamma):
-                return canonical_root(self.ctype, 0, 2 * k - 1)
-            raise ComponentMismatch(f"{r} is not in component {self.id}")
-        i, j = r.i, r.j
-        if i % self.parent.modulus not in self.reps:
-            i, j = -r.j, -r.i  # mirror representatives live in the block
-        return canonical_root(self.ctype, self.rho(i), self.rho(j))
 
     def to_global(self, r: Root) -> Root:
         if self.kind == "splitA1":
@@ -899,43 +878,30 @@ def _component_class_keys(comp: Component):
 # the W-action
 
 
-def classify_oracle(typ: AffineType, member, settle: int) -> BiclosedTriple:
-    """Classify an exact membership oracle whose asymptotic class
-    behavior has settled by the given height."""
-    h = settle + 4
-    bits = {}
-    for key in _all_keys(typ):
-        chain = class_chain(typ, key, h)
-        vals = {member(r) for r in chain if r.height >= settle}
-        if len(vals) != 1:
-            raise UnstableWindow("asymptotic membership did not settle")
-        bits[key] = vals.pop()
-    for _ in range(4):
-        try:
-            out = _classify_from_bits(typ, bits, member, h)
-        except UnstableWindow:
-            h *= 2
-            continue
-        if all(out.member(r) == member(r) for r in root_window(typ, h)):
-            return out
-        h *= 2
-    raise UnstableWindow("oracle classification did not stabilize")
-
-
 def act(v: AffinePermutation, t: BiclosedTriple) -> BiclosedTriple:
-    """The biclosed-set action: the triple of the set w.B with
-    D(w.B) = w D(B), computed exactly."""
+    """The biclosed-set action: the triple of the set v.B with
+    D(v.B) = v D(B), computed exactly.
+
+    In the order model the action relabels: v(a) precedes v(b) in the
+    order of v.B iff a precedes b in that of B (``orders.relabel``).  A
+    D-twist, whose Phi' selects one A~1 factor C of a split central D~2,
+    has no order; it is B0 xor C for the untwisted B0, and
+    v.(B0 xor C) = v.B0 xor v(C), where v(C) is the split factor of the
+    new face that holds the image class.
+    """
     if v.type != t.type:
         raise TypeMismatch("action type mismatch")
-    vinv = invert(v)
+    from .orders import inversion_set, order_from_triple, relabel
 
-    def member(r: Root) -> bool:
-        sign, img = root_action(vinv, r)
-        return t.member(img) if sign == 1 else not t.member(img)
-
-    inv_heights = [r.height for r in t.inv_global] or [0]
-    settle = max(inv_heights) + 2 * max_displacement(v) + 4
-    return classify_oracle(t.type, member, settle)
+    twist = [c for c in parahoric(t.face).components
+             if c.kind == "splitA1" and c.id in t.phi_prime]
+    if len(twist) != 1:
+        return inversion_set(relabel(order_from_triple(t), v))
+    (comp,) = twist
+    out = act(v, build_biclosed(t.face, t.phi_prime - {comp.id}, t.w_map()))
+    _, img = root_action(v, comp.global_simple_roots()[0])
+    toggle = parahoric(out.face).component_of_root(img).id
+    return build_biclosed(out.face, out.phi_prime ^ {toggle}, out.w_map())
 
 
 # ---------------------------------------------------------------------------

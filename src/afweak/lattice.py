@@ -1,16 +1,15 @@
 """Joins and meets in the extended weak order.
 
-Three engines live here.  The finite-window engine joins total orders of
-an integer interval by transitive closure.  The exact engine encodes a
-translation-invariant order as a threshold relation: for every ordered
-residue pair the set of shifts at which the pair is inverted, an
-eventually-periodic integer set.  Joins close the union of these
-relations by a Floyd-Warshall sweep whose loop weights are handled with
-Kleene stars, so no unbounded fixpoint iteration is needed; meets are
-complement-dual joins.  Family C reduces to family A by the negation
-involution sigma, whose fixed points the C-orders are.  For B/D only the
-experimental windowed try_join is offered, plus exhaustive joins in the
-finite groups behind the non-sublattice counterexample.
+A translation-invariant order is encoded exactly as a threshold
+relation: for every ordered residue pair the set of shifts at which the
+pair is inverted, an eventually-periodic integer set.  Joins close the
+union of these relations by a Floyd-Warshall sweep whose loop weights
+are handled with Kleene stars, so no unbounded fixpoint iteration is
+needed; meets are complement-dual joins.  Family C reduces to family A
+by the negation involution sigma, whose fixed points the C-orders are.
+For B/D only the experimental windowed try_join is offered, plus
+exhaustive joins in the finite groups behind the non-sublattice
+counterexample.
 """
 
 from __future__ import annotations
@@ -41,113 +40,6 @@ from .intset import IntSet
 from .orders import _block_position_fn, order_from_triple
 from .perms import from_window
 from .roots import AffineType, Root, canonical_root, root_window
-
-
-# ---------------------------------------------------------------------------
-# finite windows (the A_infinity picture, truncated)
-
-
-@dataclass(frozen=True)
-class FiniteOrderWindow:
-    """A total order of the interval [lo, hi], as its bottom-up listing."""
-
-    lo: int
-    hi: int
-    listing: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.listing) != list(range(self.lo, self.hi + 1)):
-            raise ValueError("listing must enumerate the ground interval")
-
-    def inversions(self) -> frozenset[tuple[int, int]]:
-        pos = {x: k for k, x in enumerate(self.listing)}
-        return frozenset(
-            (i, j)
-            for i in range(self.lo, self.hi + 1)
-            for j in range(i + 1, self.hi + 1)
-            if pos[i] > pos[j]
-        )
-
-
-def _window_closure(lo: int, hi: int, pairs) -> frozenset[tuple[int, int]]:
-    """Transitive closure of an ascending-pair relation on [lo, hi]."""
-    size = hi - lo + 1
-    adj = [[False] * size for _ in range(size)]
-    for i, j in pairs:
-        adj[i - lo][j - lo] = True
-    for k in range(size):
-        for a in range(size):
-            if adj[a][k]:
-                row_a, row_k = adj[a], adj[k]
-                for b in range(size):
-                    if row_k[b]:
-                        row_a[b] = True
-    return frozenset(
-        (a + lo, b + lo) for a in range(size) for b in range(size) if adj[a][b]
-    )
-
-
-def _order_from_pairs(lo: int, hi: int, pairs) -> FiniteOrderWindow:
-    ground = range(lo, hi + 1)
-    pairset = set(pairs)
-
-    def rank(x: int) -> int:
-        return (
-            x
-            + sum(1 for y in ground if y > x and (x, y) in pairset)
-            - sum(1 for y in ground if y < x and (y, x) in pairset)
-        )
-
-    listing = sorted(ground, key=rank)
-    return FiniteOrderWindow(lo, hi, tuple(listing))
-
-
-def join_window(xs, lo: int | None = None, hi: int | None = None) -> FiniteOrderWindow:
-    """Join of finite orders (or raw inversion-pair sets): the transitive
-    closure of the union, returned as a total order."""
-    pairs = set()
-    for x in xs:
-        if isinstance(x, FiniteOrderWindow):
-            if lo is None:
-                lo, hi = x.lo, x.hi
-            elif (x.lo, x.hi) != (lo, hi):
-                raise ValueError("windows must share the ground interval")
-            pairs |= x.inversions()
-        else:
-            pairs |= set(x)
-    if lo is None:
-        raise ValueError("ground interval required for pair-set inputs")
-    closed = _window_closure(lo, hi, pairs)
-    out = _order_from_pairs(lo, hi, closed)
-    if out.inversions() != closed:
-        raise NotAnOrder("the closed union is not an order")
-    return out
-
-
-def meet_window(xs, lo: int | None = None, hi: int | None = None) -> FiniteOrderWindow:
-    """Meet via the complement duality K° = T minus closure(T minus K)."""
-    invs = []
-    for x in xs:
-        if isinstance(x, FiniteOrderWindow):
-            if lo is None:
-                lo, hi = x.lo, x.hi
-            invs.append(x.inversions())
-        else:
-            invs.append(frozenset(x))
-    if lo is None:
-        raise ValueError("ground interval required for pair-set inputs")
-    full = {
-        (i, j) for i in range(lo, hi + 1) for j in range(i + 1, hi + 1)
-    }
-    complement_union = set()
-    for inv in invs:
-        complement_union |= full - inv
-    closed = _window_closure(lo, hi, complement_union)
-    meet_pairs = full - closed
-    out = _order_from_pairs(lo, hi, meet_pairs)
-    if out.inversions() != frozenset(meet_pairs):
-        raise NotAnOrder("the dual closure is not an order")
-    return out
 
 
 # ---------------------------------------------------------------------------

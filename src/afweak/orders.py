@@ -11,7 +11,8 @@ negation symmetry.
 
 Conversions to and from biclosed triples realize the combinatorial order
 models, including the type-D twist sets that no single total order can
-describe.
+describe; relabeling an order through a group element realizes the
+W-action on biclosed sets.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     InvalidTwist,
     NotARoot,
     OutOfDomain,
+    TypeMismatch,
 )
 from .fan import (
     BiclosedTriple,
@@ -372,6 +374,42 @@ def normalize(o: PeriodicOrder) -> PeriodicOrder:
             BlockData(data.reversed, None if best.is_identity() else best)
         )
     return PeriodicOrder(face, tuple(out))
+
+
+def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
+    """The order in which v(a) precedes v(b) iff a precedes b.
+
+    Each block's residues are mapped through v, keeping the block sequence
+    and the orientations.  A block permutation u becomes rho' v rho^-1 u,
+    with rho and rho' the relabelings of the old and the new block.  On
+    an A-type block (any but a signed family's centre) it is then
+    pre-composed with the shift that restores zero displacement sum; the
+    shift moves every position alike, so the order stays.
+    """
+    if v.type != o.type:
+        raise TypeMismatch("relabel type mismatch")
+    face, m = o.face, o.type.modulus
+    new = FanFace(o.type, tuple(frozenset(face.residue(v(a)) for a in blk)
+                                for blk in face.blocks))
+    data = list(o.block_data)
+    for k, d in enumerate(data):
+        ptype = _block_perm_type(face, k)
+        if d is None or ptype is None:
+            continue
+        old_reps, new_reps = _block_reps(face, k), _block_reps(new, k)
+        u = d.perm or identity(ptype)
+        size = len(u.window)
+
+        def image(x):
+            return _rho(new_reps, m, v(_rho_inv(old_reps, m, u(x))))
+
+        win = [image(x) for x in range(1, size + 1)]
+        if ptype.family == "A":
+            shift = (size * (size + 1) // 2 - sum(win)) // size
+            win = [image(x + shift) for x in range(1, size + 1)]
+        u = from_window(ptype, win)
+        data[k] = BlockData(d.reversed, None if u.is_identity() else u)
+    return PeriodicOrder(new, tuple(data))
 
 
 # ---------------------------------------------------------------------------

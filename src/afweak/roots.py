@@ -248,11 +248,6 @@ def negate_class(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in key)
 
 
-def class_chain(typ: AffineType, key: tuple[int, ...], h: int) -> tuple[Root, ...]:
-    """The window roots of a Phi_0-class, ordered by increasing height."""
-    return tuple(r for r in root_window(typ, h) if finite_class(r) == key)
-
-
 @lru_cache(maxsize=None)
 def all_class_keys(typ: AffineType) -> tuple[tuple[int, ...], ...]:
     """Keys of all Phi_0-classes (both signs), i.e. of all finite roots."""

@@ -103,7 +103,8 @@ def test_orders_round_trip_d3():
 def test_act_against_windowed_symmetric_difference():
     # w.B = {|w gamma|} xor N(w), checked window-wise against act()
     rng = random.Random(21)
-    for typ in (AffineType("A", 3), AffineType("C", 2), AffineType("D", 2)):
+    for typ in (AffineType("A", 3), AffineType("C", 2), AffineType("D", 2),
+                AffineType("B", 2), AffineType("B", 3), AffineType("D", 4)):
         triples = [t for t in _all_triples(typ, 1)]
         gens = simple_reflections(typ)
         for _ in range(15):

@@ -1,6 +1,7 @@
 """Fan faces, parahoric decompositions, triples, classification, action."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -14,12 +15,12 @@ from afweak.errors import (
     UnstableWindow,
 )
 from afweak.fan import (
+    _classify_from_bits,
     _peel,
     _recover_w,
     act,
     build_biclosed,
     classify,
-    classify_oracle,
     dominant_chamber,
     enumerate_faces,
     face_from_blocks,
@@ -31,16 +32,27 @@ from afweak.fan import (
     phi_prime_from_blocks,
     triple_of_element,
 )
+from afweak.orders import order_from_triple, precedes, relabel
 from afweak.perms import (
     elements_up_to_length,
     identity,
     inversions,
+    invert,
+    max_displacement,
     multiply,
     reflection,
+    root_action,
     simple_reflections,
     word,
 )
-from afweak.roots import AffineType, canonical_root, root_window
+from afweak.roots import (
+    AffineType,
+    all_class_keys,
+    canonical_root,
+    finite_class,
+    root_window,
+)
+from afweak.verify import random_triple
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -48,8 +60,53 @@ A4 = AffineType("A", 4)
 C1 = AffineType("C", 1)
 C2 = AffineType("C", 2)
 B2 = AffineType("B", 2)
+B3 = AffineType("B", 3)
 D2 = AffineType("D", 2)
 D3 = AffineType("D", 3)
+D4 = AffineType("D", 4)
+
+SEED = int(os.environ.get("AFWEAK_SEED", "0"))
+
+
+# the windowed reference for act: classify the membership oracle of v.B
+
+
+def classify_oracle(typ, member, settle):
+    """Classify an exact membership oracle whose asymptotic class
+    behavior has settled by the given height."""
+    h = settle + 4
+    bits = {}
+    for key in all_class_keys(typ):
+        vals = {member(r) for r in root_window(typ, h)
+                if r.height >= settle and finite_class(r) == key}
+        if len(vals) != 1:
+            raise UnstableWindow("asymptotic membership did not settle")
+        bits[key] = vals.pop()
+    for _ in range(4):
+        try:
+            out = _classify_from_bits(typ, bits, member, h)
+        except UnstableWindow:
+            h *= 2
+            continue
+        if all(out.member(r) == member(r) for r in root_window(typ, h)):
+            return out
+        h *= 2
+    raise UnstableWindow("oracle classification did not stabilize")
+
+
+def act_oracle(v, t):
+    """v.B by its definition (r in v.B iff v^-1 r in B, a negative image
+    counting as absent), classified at a settle height guessed from the
+    inversion heights of B and the displacement of v."""
+    vinv = invert(v)
+
+    def member(r):
+        sign, img = root_action(vinv, r)
+        return t.member(img) if sign == 1 else not t.member(img)
+
+    inv_heights = [r.height for r in t.inv_global] or [0]
+    settle = max(inv_heights) + 2 * max_displacement(v) + 4
+    return classify_oracle(t.type, member, settle)
 
 
 def test_face_counts():
@@ -289,15 +346,75 @@ def test_action_examples():
 
 def test_action_is_group_action():
     rng = random.Random(7)
-    for typ in (A3, C2, D2):
+    for typ in (A3, C2, D2, B2, B3, D4):
         gens = simple_reflections(typ)
-        for _ in range(6):
-            t = triple_of_element(word(typ, [
-                rng.randrange(len(gens)) for _ in range(rng.randrange(3))
-            ]))
+        for k in range(12):
+            if k % 2:
+                t = random_triple(typ, rng)
+            else:
+                t = triple_of_element(word(typ, [
+                    rng.randrange(len(gens)) for _ in range(rng.randrange(3))
+                ]))
             u = word(typ, [rng.randrange(len(gens)) for _ in range(2)])
             v = word(typ, [rng.randrange(len(gens)) for _ in range(2)])
             assert act(u, act(v, t)) == act(multiply(u, v), t)
+
+
+def _twisted(t, rng):
+    """t with Phi' selecting exactly one A~1 of its split central D~2."""
+    split = [c.id for c in parahoric(t.face).components if c.kind == "splitA1"]
+    phi = (t.phi_prime - set(split)) | {split[rng.randrange(2)]}
+    return build_biclosed(t.face, phi, t.w_map())
+
+
+def test_act_matches_windowed_oracle():
+    rng = random.Random(SEED + 11)
+    twists = 0
+    for typ in (A3, AffineType("A", 5), B3, AffineType("C", 3), D3, D4):
+        gens = simple_reflections(typ)
+        for k in range(10):
+            t = random_triple(typ, rng)
+            if typ.family == "D" and k % 2:
+                while not any(c.kind == "splitA1"
+                              for c in parahoric(t.face).components):
+                    t = random_triple(typ, rng)
+                t = _twisted(t, rng)
+                twists += 1
+            v = word(typ, [rng.randrange(len(gens))
+                           for _ in range(rng.randrange(10))])
+            got = act(v, t)
+            assert got == act_oracle(v, t)
+            vinv = invert(v)
+            for r in root_window(typ, 3):
+                sign, img = root_action(vinv, r)
+                assert got.member(r) == (t.member(img) == (sign == 1))
+    assert twists == 10
+
+
+def test_act_relabel_restores_zero_displacement():
+    # s2 sends the block {0, 1} of A~2 onto {1, 2}: rho' v rho^-1 has
+    # window [0, 1], and only the shift by one makes it the identity
+    t = build_biclosed(face_from_blocks(A3, [{0, 1}, {2}]), set(), {})
+    s2 = simple_reflections(A3)[2]
+    o = relabel(order_from_triple(t), s2)
+    assert o.face == face_from_blocks(A3, [{1, 2}, {0}])
+    assert o.data_at(0).perm is None
+    for a, b in itertools.permutations(range(-6, 7), 2):
+        assert precedes(o, s2(a), s2(b)) == precedes(order_from_triple(t), a, b)
+    assert act(s2, t) == build_biclosed(o.face, set(), {}) == act_oracle(s2, t)
+
+
+def test_act_moves_a_d_twist_onto_the_other_split_class():
+    # the +-{1,2} class of the twist goes to the +-{1,-3} class of the
+    # image face, so the image selects ctrA1:1,-3
+    f = face_from_blocks(D3, [{-3}, {-2, -1, 1, 2}, {3}])
+    t = build_biclosed(f, {"ctrA1:1,2"}, {})
+    s3 = simple_reflections(D3)[3]
+    want = build_biclosed(
+        face_from_blocks(D3, [{2}, {-3, -1, 1, 3}, {-2}]), {"ctrA1:1,-3"}, {}
+    )
+    assert act(s3, t) == want == act_oracle(s3, t)
+    assert act(s3, act(s3, t)) == t
 
 
 def test_action_formula_on_parahoric():

@@ -1,6 +1,5 @@
 """Joins and meets: windows, threshold relations, families A and C."""
 
-import itertools
 import os
 import random
 
@@ -24,7 +23,6 @@ from afweak.fan import (
 )
 from afweak.intset import IntSet
 from afweak.lattice import (
-    FiniteOrderWindow,
     ThresholdRelation,
     a_ambient,
     check_order,
@@ -35,10 +33,8 @@ from afweak.lattice import (
     join_A,
     join_C,
     join_finite,
-    join_window,
     meet_A,
     meet_C,
-    meet_window,
     pi,
     relation_from_pairs,
     restrict_c,
@@ -68,43 +64,6 @@ C4 = AffineType("C", 4)
 D2 = AffineType("D", 2)
 
 SEED = int(os.environ.get("AFWEAK_SEED", "0"))
-
-
-# ----------------------------------------------------------------- windows
-
-
-def test_join_window_examples():
-    got = join_window([{(1, 2)}, {(2, 3)}], 1, 3)
-    assert got.inversions() == {(1, 2), (1, 3), (2, 3)}
-    ident = join_window([set()], 1, 4)
-    assert ident.listing == (1, 2, 3, 4)
-    atoms = [{(i, i + 1)} for i in range(1, 4)]
-    full = join_window(atoms, 1, 4)
-    # derived oracle: scan all 24 orders of four letters
-    def inv_of(p):
-        pos = {v: k for k, v in enumerate(p)}
-        return frozenset(
-            (i, j) for i in range(1, 5) for j in range(i + 1, 5) if pos[i] > pos[j]
-        )
-
-    orders = {inv_of(p) for p in itertools.permutations(range(1, 5))}
-    ups = [o for o in orders if all(frozenset(a) <= o for a in atoms)]
-    least = min(ups, key=len)
-    assert all(least <= o for o in ups)
-    assert full.inversions() == least
-    assert full.listing == (4, 3, 2, 1)
-
-
-def test_join_window_identity_neutral():
-    x = FiniteOrderWindow(1, 4, (2, 1, 4, 3))
-    assert join_window([x, FiniteOrderWindow(1, 4, (1, 2, 3, 4))]) == x
-
-
-def test_meet_window():
-    x = FiniteOrderWindow(1, 3, (3, 2, 1))
-    y = FiniteOrderWindow(1, 3, (2, 3, 1))
-    m = meet_window([x, y])
-    assert m.inversions() == x.inversions() & y.inversions()
 
 
 # ------------------------------------------------------- threshold algebra
