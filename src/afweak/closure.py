@@ -20,6 +20,7 @@ from .roots import (
     _rref_plane_key,
     _solve_in_plane,
     finite_class,
+    guard_window,
     root_window,
 )
 
@@ -33,6 +34,7 @@ class WindowSet:
     members: frozenset[Root]
 
     def __post_init__(self):
+        guard_window(self.type, self.H)
         window = set(root_window(self.type, self.H))
         bad = [r for r in self.members if r not in window]
         if bad:

@@ -44,6 +44,7 @@ from .roots import (
     Root,
     canonical_root,
     finite_class,
+    guard_window,
     negate_class,
     primitive_direction,
     root_window,
@@ -453,6 +454,7 @@ class BiclosedTriple:
         return membership(self, r)
 
     def window(self, h: int) -> _closure.WindowSet:
+        guard_window(self.type, h)
         roots = frozenset(r for r in root_window(self.type, h) if self.member(r))
         return _closure.WindowSet(self.type, h, roots)
 
@@ -468,9 +470,11 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
     """Assemble and validate a triple; w maps component ids to elements.
 
     Missing components default to the identity; identity components are
-    normalized away so triples compare canonically.  Equal faces, Phi'
-    sets and component tuples are shared between triples, which keeps
-    many triples small.
+    normalized away so triples compare canonically.  Equal triples are
+    shared: a build equal to one seen before returns that first object
+    (while the bounded cache holds it), and equal faces, Phi' sets and
+    component tuples are shared between triples, which keeps many
+    triples small.
     """
     decomp = parahoric(face)
     phi = _interned(frozenset(phi_prime))
@@ -497,7 +501,7 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
     # only splitA1 images can fail to be roots: check them when building
     split = [kv for kv in items if decomp.by_id(kv[0]).kind == "splitA1"]
     _global_inversions(decomp, split)
-    return BiclosedTriple(decomp.face, phi, _interned(tuple(items)))
+    return _interned(BiclosedTriple(decomp.face, phi, _interned(tuple(items))))
 
 
 @lru_cache(maxsize=4096)

@@ -3,12 +3,15 @@
 A set is a finite part below a threshold T plus a tail {x >= T : x mod P
 in residues}, held as Python-int bitmasks.  Union and intersection are |
 and & of windows and of residue masks lifted to lcm(P) by multiplying
-with (2^lcm - 1)/(2^P - 1); complement is ~, shift rotates residues, a
-Minkowski sum shift-ORs one window over the runs of the other, and rays
-[T, oo) add and unite in closed form.  Everything the closure of
-translation-invariant inversion relations consumes stays in the family.
-All operations are exact; least period, then least threshold, make
-equality structural.
+with (2^lcm - 1)/(2^P - 1); complement is ~, shift rotates residues, and
+a Minkowski sum shift-ORs one window over the runs of the other.  The
+shapes that almost every entry of a lattice join takes have closed
+forms: rays [T, oo) add and unite by their starts, a set lies inside a
+ray when its least point does, and the complement of an empty set, a
+ray or a run [lo, hi] is written down directly.  Every other set takes
+the general mask path.  Everything the closure of translation-invariant
+inversion relations consumes stays in the family.  All operations are
+exact; least period, then least threshold, make equality structural.
 """
 
 from __future__ import annotations
@@ -116,7 +119,17 @@ class IntSet:
         return _canon(lo, *_merged(self, other, int.__and__, lo))
 
     def complement_in(self, lo: int) -> "IntSet":
-        """[lo, oo) minus this set."""
+        """[lo, oo) minus this set; closed forms for empty sets, rays and runs."""
+        if not self.fin:
+            if not self.res:
+                return IntSet(0, 0, lo, 1, 1)
+            if self.P == 1:  # the ray [T, oo)
+                return IntSet(lo, _ones(self.T - lo), 0, 1, 0) if self.T > lo else _EMPTY
+        elif not (self.res or self.fin & (self.fin + 1)):  # the run [self.lo, q]
+            q = self.lo + self.fin.bit_length() - 1
+            if self.lo <= lo:
+                return IntSet(0, 0, max(lo, q + 1), 1, 1)
+            return IntSet(lo, _ones(self.lo - lo), q + 1, 1, 1)
         t = max(_t_eff(self), lo)
         return _canon(lo, ~_bits(self, lo, t), t, self.P, ~self.res & _ones(self.P))
 

@@ -5,8 +5,11 @@ relation: for every ordered residue pair the set of shifts at which the
 pair is inverted, an eventually-periodic integer set.  Joins close the
 union of these relations by a Floyd-Warshall sweep whose loop weights
 are handled with Kleene stars, so no unbounded fixpoint iteration is
-needed; meets are complement-dual joins.  Family C reduces to family A
-by the negation involution sigma, whose fixed points the C-orders are.
+needed; meets are complement-dual joins.  The order check reads the
+least and largest point of every entry first and decides the sums with
+a ray [T, oo) from those; the rest take the general IntSet operations.
+Family C reduces to family A by the negation involution sigma, whose
+fixed points the C-orders are.
 For B/D only the experimental windowed try_join is offered, plus
 exhaustive joins in the finite groups behind the non-sublattice
 counterexample.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import inf
 
 from . import closure as _closure
 from .errors import (
@@ -36,10 +40,10 @@ from .fan import (
     _ordered_blocks,
     _recover_w,
 )
-from .intset import IntSet
+from .intset import IntSet, _is_ray
 from .orders import _block_position_fn, order_from_triple
 from .perms import from_window
-from .roots import AffineType, Root, canonical_root, root_window
+from .roots import AffineType, Root, canonical_root, guard_window, root_window
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +127,14 @@ def relation_from_pairs(m: int, roots) -> ThresholdRelation:
     return ThresholdRelation(m, tuple(rows))
 
 
+def _shape(s: IntSet) -> tuple[int, int | float, bool] | None:
+    """None when s is empty, else (least point, largest point or inf when
+    there is a tail, whether s is a ray [T, oo))."""
+    if not (s.fin or s.res):
+        return None
+    return s.min(), inf if s.res else s.lo + s.fin.bit_length() - 1, _is_ray(s)
+
+
 def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
     """Least transitive superset, by Floyd-Warshall with Kleene stars.
 
@@ -158,18 +170,30 @@ def check_order(r: ThresholdRelation) -> None:
     """Raise NotAnOrder unless the relation is a (closed) total order.
 
     Transitivity is assumed from the closure; this checks co-closure:
-    no inverted pair may factor through two non-inverted ones.
+    no inverted pair may factor through two non-inverted ones.  A sum
+    with a ray is the ray [x+y, oo) from the least points, which meets an
+    entry iff the entry's largest point is at least x+y; a sum meets a
+    ray [T, oo) iff its largest point is at least T.  Other sums take the
+    general IntSet operations.
     """
     m = r.M
     comp = r.complement()
+    left = [[_shape(s) for s in row] for row in comp.V]
+    right = [[_shape(s) for s in row] for row in r.V]
     for a in range(m):
         for b in range(m):
+            if not (ab := left[a][b]):
+                continue
             for c in range(m):
-                left = comp.entry(a, b)
-                right = comp.entry(b, c)
-                if left.is_empty() or right.is_empty():
+                if not (bc := left[b][c]) or not (ac := right[a][c]):
                     continue
-                if left.minkowski(right).intersects(r.entry(a, c)):
+                if ab[2] or bc[2]:
+                    hit = ac[1] >= ab[0] + bc[0]
+                elif ac[2]:
+                    hit = ab[1] + bc[1] >= ac[0]
+                else:
+                    hit = comp.V[a][b].minkowski(comp.V[b][c]).intersects(r.V[a][c])
+                if hit:
                     raise NotAnOrder(
                         f"inversion ({a},{c}) factors through non-inversions"
                         f" via {b}"
@@ -181,6 +205,11 @@ def check_order(r: ThresholdRelation) -> None:
 
 # ---------------------------------------------------------------------------
 # iota and pi
+
+
+# the cross-block entries of iota, shared: empty, [0, oo) and [1, oo)
+_EMPTY = IntSet.empty()
+_RAYS = (IntSet.from_range(0), IntSet.from_range(1))
 
 
 def iota(t: BiclosedTriple) -> ThresholdRelation:
@@ -218,9 +247,9 @@ def iota(t: BiclosedTriple) -> ThresholdRelation:
         for b in range(m):
             lo = _eps(a, b)
             if block[a] < block[b]:
-                row.append(IntSet.empty())
+                row.append(_EMPTY)
             elif block[a] > block[b]:
-                row.append(IntSet.from_range(lo))
+                row.append(_RAYS[lo])
             else:
                 diff, s = pos[a] - pos[b], step[block[a]]
                 # a comes after b + dM  iff  diff > d * s
@@ -537,6 +566,7 @@ def try_join(xs, h: int) -> TryJoinResult:
     typ = xs[0].type
     if any(x.type != typ for x in xs):
         raise TypeMismatch("mixed types in try_join")
+    guard_window(typ, 2 * h)
 
     def union_window(hh: int):
         mem = set()

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import AfweakError, DependentRoots, NotARoot
+from .errors import AfweakError, DependentRoots, NotARoot, TooLarge
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -210,6 +210,33 @@ def vector_to_root(typ: AffineType, vec) -> tuple[int, Root] | None:
         except NotARoot:
             return None
     return None
+
+
+# The largest window a windowed operation may build.  Those operations
+# scan all root pairs of the window, about 5 s at B4 height 8 (252
+# roots) and 8 s at A6 height 8 (270 roots, refused).  The largest window
+# the package, its tests and its benchmark build is D4 at height 6 (168).
+MAX_WINDOW_ROOTS = 256
+
+
+def window_size(typ: AffineType, h: int) -> int:
+    """len(root_window(typ, h)), in closed form: every height level holds
+    as many roots as the finite root system (B: n(2n - 1))."""
+    n = typ.n
+    per_level = {"A": n * (n - 1), "B": n * (2 * n - 1), "C": 2 * n * n,
+                 "D": 2 * n * (n - 1)}[typ.family]
+    return per_level * max(h + 1, 0)
+
+
+def guard_window(typ: AffineType, h: int) -> None:
+    """TooLarge, before anything is enumerated, for a height-h window of
+    more than MAX_WINDOW_ROOTS roots."""
+    size = window_size(typ, h)
+    if size > MAX_WINDOW_ROOTS:
+        raise TooLarge(
+            f"a height-{h} window of {typ.family}{typ.n} has {size} roots;"
+            f" the limit is {MAX_WINDOW_ROOTS}"
+        )
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -377,3 +378,16 @@ def test_check_child_matches_in_process(tmp_path, capsys):
         child = _child("check", "--in", path)
         assert child.returncode == code
         assert child.stdout == capsys.readouterr().out.encode()
+
+
+def test_oversized_window_is_refused_at_once(tmp_path):
+    # H = 100000 would be 1.2 million roots and an O(N^2) plane scan
+    path = _write(tmp_path, "big.json", {"family": "A", "n": 4, "H": 100000,
+                                         "roots": [[0, 1]]})
+    start = time.monotonic()
+    child = _child("check", "--in", path)
+    err = child.stderr.decode()
+    assert child.returncode == 1, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "limit" in err and child.stdout == b""
+    assert time.monotonic() - start < 10

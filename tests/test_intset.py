@@ -149,6 +149,22 @@ def model(rng):
     return s.shift(c), p, lambda x: pred(x - c)
 
 
+def shaped(rng):
+    """An empty set, a ray, a run or a run plus a ray, with its name and
+    an independent membership test."""
+    kind = rng.choice(("empty", "ray", "run", "run+ray"))
+    p = rng.randrange(-30, 30)
+    q, t = p + rng.randrange(6), p + rng.randrange(8, 14)
+    if kind == "empty":
+        return kind, IntSet.empty(), lambda x: False
+    if kind == "ray":
+        return kind, IntSet.from_range(p), lambda x: x >= p
+    if kind == "run":
+        return kind, IntSet.from_range(p, q), lambda x: p <= x <= q
+    s = IntSet.from_range(p, q).union(IntSet.from_range(t))
+    return kind, s, lambda x: p <= x <= q or x >= t
+
+
 def members(pred, lo=LO, hi=HI):
     return {x for x in range(lo, hi + 1) if pred(x)}
 
@@ -186,6 +202,29 @@ def test_bitmask_algebra_against_predicates():
             x + y for x in xa for y in xb if x + y <= HI
         }
     assert min(sums.values()) > 20
+    # the shapes complement_in answers in closed form, from lo below, at
+    # and above the least point; a ray with sets that have a finite part
+    kinds = set()
+    for _ in range(300):
+        kind, a, pa = shaped(rng)
+        kinds.add(kind)
+        ma = members(pa)
+        least = min(ma, default=0)
+        for lo in (least - rng.randrange(1, 9), least, least + rng.randrange(1, 9)):
+            assert window(a.complement_in(lo)) == set(range(lo, HI + 1)) - ma
+        b, _, pb = model(rng)
+        for c, pc in ((a, pa), (b, pb)):
+            mc = members(pc)
+            if not c.fin:
+                continue
+            t = rng.randrange(-40, 40)
+            ray = IntSet.from_range(t)
+            united = mc | set(range(t, HI + 1))
+            assert window(ray.union(c)) == window(c.union(ray)) == united
+            added = set(range(t + min(mc), HI + 1))
+            assert window(c.minkowski(ray), 2 * LO) == added
+            assert window(ray.minkowski(c), 2 * LO) == added
+    assert kinds == {"empty", "ray", "run", "run+ray"}
 
 
 def test_canonical_form_is_route_independent():

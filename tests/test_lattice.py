@@ -15,9 +15,11 @@ from afweak.errors import (
     UnstableWindow,
 )
 from afweak.fan import (
+    BiclosedTriple,
     build_biclosed,
     classify,
     face_from_blocks,
+    parahoric,
     phi_prime_from_blocks,
     triple_of_element,
 )
@@ -120,13 +122,10 @@ def test_check_order_flags_non_orders():
         check_order(bad)
 
 
-def test_pi_rejects_or_round_trips_perturbed_blocks():
-    # the in-block inversions pi hands to the component read-off come
-    # straight from the cells; a perturbed cell must be rejected, or the
-    # relation must be a genuine order again
-    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")) + 43)
-    seen = set()
-    for _ in range(150):
+def _perturbed_relations(rng, count):
+    """(type, relation) pairs: iota of a random triple with one in-block
+    cell perturbed, by an added shift or by losing its least shift."""
+    for _ in range(count):
         typ = rng.choice((A3, A4, A5))
         t = random_triple(typ, rng, 6)
         r = iota(t)
@@ -141,7 +140,16 @@ def test_pi_rejects_or_round_trips_perturbed_blocks():
             v[a][b] = e.union(IntSet.points([eps + rng.randrange(4)]))
         else:
             v[a][b] = e.intersection(IntSet.from_range(e.min() + 1))
-        r2 = ThresholdRelation(r.M, tuple(tuple(row) for row in v))
+        yield typ, ThresholdRelation(r.M, tuple(tuple(row) for row in v))
+
+
+def test_pi_rejects_or_round_trips_perturbed_blocks():
+    # the in-block inversions pi hands to the component read-off come
+    # straight from the cells; a perturbed cell must be rejected, or the
+    # relation must be a genuine order again
+    rng = random.Random(SEED + 43)
+    seen = set()
+    for typ, r2 in _perturbed_relations(rng, 150):
         try:
             out = pi(r2, typ)
         except (NotAnOrder, NotBiclosed, NotARoot) as err:
@@ -149,6 +157,67 @@ def test_pi_rejects_or_round_trips_perturbed_blocks():
             continue
         assert iota(out).V == r2.V
     assert NotBiclosed in seen
+
+
+def _reference_check_order(r):
+    """check_order on the general IntSet operations alone."""
+    m = r.M
+    comp = r.complement()
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                left, right = comp.entry(a, b), comp.entry(b, c)
+                if left.is_empty() or right.is_empty():
+                    continue
+                if left.minkowski(right).intersects(r.entry(a, c)):
+                    raise NotAnOrder(
+                        f"inversion ({a},{c}) factors through non-inversions via {b}"
+                    )
+    for a in range(m):
+        if r.entry(a, a) not in (IntSet.empty(), IntSet.from_range(1)):
+            raise NotAnOrder(f"diagonal class {a} is partially reversed")
+
+
+def _outcome(f, r):
+    try:
+        out = f(r)
+    except (NotAnOrder, ValueError) as err:  # ValueError: a star through 0
+        return f"{type(err).__name__}: {err}"
+    return out and out.V
+
+
+def _hand_built(rng, m):
+    """A relation over entries outside the ray shapes too: a diagonal {2}
+    (a period-2 star), {0} u [2, 5], finite parts plus tails."""
+    diag = (IntSet.empty(), IntSet.points([2]), IntSet.from_range(1),
+            IntSet.points([2]).union(IntSet.from_range(5)))
+    cells = (IntSet.empty(), IntSet.from_range(0), IntSet.from_range(1),
+             IntSet.from_range(0, 2), IntSet.points([0]).union(IntSet.from_range(2, 5)),
+             IntSet.points([1, 3]).union(IntSet.from_range(6)), IntSet.tail(3, 2, [1]))
+    return ThresholdRelation(m, tuple(
+        tuple(rng.choice(diag if a == b else cells) for b in range(m)) for a in range(m)
+    ))
+
+
+def test_check_order_matches_the_general_operations():
+    rng = random.Random(SEED + 44)
+    rels = []
+    for typ in (A3, A4, A5, AffineType("A", 6), C2, C3, C4):
+        for _ in range(6):
+            x, y = random_triple(typ, rng, 3), random_triple(typ, rng, 3)
+            rels.append(iota(x).union(iota(y)))
+            rels.append(iota(x).complement().union(iota(y).complement()))
+    rels += [_hand_built(rng, m) for m in (1, 2, 2, 3, 3, 3) for _ in range(20)]
+    rels += [r for _, r in _perturbed_relations(rng, 60)]
+    messages = set()
+    for r in rels:
+        closed = _outcome(threshold_closure, r)
+        tests = [r] if isinstance(closed, str) else [r, ThresholdRelation(r.M, closed)]
+        for s in tests + [t.complement() for t in tests]:
+            msg = _outcome(check_order, s)
+            assert msg == _outcome(_reference_check_order, s)
+            messages.add(msg and msg.split(" ")[1])
+    assert {None, "inversion", "diagonal"} <= messages
 
 
 def test_pi_iota_identity():
@@ -173,6 +242,28 @@ def test_join_A_worked_example():
     f = face_from_blocks(A4, [{1, 3}, {0, 2}])
     assert j == build_biclosed(f, phi_prime_from_blocks(f, [1]), {})
     assert j.face.one_indexed_blocks() == ((1, 3), (2, 4))
+
+
+def test_equal_triples_are_shared():
+    rng = random.Random(SEED + 45)
+    for typ in (A4, A5):
+        for _ in range(10):
+            t = random_triple(typ, rng, 3)
+            inv = t.inv_global
+            # every component given, identities too: normalized, then shared
+            w = {c: t.component_w(c) for c in parahoric(t.face).ids()}
+            assert build_biclosed(t.face, list(t.phi_prime), w) is t
+            x, y = random_triple(typ, rng), random_triple(typ, rng)
+            j = join_A([x, y])
+            assert join_A([x, y]) is j and join_A([y, x]) is j
+            assert meet_A([j, x]) is x
+            for s in (t, j):
+                fresh = BiclosedTriple(s.face, s.phi_prime, s.w)  # not shared
+                assert fresh == s and fresh is not s
+                assert s.inv_global == fresh.inv_global
+                for r in root_window(typ, 3):
+                    assert s.member(r) == fresh.member(r)
+            assert t.inv_global is inv
 
 
 def test_join_A_small_identities():
@@ -263,29 +354,56 @@ def test_join_C_basics():
         assert join_C([x, join_C([], C2)]) == x
 
 
+def _stable_closure(typ, inside, h):
+    """(cut, big): big is the closure of {r : inside(r)} on the 2h window
+    and cut its roots up to height h, or None when the h window's own
+    closure differs from that cut."""
+    union = frozenset(r for r in root_window(typ, 2 * h) if inside(r))
+    big = close(WindowSet(typ, 2 * h, union))
+    small = close(WindowSet(typ, h, frozenset(r for r in union if r.height <= h)))
+    cut = frozenset(r for r in big.members if r.height <= h)
+    return (cut if cut == small.members else None), big
+
+
 def test_join_C_matches_windowed_oracle():
-    rng = random.Random(10)
+    rng = random.Random(SEED + 10)
     checked = 0
     for _ in range(30):
         x, y = random_triple(C2, rng, 2), random_triple(C2, rng, 2)
         j = join_C([x, y])
-        h = 5
-        union = frozenset(
-            r for r in root_window(C2, 2 * h) if x.member(r) or y.member(r)
-        )
-        big = close(WindowSet(C2, 2 * h, union))
-        small = close(
-            WindowSet(C2, h, frozenset(r for r in union if r.height <= h))
-        )
-        if frozenset(r for r in big.members if r.height <= h) != small.members:
+        cut, big = _stable_closure(C2, lambda r: x.member(r) or y.member(r), 5)
+        if cut is None:
             continue
         assert classify(big) == j
         checked += 1
     assert checked >= 25
 
 
+def test_meets_and_joins_match_the_windowed_interior_and_closure():
+    # a meet's complement, cut to height h, is the stable closure of the
+    # union of the operands' complements; a join's window is the stable
+    # closure of their union
+    rng = random.Random(SEED + 46)
+    checked = 0
+    cases = [(C2, 2, 5, meet_C)] * 12 + [(C3, 2, 3, meet_C)] * 4
+    cases += [(A5, 3, 3, join_A), (A5, 3, 3, meet_A)] * 6
+    for typ, count, h, op in cases:
+        xs = [random_triple(typ, rng, 2) for _ in range(count)]
+        if op is join_A:
+            cut, _ = _stable_closure(typ, lambda r: any(x.member(r) for x in xs), h)
+            expect = cut
+        else:
+            cut, _ = _stable_closure(typ, lambda r: not all(x.member(r) for x in xs), h)
+            expect = None if cut is None else frozenset(root_window(typ, h)) - cut
+        if expect is None:
+            continue
+        assert op(xs).window(h).members == expect, (op.__name__, xs)
+        checked += 1
+    assert checked >= len(cases) - 4
+
+
 def test_meet_C():
-    rng = random.Random(11)
+    rng = random.Random(SEED + 11)
     for typ, pairs in ((C2, 10), (C4, 3)):
         for _ in range(pairs):
             x, y = random_triple(typ, rng, 2), random_triple(typ, rng, 2)

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from afweak.errors import AfweakError, DependentRoots, NotARoot
+from afweak.closure import WindowSet
+from afweak.errors import AfweakError, DependentRoots, NotARoot, TooLarge
 from afweak.roots import (
+    MAX_WINDOW_ROOTS,
     AffineType,
     canonical_root,
     delta_height,
@@ -14,8 +16,10 @@ from afweak.roots import (
     negate_class,
     plane_key,
     rank2_subsystem,
+    guard_window,
     root_window,
     vector_to_root,
+    window_size,
     _angular_sort,
     _solve_in_plane,
     _rref_plane_key,
@@ -192,3 +196,19 @@ def test_finite_class_and_chains():
             assert heights == sorted(heights)
             steps = {b - a for a, b in zip(heights, heights[1:])}
             assert steps <= {1, 2}
+
+
+def test_window_size_and_guard():
+    for fam, lo in (("A", 2), ("B", 2), ("C", 1), ("D", 2)):
+        for n in range(lo, 6):
+            typ = AffineType(fam, n)
+            for h in range(0, 7):
+                assert len(root_window(typ, h)) == window_size(typ, h)
+    # the largest window in use fits; A6 at height 8 does not
+    guard_window(AffineType("D", 4), 6)
+    assert window_size(AffineType("A", 6), 8) == 270 > MAX_WINDOW_ROOTS
+    for typ, h in ((AffineType("A", 6), 8), (A3, 10**9)):
+        with pytest.raises(TooLarge):
+            guard_window(typ, h)
+        with pytest.raises(TooLarge):
+            WindowSet(typ, h, frozenset())
