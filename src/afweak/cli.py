@@ -218,6 +218,12 @@ def _option(option: str, text: str, parse):
         raise InputError(f"{option}: {_describe(e)}") from e
 
 
+def _height(h: int | None, least: int) -> None:
+    """InputError for a --height below `least`."""
+    if h is not None and h < least:
+        raise InputError(f"--height must be at least {least}, not {h}")
+
+
 def _face_and_phi(typ, args):
     """The face and Phi' given to build or hasse by --face, --phi-blocks
     or --phi."""
@@ -290,6 +296,7 @@ def _cmd_classify(args):
 
 
 def _cmd_build(args):
+    _height(args.height, 0)
     face, phi = _face_and_phi(_roots.AffineType(args.family, args.n), args)
     wmap = {}
     if args.w:
@@ -345,6 +352,7 @@ def _cmd_join(args, mode: str):
 
 
 def _cmd_try_join(args):
+    _height(args.height, 1)
     ts = [load_any_triple(_load(p)) for p in args.infile]
     if args.type and ts[0].type.family != args.type:
         raise AfweakError(f"inputs are type {ts[0].type.family}, not {args.type}")

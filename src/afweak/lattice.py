@@ -9,7 +9,10 @@ needed; meets are complement-dual joins.  The order check reads the
 least and largest point of every entry first and decides the sums with
 a ray [T, oo) from those; the rest take the general IntSet operations.
 Family C reduces to family A by the negation involution sigma, whose
-fixed points the C-orders are.
+fixed points the C-orders are.  A C join or meet projects through pi
+once; whether the result is sigma-fixed and whether its pull-back
+embeds onto it are decided on threshold relations, against the iota of
+that result.
 For B/D only the experimental windowed try_join is offered, plus
 exhaustive joins in the finite groups behind the non-sublattice
 counterexample.
@@ -434,11 +437,21 @@ def restrict_c(t: BiclosedTriple, typ: AffineType) -> BiclosedTriple:
 
 def _pull_back(t: BiclosedTriple, typ: AffineType, what: str) -> BiclosedTriple:
     """restrict_c of a family-A result, checked to be a sigma-fixed point
-    that the C-result embeds onto."""
-    if sigma(t) != t:
+    that the C-result embeds onto.
+
+    Both checks compare threshold relations against rel = iota(t), with
+    no further projection: pi(iota(t)) == t, and iota writes every
+    singleton class increasing, which sigma_relation keeps.  So
+    sigma(t) == t iff sigma_relation(rel) == rel, and embed_c(out) == t
+    iff iota(out) == rel.  The relation the join closed is no substitute
+    for rel: pi drops a singleton class's orientation, so that relation
+    may hold a decreasing singleton that rel writes increasing.
+    """
+    rel = iota(t)
+    if sigma_relation(rel) != rel:
         raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
     out = restrict_c(t, typ)
-    if embed_c(out) != t:
+    if iota(out) != rel:
         raise SigmaFixednessViolated("pull-back does not embed correctly")
     return out
 
@@ -447,7 +460,9 @@ def join_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
     """Exact join in family C.
 
     The inputs' threshold relations are united and closed in the family-A
-    ambient; the sigma-fixed result is pulled back by restrict_c.
+    ambient and projected once by pi; the result is pulled back by
+    restrict_c after its sigma-fixedness and the pull-back's embedding
+    are checked on threshold relations (see _pull_back).
     """
     xs, typ = _operands(xs, typ, "C", "join_C")
     if not xs:
@@ -457,7 +472,8 @@ def join_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
 
 
 def meet_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
-    """Exact meet in family C: the complement-dual route of join_C."""
+    """Exact meet in family C: the complement-dual route of join_C, with
+    one pi and the same relation-level checks."""
     xs, typ = _operands(xs, typ, "C", "meet_C")
     if not xs:
         return _top(typ)
@@ -560,12 +576,14 @@ def try_join(xs, h: int) -> TryJoinResult:
     On success the result really is the join: the closure of the union
     is below every biclosed upper bound.  On failure the rank-2 witness
     of non-biclosedness is returned.  Stability is certified by agreeing
-    windows at h and 2h.
+    windows at h and 2h, so the cutoff h must be at least 1.
     """
     xs = list(xs)
     typ = xs[0].type
     if any(x.type != typ for x in xs):
         raise TypeMismatch("mixed types in try_join")
+    if h < 1:
+        raise ValueError(f"try_join needs a cutoff h >= 1, not {h}")
     guard_window(typ, 2 * h)
 
     def union_window(hh: int):

@@ -229,8 +229,10 @@ def window_size(typ: AffineType, h: int) -> int:
 
 
 def guard_window(typ: AffineType, h: int) -> None:
-    """TooLarge, before anything is enumerated, for a height-h window of
-    more than MAX_WINDOW_ROOTS roots."""
+    """ValueError for a negative height, and TooLarge, before anything is
+    enumerated, for a height-h window of more than MAX_WINDOW_ROOTS roots."""
+    if h < 0:
+        raise ValueError(f"a window height must be >= 0, not {h}")
     size = window_size(typ, h)
     if size > MAX_WINDOW_ROOTS:
         raise TooLarge(

@@ -354,6 +354,24 @@ def test_malformed_option_is_a_usage_error(args):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_negative_heights_are_usage_errors(tmp_path):
+    # a window needs H >= 0; try-join certifies h against 2h, so it needs
+    # h >= 1
+    d = ["--family", "D", "--n", "3", "--face", "[[-3], [-2, -1, 1, 2], [3]]"]
+    path = tmp_path / "d.json"
+    assert run(["build", *d, "--out", str(path)]) == 0
+    window = _write(tmp_path, "w.json", {"family": "A", "n": 3, "H": -1, "roots": []})
+    for args in (["try-join", "--in", str(path), str(path), "--height", "-1"],
+                 ["try-join", "--in", str(path), str(path), "--height", "0"],
+                 ["build", *d, "--height", "-1"],
+                 ["classify", "--in", window]):
+        child = _child(*args)
+        err = child.stderr.decode()
+        assert child.returncode == 2, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert child.stdout == b""
+
+
 def test_join_under_optimize_matches_in_process(tmp_path, capsys):
     # the order checks behind join are raises, so python -O keeps them
     rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))

@@ -5,17 +5,21 @@ import random
 
 import pytest
 
+from afweak import lattice
 from afweak.closure import WindowSet, close
 from afweak.errors import (
+    AfweakError,
     NotAnOrder,
     NotARoot,
     NotBiclosed,
+    SigmaFixednessViolated,
     TooLarge,
     TypeMismatch,
     UnstableWindow,
 )
 from afweak.fan import (
     BiclosedTriple,
+    FanFace,
     build_biclosed,
     classify,
     face_from_blocks,
@@ -51,6 +55,7 @@ from afweak.perms import (
     multiply,
     reflection,
     simple_reflections,
+    word,
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import random_triple
@@ -64,6 +69,9 @@ C2 = AffineType("C", 2)
 C3 = AffineType("C", 3)
 C4 = AffineType("C", 4)
 D2 = AffineType("D", 2)
+B3 = AffineType("B", 3)
+D3 = AffineType("D", 3)
+D4 = AffineType("D", 4)
 
 SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 
@@ -418,6 +426,111 @@ def test_meet_C():
             assert join_C([m, x]) == x and meet_C([j, x]) == x
 
 
+def _pull_back_reference(t, typ, what):
+    """lattice._pull_back with both checks decided by projecting through
+    pi again: sigma(t) == t, and embed_c of the pull-back is t."""
+    if sigma(t) != t:
+        raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
+    out = restrict_c(t, typ)
+    if embed_c(out) != t:
+        raise SigmaFixednessViolated("pull-back does not embed correctly")
+    return out
+
+
+def _result(f, *args):
+    """f(*args), or the type and message of the domain error it raises."""
+    try:
+        return f(*args)
+    except AfweakError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _drawn_triple(typ, rng):
+    """A random family-A triple on a random ordered set partition of the
+    residues, with words of two letters, so the rank limit of
+    enumerate_faces does not apply."""
+    k = rng.randint(1, typ.modulus)
+    blocks = [set() for _ in range(k)]
+    for a in range(typ.modulus):
+        blocks[rng.randrange(k)].add(a)
+    face = FanFace(typ, tuple(frozenset(b) for b in blocks if b))
+    decomp = parahoric(face)
+    phi = frozenset(i for i in decomp.ids() if rng.random() < 0.4)
+    w = {}
+    for c in decomp.components:
+        gens = len(simple_reflections(c.ctype))
+        w[c.id] = word(c.ctype, [rng.randrange(gens) for _ in range(2)])
+    return build_biclosed(face, phi, w)
+
+
+def test_pull_back_checks_match_the_projected_reference():
+    # the relation-level checks of _pull_back decide what the pi-based
+    # reference decides, on ambient triples that are sigma-fixed or not,
+    # on the join and meet results of C triples and on embed_c images
+    rng = random.Random(SEED + 47)
+    raised = set()
+    for n in (1, 2, 3, 4):
+        typ = AffineType("C", n)
+        for _ in range(60):
+            t = _drawn_triple(a_ambient(typ), rng)
+            out = _result(lattice._pull_back, t, typ, "join")
+            assert out == _result(_pull_back_reference, t, typ, "join"), t
+            raised.add(isinstance(out, str))
+    assert raised == {True, False}
+    # the meet of this pair splits two reversed blocks into singletons
+    # that its closed relation still holds decreasing
+    pairs = [tuple(build_biclosed(face_from_blocks(C2, blocks), ["blk2"], {})
+                   for blocks in ([[-2, 1], [0], [-1, 2]], [[1, 2], [0], [-2, -1]]))]
+    for typ, count in ((C1, 10), (C2, 20), (C3, 12), (C4, 6)):
+        pairs += [(random_triple(typ, rng, 2), random_triple(typ, rng, 2))
+                  for _ in range(count)]
+    embedded = []
+    for x, y in pairs:
+        for op, amb_op, what in ((join_C, join_A, "join"), (meet_C, meet_A, "meet")):
+            ambient = amb_op([embed_c(x), embed_c(y)])
+            expect = _result(_pull_back_reference, ambient, x.type, what)
+            assert _result(op, [x, y]) == expect, (op.__name__, x, y)
+            assert _result(lattice._pull_back, ambient, x.type, what) == expect
+        embedded.append((x, embed_c(x)))
+    # the embedding predicate on matching and on mismatched pairs
+    agree = set()
+    for (x, e), (y, _) in zip(embedded, embedded[1:] + embedded[:1]):
+        assert lattice._pull_back(e, x.type, "meet") == x
+        for z in (x, y) if x.type == y.type else (x,):
+            same = embed_c(z) == e
+            assert same == (iota(z) == iota(e))
+            agree.add(same)
+    assert agree == {True, False}
+
+
+def test_pull_back_raises_when_the_ambient_result_moves(monkeypatch):
+    # join_A and meet_A of sigma-fixed points are sigma-fixed, so a moved
+    # ambient result is faked by replacing the projection
+    rng = random.Random(SEED + 49)
+    x, y = random_triple(C2, rng, 2), random_triple(C2, rng, 2)
+    draws = (random_triple(a_ambient(C2), rng, 2) for _ in range(100))
+    moved = next(t for t in draws if sigma(t) != t)
+    monkeypatch.setattr(lattice, "pi", lambda r, typ: moved)
+    for op, what in ((join_C, "join"), (meet_C, "meet")):
+        with pytest.raises(SigmaFixednessViolated,
+                           match=f"^{what} of sigma-fixed points moved$"):
+            op([x, y])
+
+
+def test_pull_back_raises_when_the_restriction_does_not_embed(monkeypatch):
+    rng = random.Random(SEED + 50)
+    x, y = random_triple(C3, rng, 2), random_triple(C3, rng, 2)
+    bottom, top = join_C([], C3), meet_C([], C3)
+    for op in (join_C, meet_C):
+        right = op([x, y])
+        other = bottom if right != bottom else top
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "restrict_c", lambda t, typ: other)
+            with pytest.raises(SigmaFixednessViolated,
+                               match="^pull-back does not embed correctly$"):
+                op([x, y])
+
+
 # ------------------------------------------------------------ finite joins
 
 
@@ -528,6 +641,42 @@ def test_try_join_cutoff_dependent_face_is_unstable():
     for r in root_window(B3, 5):
         if x.member(r) or y.member(r):
             assert res.triple.member(r)
+
+
+def _try_join_outcome(xs, h):
+    """The certified triple, ("violated", kind), or "UnstableWindow"."""
+    try:
+        res = try_join(xs, h)
+    except UnstableWindow:
+        return "UnstableWindow"
+    return res.triple if res.ok else ("violated", res.witness.violated)
+
+
+def test_try_join_lattice_laws_for_b_and_d():
+    rng = random.Random(SEED + 51)
+    certified = 0
+    for typ, pairs in ((B3, 6), (D3, 6), (D4, 3)):
+        for _ in range(pairs):
+            x, y = random_triple(typ, rng, 3), random_triple(typ, rng, 3)
+            j = _try_join_outcome([x, y], 2)
+            assert _try_join_outcome([y, x], 2) == j
+            assert try_join([x, x], 2).triple == x
+            if isinstance(j, BiclosedTriple):
+                assert try_join([x, j], 2).triple == j
+                certified += 1
+    assert certified >= 12
+
+
+def test_try_join_needs_a_positive_cutoff():
+    # at h = 0 the h/2h certificate compares a window with itself, and a
+    # negative h read every window as empty and certified the origin face
+    d = build_biclosed(face_from_blocks(D3, [[-3], [-2, -1, 1, 2], [3]]), [], {})
+    assert try_join([d, d], 1).triple == d
+    for h in (0, -1):
+        with pytest.raises(ValueError, match="h >= 1"):
+            try_join([d, d], h)
+    with pytest.raises(ValueError, match=">= 0"):
+        d.window(-1)
 
 
 def test_try_join_type_guard():

@@ -212,3 +212,8 @@ def test_window_size_and_guard():
             guard_window(typ, h)
         with pytest.raises(TooLarge):
             WindowSet(typ, h, frozenset())
+    for h in (-1, -7):
+        with pytest.raises(ValueError, match=">= 0"):
+            guard_window(A3, h)
+        with pytest.raises(ValueError, match=">= 0"):
+            WindowSet(A3, h, frozenset())
