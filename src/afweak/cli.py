@@ -22,6 +22,7 @@ from . import lattice as _lattice
 from . import orders as _orders
 from . import perms as _perms
 from . import roots as _roots
+from . import verify as _verify
 from .errors import AfweakError
 
 # ---------------------------------------------------------------------------
@@ -333,13 +334,12 @@ def _cmd_order(args):
 
 def _cmd_join(args, mode: str):
     ts = [load_any_triple(_load(p)) for p in args.infile]
-    family = args.family or args.type
-    if family and args.n:
-        typ = _roots.AffineType(family, args.n)
+    if args.type and args.n:
+        typ = _roots.AffineType(args.type, args.n)
     else:
         typ = ts[0].type
-        if family and typ.family != family:
-            raise AfweakError(f"inputs are type {typ.family}, not {family}")
+        if args.type and typ.family != args.type:
+            raise AfweakError(f"inputs are type {typ.family}, not {args.type}")
     if typ.family == "A":
         t = (_lattice.join_A if mode == "join" else _lattice.meet_A)(ts, typ)
     elif typ.family == "C":
@@ -430,8 +430,6 @@ def _cmd_hasse(args):
 
 
 def _cmd_verify(args):
-    from . import verify as _verify
-
     seed = int(os.environ.get("AFWEAK_SEED", "0"))
     rng = random.Random(seed)
     names = _verify.SUITES.keys() if args.suite == "all" else [args.suite]
@@ -494,7 +492,6 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("join", "meet"):
         sp = sub.add_parser(name, help=f"exact {name} (families A and C)")
         add_io(sp, many=True)
-        sp.add_argument("--family", choices="AC", default=None)
         sp.add_argument("--type", choices="AC", default=None)
         sp.add_argument("--n", type=int, default=None)
 
@@ -527,11 +524,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument(
-        "suite",
-        choices=["paper-examples", "lattice-axioms", "roundtrip",
-                 "oracle-equivalence", "finite-enumeration", "all"],
-    )
+    sp.add_argument("suite", choices=[*_verify.SUITES, "all"])
     return p
 
 

@@ -5,7 +5,9 @@ delta-height at most H.  Closure is computed by interval filling inside
 every rank-2 plane meeting the window (pairwise root sums are not enough:
 a B2 plane can force a half-sum and an affine A~1 plane forces a whole
 delta-string).  Results are truncations; callers needing exactness use
-the compute-at-H-and-2H stability protocol.
+stable_close, the one implementation of the h/2h stability protocol:
+close on the 2h window and require its cut to height h to equal the
+closure of the height-h window.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import UnstableCutoff
+from .errors import UnstableCutoff, UnstableWindow
 from .roots import (
     AffineType,
     Root,
@@ -131,6 +133,20 @@ def close(s: WindowSet) -> WindowSet:
                     inset[k] = 1
                     changed = True
     return WindowSet(typ, h, frozenset(r for k, r in enumerate(roots) if inset[k]))
+
+
+def stable_close(typ: AffineType, inside, h: int) -> WindowSet:
+    """The closure of {r : inside(r)} on the height-2h window, certified
+    by agreeing, cut to height h, with the closure of the height-h window;
+    UnstableWindow otherwise.  The 2h window is guarded before anything
+    is enumerated."""
+    guard_window(typ, 2 * h)
+    union = frozenset(r for r in root_window(typ, 2 * h) if inside(r))
+    big = close(WindowSet(typ, 2 * h, union))
+    small = close(WindowSet(typ, h, frozenset(r for r in union if r.height <= h)))
+    if frozenset(r for r in big.members if r.height <= h) != small.members:
+        raise UnstableWindow("closure did not stabilize below the cutoff")
+    return big
 
 
 def interior(s: WindowSet) -> WindowSet:

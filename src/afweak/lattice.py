@@ -28,10 +28,10 @@ from math import inf
 from . import closure as _closure
 from .errors import (
     NotAnOrder,
+    NotBiclosed,
     SigmaFixednessViolated,
     TooLarge,
     TypeMismatch,
-    UnstableWindow,
 )
 from .fan import (
     BiclosedTriple,
@@ -46,7 +46,7 @@ from .fan import (
 from .intset import IntSet, _is_ray
 from .orders import _block_position_fn, order_from_triple
 from .perms import from_window
-from .roots import AffineType, Root, canonical_root, guard_window, root_window
+from .roots import AffineType, Root, canonical_root
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +576,9 @@ def try_join(xs, h: int) -> TryJoinResult:
     On success the result really is the join: the closure of the union
     is below every biclosed upper bound.  On failure the rank-2 witness
     of non-biclosedness is returned.  Stability is certified by agreeing
-    windows at h and 2h, so the cutoff h must be at least 1.
+    windows at h and 2h (closure.stable_close), so the cutoff h must be
+    at least 1.  The 2h closure is certified once: classify runs
+    is_biclosed on it, and its NotBiclosed carries the witness.
     """
     xs = list(xs)
     typ = xs[0].type
@@ -584,22 +586,8 @@ def try_join(xs, h: int) -> TryJoinResult:
         raise TypeMismatch("mixed types in try_join")
     if h < 1:
         raise ValueError(f"try_join needs a cutoff h >= 1, not {h}")
-    guard_window(typ, 2 * h)
-
-    def union_window(hh: int):
-        mem = set()
-        for r in root_window(typ, hh):
-            if any(x.member(r) for x in xs):
-                mem.add(r)
-        return _closure.WindowSet(typ, hh, frozenset(mem))
-
-    small = _closure.close(union_window(h))
-    big = _closure.close(union_window(2 * h))
-    trunc = frozenset(r for r in big.members if r.height <= h)
-    if trunc != small.members:
-        raise UnstableWindow("closure did not stabilize below the cutoff")
-    cert = _closure.is_biclosed(big)
-    if not cert.ok:
-        return TryJoinResult(False, None, cert)
-    t = classify(big)
-    return TryJoinResult(True, t, None)
+    big = _closure.stable_close(typ, lambda r: any(x.member(r) for x in xs), h)
+    try:
+        return TryJoinResult(True, classify(big), None)
+    except NotBiclosed as e:
+        return TryJoinResult(False, None, e.witness)

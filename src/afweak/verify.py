@@ -15,6 +15,7 @@ from . import lattice as _lattice
 from . import orders as _orders
 from . import perms as _perms
 from . import roots as _roots
+from .errors import UnstableWindow
 
 A = _roots.AffineType
 
@@ -36,6 +37,27 @@ def random_triple(typ, rng, max_len=3):
     phi = frozenset(i for i in decomp.ids() if rng.random() < 0.4)
     wmap = {c.id: _rand_element(c.ctype, rng, max_len) for c in decomp.components}
     return _fan.build_biclosed(face, phi, wmap)
+
+
+def all_triples(typ, max_len):
+    """Every triple whose component elements have length <= max_len:
+    faces in enumerate_faces order, Phi' by itertools.combinations of the
+    component ids in increasing size, each component's elements sorted by
+    window."""
+    for face in _fan.enumerate_faces(typ):
+        decomp = _fan.parahoric(face)
+        ids = decomp.ids()
+        per = {
+            c.id: sorted(
+                _perms.elements_up_to_length(c.ctype, max_len),
+                key=lambda u: u.window,
+            )
+            for c in decomp.components
+        }
+        for k in range(len(ids) + 1):
+            for phi in itertools.combinations(ids, k):
+                for ws in itertools.product(*(per[i] for i in ids)):
+                    yield _fan.build_biclosed(face, frozenset(phi), dict(zip(ids, ws)))
 
 
 def suite_paper_examples(rng):
@@ -189,23 +211,10 @@ def suite_roundtrip(rng):
     for typ in (A("A", 3), A("C", 2), A("D", 2)):
         ok = True
         checked = 0
-        for face in _fan.enumerate_faces(typ):
-            decomp = _fan.parahoric(face)
-            ids = decomp.ids()
-            per = {
-                c.id: sorted(
-                    _perms.elements_up_to_length(c.ctype, 2),
-                    key=lambda u: u.window,
-                )
-                for c in decomp.components
-            }
-            for k in range(len(ids) + 1):
-                for phi in itertools.combinations(ids, k):
-                    for ws in itertools.product(*(per[i] for i in ids)):
-                        t = _fan.build_biclosed(face, frozenset(phi), dict(zip(ids, ws)))
-                        if _fan.classify(t.window(6)) != t:
-                            ok = False
-                        checked += 1
+        for t in all_triples(typ, 2):
+            if _fan.classify(t.window(6)) != t:
+                ok = False
+            checked += 1
         yield f"classify-build round-trip {typ.family}{typ.n} ({checked} triples)", ok
     ok = True
     for _ in range(40):
@@ -265,30 +274,24 @@ def suite_lattice_axioms(rng):
 
 
 def suite_oracle_equivalence(rng):
-    """Exact joins match the windowed closure-of-union oracle."""
+    """Exact joins match the windowed closure-of-union oracle on at least
+    10 of 15 draws whose closure is certified stable."""
     for typ, joiner in ((A("A", 3), _lattice.join_A), (A("C", 2), _lattice.join_C)):
         ok = True
+        certified = 0
         for _ in range(15):
             x, y = random_triple(typ, rng, 2), random_triple(typ, rng, 2)
             j = joiner([x, y])
-            h = 5
-            union = frozenset(
-                r
-                for r in _roots.root_window(typ, 2 * h)
-                if x.member(r) or y.member(r)
-            )
-            big = _closure.close(_closure.WindowSet(typ, 2 * h, union))
-            small = _closure.close(
-                _closure.WindowSet(
-                    typ, h, frozenset(r for r in union if r.height <= h)
+            try:
+                big = _closure.stable_close(
+                    typ, lambda r: x.member(r) or y.member(r), 5
                 )
-            )
-            if frozenset(r for r in big.members if r.height <= h) != small.members:
+            except UnstableWindow:
                 continue  # unstable window; skip rather than mis-assert
-            t = _fan.classify(big)
-            if t != j:
+            certified += 1
+            if _fan.classify(big) != j:
                 ok = False
-        yield f"join vs windowed oracle in {typ.family}{typ.n}", ok
+        yield f"join vs windowed oracle in {typ.family}{typ.n}", ok and certified >= 10
 
 
 def suite_finite_enumeration(rng):

@@ -10,10 +10,12 @@ import time
 import pytest
 
 import afweak
-from afweak.cli import run, triple_to_json, windowset_to_json
+from afweak.cli import _parser, run, triple_to_json, windowset_to_json
 from afweak.closure import window_set
+from afweak.fan import triple_of_element
+from afweak.perms import simple_reflections
 from afweak.roots import AffineType, root_window
-from afweak.verify import random_triple
+from afweak.verify import SUITES, random_triple
 
 WORKED_FACE = [[1, 3], [0, 2]]
 
@@ -140,7 +142,11 @@ def test_meet(tmp_path, capsys):
     b = _write(tmp_path, "b.json", {"family": "A", "n": 4, "word": "s0 s2"})
     assert run(["meet", "--in", a, b]) == 0
     met = _capture(capsys)
-    assert met["w"] == {"blk0": [0, 2, 3, 4, 6]} or met["w"] != {}
+    # N(s0) = N(s0 s1) & N(s0 s2)
+    assert met == {"family": "A", "n": 4, "face": [[0, 1, 2, 3]],
+                   "phi_prime": [], "w": {"blk0": [0, 2, 3, 5]}}
+    s0 = simple_reflections(AffineType("A", 4))[0]
+    assert met == triple_to_json(triple_of_element(s0))
 
 
 def test_try_join(tmp_path, capsys):
@@ -283,6 +289,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["close"])  # missing --in
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["join", "--family", "A", "--in", "a.json"])  # spelled --type
+    assert exc.value.code == 2
+
+
+def test_verify_accepts_every_suite():
+    for name in [*SUITES, "all"]:
+        assert _parser().parse_args(["verify", name]).suite == name
 
 
 def test_closed_stdout_exits_without_traceback():

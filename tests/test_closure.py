@@ -17,11 +17,12 @@ from afweak.closure import (
     full_window,
     interior,
     is_biclosed,
+    stable_close,
     window_set,
     _window_index,
     _window_planes,
 )
-from afweak.errors import UnstableCutoff
+from afweak.errors import TooLarge, UnstableCutoff, UnstableWindow
 from afweak.perms import (
     elements_up_to_length,
     inversions,
@@ -249,6 +250,26 @@ def test_commensurable():
     picks = [canonical_root(A2, 0, 1 + 2 * k) for k in range(0, 7, 2)]
     with pytest.raises(UnstableCutoff):
         commensurable(window_set(A2, 6, picks), empty)
+
+
+def test_stable_close_certificate():
+    # found by a seeded search over random two-root sets: (2, 6) lies
+    # between (2, 3) and (2, 9) in an affine A~1 string, so the 2h closure
+    # puts it below the cutoff while the h window's own closure does not
+    seed = frozenset([canonical_root(A3, 2, 3), canonical_root(A3, 2, 9)])
+    with pytest.raises(UnstableWindow, match="did not stabilize"):
+        stable_close(A3, seed.__contains__, 1)
+    big = stable_close(A3, seed.__contains__, 2)
+    assert big.H == 4 and big.members == close(window_set(A3, 4, seed)).members
+
+    def inside(r):
+        raise AssertionError("enumerated before the guard")
+
+    A5 = AffineType("A", 5)
+    with pytest.raises(TooLarge):
+        stable_close(A5, inside, 7)  # the height-14 window, not the height-7 one
+    with pytest.raises(ValueError, match=">= 0"):
+        stable_close(A5, inside, -1)
 
 
 def test_window_validation():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from afweak import lattice
-from afweak.closure import WindowSet, close
+from afweak.closure import is_biclosed, stable_close, window_set
 from afweak.errors import (
     AfweakError,
     NotAnOrder,
@@ -30,6 +30,7 @@ from afweak.fan import (
 from afweak.intset import IntSet
 from afweak.lattice import (
     ThresholdRelation,
+    TryJoinResult,
     a_ambient,
     check_order,
     embed_c,
@@ -362,25 +363,15 @@ def test_join_C_basics():
         assert join_C([x, join_C([], C2)]) == x
 
 
-def _stable_closure(typ, inside, h):
-    """(cut, big): big is the closure of {r : inside(r)} on the 2h window
-    and cut its roots up to height h, or None when the h window's own
-    closure differs from that cut."""
-    union = frozenset(r for r in root_window(typ, 2 * h) if inside(r))
-    big = close(WindowSet(typ, 2 * h, union))
-    small = close(WindowSet(typ, h, frozenset(r for r in union if r.height <= h)))
-    cut = frozenset(r for r in big.members if r.height <= h)
-    return (cut if cut == small.members else None), big
-
-
 def test_join_C_matches_windowed_oracle():
     rng = random.Random(SEED + 10)
     checked = 0
     for _ in range(30):
         x, y = random_triple(C2, rng, 2), random_triple(C2, rng, 2)
         j = join_C([x, y])
-        cut, big = _stable_closure(C2, lambda r: x.member(r) or y.member(r), 5)
-        if cut is None:
+        try:
+            big = stable_close(C2, lambda r: x.member(r) or y.member(r), 5)
+        except UnstableWindow:
             continue
         assert classify(big) == j
         checked += 1
@@ -398,13 +389,15 @@ def test_meets_and_joins_match_the_windowed_interior_and_closure():
     for typ, count, h, op in cases:
         xs = [random_triple(typ, rng, 2) for _ in range(count)]
         if op is join_A:
-            cut, _ = _stable_closure(typ, lambda r: any(x.member(r) for x in xs), h)
-            expect = cut
+            inside = lambda r: any(x.member(r) for x in xs)
         else:
-            cut, _ = _stable_closure(typ, lambda r: not all(x.member(r) for x in xs), h)
-            expect = None if cut is None else frozenset(root_window(typ, h)) - cut
-        if expect is None:
+            inside = lambda r: not all(x.member(r) for x in xs)
+        try:
+            big = stable_close(typ, inside, h)
+        except UnstableWindow:
             continue
+        cut = frozenset(r for r in big.members if r.height <= h)
+        expect = cut if op is join_A else frozenset(root_window(typ, h)) - cut
         assert op(xs).window(h).members == expect, (op.__name__, xs)
         checked += 1
     assert checked >= len(cases) - 4
@@ -643,13 +636,12 @@ def test_try_join_cutoff_dependent_face_is_unstable():
             assert res.triple.member(r)
 
 
-def _try_join_outcome(xs, h):
-    """The certified triple, ("violated", kind), or "UnstableWindow"."""
+def _try_join_outcome(xs, h, join=try_join):
+    """join(xs, h), or the message of the UnstableWindow it raises."""
     try:
-        res = try_join(xs, h)
-    except UnstableWindow:
-        return "UnstableWindow"
-    return res.triple if res.ok else ("violated", res.witness.violated)
+        return join(xs, h)
+    except UnstableWindow as e:
+        return str(e)
 
 
 def test_try_join_lattice_laws_for_b_and_d():
@@ -661,10 +653,44 @@ def test_try_join_lattice_laws_for_b_and_d():
             j = _try_join_outcome([x, y], 2)
             assert _try_join_outcome([y, x], 2) == j
             assert try_join([x, x], 2).triple == x
-            if isinstance(j, BiclosedTriple):
-                assert try_join([x, j], 2).triple == j
+            if isinstance(j, TryJoinResult) and j.ok:
+                assert try_join([x, j.triple], 2).triple == j.triple
                 certified += 1
     assert certified >= 12
+
+
+def test_try_join_returns_the_certificate_of_a_non_biclosed_closure(monkeypatch):
+    # the closure of a union of biclosed sets is closed, so only a
+    # replaced stable_close reaches the failure branch
+    bad = window_set(D2, 4, [canonical_root(D2, 1, 7)])
+    assert not is_biclosed(bad).ok
+    monkeypatch.setattr(lattice._closure, "stable_close", lambda typ, inside, h: bad)
+    tu = triple_of_element(reflection(D2, 1, 2))
+    res = try_join([tu, tu], 2)
+    assert res == TryJoinResult(False, None, is_biclosed(bad))
+    assert res.witness.witness is not None and res.witness.violated == "coclosed"
+
+
+def _try_join_reference(xs, h):
+    """try_join certifying twice: is_biclosed on the 2h closure, then
+    classify, which runs is_biclosed on it again."""
+    xs = list(xs)
+    big = stable_close(xs[0].type, lambda r: any(x.member(r) for x in xs), h)
+    cert = is_biclosed(big)
+    if not cert.ok:
+        return TryJoinResult(False, None, cert)
+    return TryJoinResult(True, classify(big), None)
+
+
+def test_try_join_matches_the_two_step_reference():
+    rng = random.Random(SEED + 52)
+    for typ in (B3, D3, D4):
+        for h in (2, 3):
+            for _ in range(5):
+                xs = [random_triple(typ, rng, 3), random_triple(typ, rng, 3)]
+                assert _try_join_outcome(xs, h) == _try_join_outcome(
+                    xs, h, _try_join_reference
+                ), xs
 
 
 def test_try_join_needs_a_positive_cutoff():

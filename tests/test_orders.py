@@ -39,7 +39,6 @@ from afweak.orders import (
     standard_order,
 )
 from afweak.perms import (
-    elements_up_to_length,
     from_window,
     identity,
     multiply,
@@ -47,6 +46,7 @@ from afweak.perms import (
     simple_reflections,
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
+from afweak.verify import all_triples
 
 A2 = AffineType("A", 2)
 A4 = AffineType("A", 4)
@@ -129,26 +129,15 @@ def test_compare_axioms():
 
 def test_inversion_set_round_trip_exhaustive():
     for typ in (AffineType("A", 3), C2, B2, D2):
-        for face in enumerate_faces(typ):
-            decomp = parahoric(face)
-            ids = decomp.ids()
-            per = {
-                c.id: sorted(elements_up_to_length(c.ctype, 2),
-                             key=lambda u: u.window)
-                for c in decomp.components
-            }
-            for k in range(len(ids) + 1):
-                for phi in itertools.combinations(ids, k):
-                    for ws in itertools.product(*(per[i] for i in ids)):
-                        t = build_biclosed(face, frozenset(phi), dict(zip(ids, ws)))
-                        try:
-                            o = order_from_triple(t)
-                        except DRepresentationRequired:
-                            splits = {c.id for c in decomp.components
-                                      if c.kind == "splitA1"}
-                            assert len(set(phi) & splits) == 1
-                            continue
-                        assert inversion_set(o) == t
+        for t in all_triples(typ, 2):
+            try:
+                o = order_from_triple(t)
+            except DRepresentationRequired:
+                splits = {c.id for c in parahoric(t.face).components
+                          if c.kind == "splitA1"}
+                assert len(t.phi_prime & splits) == 1
+                continue
+            assert inversion_set(o) == t
 
 
 def test_central_order_perm_of_one_component():
