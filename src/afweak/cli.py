@@ -93,10 +93,6 @@ def windowset_from_json(d) -> _closure.WindowSet:
     return _closure.WindowSet(typ, int(d["H"]), roots)
 
 
-def perm_to_json(w: _perms.AffinePermutation) -> dict:
-    return {**type_to_json(w.type), "window": list(w.window)}
-
-
 @_input_parser
 def perm_from_json(d) -> _perms.AffinePermutation:
     typ = type_from_json(d)
@@ -219,10 +215,32 @@ def _option(option: str, text: str, parse):
         raise InputError(f"{option}: {_describe(e)}") from e
 
 
-def _height(h: int | None, least: int) -> None:
-    """InputError for a --height below `least`."""
-    if h is not None and h < least:
-        raise InputError(f"--height must be at least {least}, not {h}")
+def _at_least(option: str, value: int | None, least: int) -> None:
+    """InputError for an integer option below `least`."""
+    if value is not None and value < least:
+        raise InputError(f"{option} must be at least {least}, not {value}")
+
+
+def _one_line(option: str, text: str) -> tuple[int, ...]:
+    """The digits of a one-line notation; anything else is an InputError."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"{option}: expected digits, not {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def _type_option(family: str, n: int) -> _roots.AffineType:
+    """The type named by --family (or --type) and --n; an n out of range
+    for the family is an InputError."""
+    try:
+        return _roots.AffineType(family, n)
+    except ValueError as e:
+        raise InputError(f"--n: {e}") from e
+
+
+def _witness_json(cert) -> dict:
+    """The violated half and the rank-2 witness of a failed certificate."""
+    return {"violated": cert.violated,
+            "witness": [[r.i, r.j] for r in cert.witness]}
 
 
 def _face_and_phi(typ, args):
@@ -281,8 +299,7 @@ def _cmd_check(args):
         "doubling": _closure.doubling_check(s),
     }
     if not cert.ok:
-        result["violated"] = cert.violated
-        result["witness"] = [[r.i, r.j] for r in cert.witness]
+        result.update(_witness_json(cert))
     _emit(result, args.out)
     return 0 if cert.ok else 1
 
@@ -297,8 +314,8 @@ def _cmd_classify(args):
 
 
 def _cmd_build(args):
-    _height(args.height, 0)
-    face, phi = _face_and_phi(_roots.AffineType(args.family, args.n), args)
+    _at_least("--height", args.height, 0)
+    face, phi = _face_and_phi(_type_option(args.family, args.n), args)
     wmap = {}
     if args.w:
         decomp = _fan.parahoric(face)
@@ -334,8 +351,8 @@ def _cmd_order(args):
 
 def _cmd_join(args, mode: str):
     ts = [load_any_triple(_load(p)) for p in args.infile]
-    if args.type and args.n:
-        typ = _roots.AffineType(args.type, args.n)
+    if args.type and args.n is not None:
+        typ = _type_option(args.type, args.n)
     else:
         typ = ts[0].type
         if args.type and typ.family != args.type:
@@ -352,7 +369,7 @@ def _cmd_join(args, mode: str):
 
 
 def _cmd_try_join(args):
-    _height(args.height, 1)
+    _at_least("--height", args.height, 1)
     ts = [load_any_triple(_load(p)) for p in args.infile]
     if args.type and ts[0].type.family != args.type:
         raise AfweakError(f"inputs are type {ts[0].type.family}, not {args.type}")
@@ -360,28 +377,23 @@ def _cmd_try_join(args):
     if res.ok:
         _emit({"ok": True, "join": triple_to_json(res.triple)}, args.out)
         return 0
-    wit = res.witness
-    _emit(
-        {
-            "ok": False,
-            "violated": wit.violated,
-            "witness": [[r.i, r.j] for r in wit.witness],
-        },
-        args.out,
-    )
+    _emit({"ok": False, **_witness_json(res.witness)}, args.out)
     return 1
 
 
 def _cmd_join_finite(args):
-    u = tuple(int(c) for c in args.u)
-    w = tuple(int(c) for c in args.w)
-    out = _lattice.join_finite(args.family, args.rank, u, w)
+    _at_least("--rank", args.rank, 0)
+    u, w = _one_line("--u", args.u), _one_line("--w", args.w)
+    try:
+        out = _lattice.join_finite(args.family, args.rank, u, w)
+    except ValueError as e:  # a well-formed --u or --w outside the group
+        raise AfweakError(str(e)) from e
     _emit({"join": "".join(map(str, out)), "one_line": list(out)}, args.out)
     return 0
 
 
 def _cmd_faces(args):
-    typ = _roots.AffineType(args.family, args.n)
+    typ = _type_option(args.family, args.n)
     faces = _fan.enumerate_faces(typ)
     if args.dot:
         _, leq = _fan.face_poset(typ)
@@ -414,7 +426,7 @@ def _cmd_faces(args):
 
 
 def _cmd_hasse(args):
-    face, phi = _face_and_phi(_roots.AffineType(args.family, args.n), args)
+    face, phi = _face_and_phi(_type_option(args.family, args.n), args)
     frag = _fan.path_component_poset(face, phi, args.bound)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -551,7 +563,10 @@ def run(argv) -> int:
         print(f"afweak: malformed input: {e}", file=sys.stderr)
         return 2
     except AfweakError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        line = f"{type(e).__name__}: {e}"
+        if getattr(e, "witness", None) is not None:
+            line += " " + json.dumps(_witness_json(e.witness), sort_keys=True)
+        print(line, file=sys.stderr)
         return 1
 
 

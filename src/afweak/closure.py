@@ -19,8 +19,8 @@ from .errors import UnstableCutoff, UnstableWindow
 from .roots import (
     AffineType,
     Root,
+    _angular_sort,
     _rref_plane_key,
-    _solve_in_plane,
     finite_class,
     guard_window,
     root_window,
@@ -83,24 +83,8 @@ def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
             if key is None:
                 continue
             by_plane.setdefault(key, set()).update((p, q))
-    planes = []
-    for key, ids in sorted(by_plane.items()):
-        members = sorted(ids)
-        coords = {k: _solve_in_plane(key, vecs[k]) for k in members}
-
-        def cross(a, b):
-            return coords[a][0] * coords[b][1] - coords[a][1] * coords[b][0]
-
-        import functools
-
-        ordered = sorted(
-            members,
-            key=functools.cmp_to_key(
-                lambda x, y: -1 if cross(x, y) > 0 else (1 if cross(x, y) < 0 else 0)
-            ),
-        )
-        planes.append(tuple(ordered))
-    return tuple(planes)
+    return tuple(tuple(_angular_sort(key, sorted(ids), vecs.__getitem__))
+                 for key, ids in sorted(by_plane.items()))
 
 
 def close(s: WindowSet) -> WindowSet:

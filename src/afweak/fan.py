@@ -42,10 +42,14 @@ from .perms import (
 from .roots import (
     AffineType,
     Root,
+    all_class_keys,
     canonical_root,
     finite_class,
+    finite_roots,
     guard_window,
     negate_class,
+    pair_class_keys,
+    positive_class_pairs,
     primitive_direction,
     root_window,
     signed_residue,
@@ -252,7 +256,7 @@ class Component:
                 vec = self.gamma + (k,)
             else:
                 k = (r.j - 1) // 2
-                vec = tuple(-c for c in self.gamma) + (k + 1,)
+                vec = negate_class(self.gamma) + (k + 1,)
             got = vector_to_root(self.parent, vec)
             if got is None or got[0] != 1:
                 raise ComponentMismatch(
@@ -366,18 +370,17 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
         c = len(central) // 2
     if typ.family == "D" and c == 2:
         z1, z2 = sorted(v for v in central if 0 < v <= typ.n)
-        same = [0] * typ.n
-        same[z2 - 1], same[z1 - 1] = 1, -1
-        mixed = [0] * typ.n
-        mixed[z2 - 1], mixed[z1 - 1] = 1, 1
-        for tag, fin in ((f"{z1},{z2}", same), (f"{z1},{-z2}", mixed)):
+        fins = finite_roots(typ)
+        # gamma: e_z2 - e_z1 and e_z2 + e_z1
+        for tag, fin in ((f"{z1},{z2}", fins[(z1, z2)]),
+                         (f"{z1},{-z2}", fins[(-z1, z2)])):
             comps.append(
                 Component(
                     id=f"ctrA1:{tag}",
                     ctype=AffineType("A", 2),
                     kind="splitA1",
                     reps=(),
-                    gamma=tuple(fin),
+                    gamma=fin,
                     parent=typ,
                 )
             )
@@ -694,7 +697,7 @@ def classify(s, h: int | None = None) -> BiclosedTriple:
 
 
 def _classify_from_bits(typ, true_bits, member, h) -> BiclosedTriple:
-    bits = {k: k in true_bits and true_bits[k] for k in _all_keys(typ)}
+    bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
     face, phi = _face_from_bits(typ, bits)
     base = build_biclosed(face, phi, {})
     x = set()
@@ -707,50 +710,6 @@ def _classify_from_bits(typ, true_bits, member, h) -> BiclosedTriple:
             x.add(r)
     wmap = _recover_w(parahoric(face), x)
     return build_biclosed(face, phi, wmap)
-
-
-@lru_cache(maxsize=32)
-def _all_keys(typ: AffineType):
-    from .roots import all_class_keys
-
-    return all_class_keys(typ)
-
-
-@lru_cache(maxsize=32)
-def _key_vectors(typ: AffineType):
-    """class key of the direction e_b - e_a for ground residues a, b."""
-    out = {}
-    if typ.family == "A":
-        ground = list(range(typ.modulus))
-        for a in ground:
-            for b in ground:
-                if a == b:
-                    continue
-                fin = [0] * typ.n
-                fin[b] += 1
-                fin[a] -= 1
-                out[(a, b)] = primitive_direction(tuple(fin))
-        return out
-    ground = [v for v in range(-typ.n, typ.n + 1) if v != 0]
-    for a in ground:
-        for b in ground:
-            if a == b:
-                continue
-            if a == -b and typ.family == "D":
-                continue
-            fin = [0] * typ.n
-            if b > 0:
-                fin[b - 1] += 1
-            else:
-                fin[-b - 1] -= 1
-            if a > 0:
-                fin[a - 1] -= 1
-            else:
-                fin[-a - 1] += 1
-            key = primitive_direction(tuple(fin))
-            if key in _all_keys(typ):
-                out[(a, b)] = key
-    return out
 
 
 def _ordered_blocks(ground, equal, after, error) -> list[frozenset[int]]:
@@ -800,7 +759,7 @@ def _ordered_blocks(ground, equal, after, error) -> list[frozenset[int]]:
 
 def _face_from_bits(typ: AffineType, bits) -> tuple[FanFace, frozenset[str]]:
     """Rebuild (F, Phi') from the asymptotic class membership bits."""
-    keyvec = _key_vectors(typ)
+    keyvec = pair_class_keys(typ)
     if typ.family == "A":
         ground = list(range(typ.modulus))
     else:
@@ -984,7 +943,7 @@ def face_poset(typ: AffineType):
     """All faces with the closure partial order (via covector dominance)."""
     faces = enumerate_faces(typ)
     signs = []
-    finite = _finite_positive_directions(typ)
+    finite = positive_class_pairs(typ)
     for f in faces:
         bo = f.block_of
         row = []
@@ -997,28 +956,3 @@ def face_poset(typ: AffineType):
         return all(sx == 0 or sx == sy for sx, sy in zip(signs[x], signs[y]))
 
     return faces, leq
-
-
-def _finite_positive_directions(typ: AffineType):
-    """Ground residue pairs (a, b) naming the finite positive roots."""
-    out = []
-    seen = set()
-    for key in _all_keys(typ):
-        nk = negate_class(key)
-        if nk in seen:
-            continue
-        seen.add(key)
-        if typ.family == "A":
-            a = next(r for r, c in enumerate(key) if c == -1)
-            b = next(r for r, c in enumerate(key) if c == 1)
-        else:
-            sup = [(v + 1, c) for v, c in enumerate(key) if c]
-            if len(sup) == 1:
-                v, c = sup[0]
-                a, b = (-v, v) if c > 0 else (v, -v)
-            else:
-                (v1, c1), (v2, c2) = sup
-                a = v1 if c1 == -1 else -v1
-                b = v2 if c2 == 1 else -v2
-        out.append((a, b))
-    return sorted(out)

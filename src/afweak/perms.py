@@ -40,9 +40,6 @@ class AffinePermutation:
         val = self.window[s - 1] if s > 0 else -self.window[-s - 1]
         return val + q * m
 
-    def inverse_value(self, y: int) -> int:
-        return _inverse(self)(y)
-
     def is_identity(self) -> bool:
         return self == identity(self.type)
 

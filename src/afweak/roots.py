@@ -7,9 +7,14 @@ permutation group.  Family A uses the relation ``e~_{x+M} = e~_x + delta``
 with modulus ``M = n``; the signed families B, C, D additionally impose
 ``e~_{-x} = -e~_x`` and use ``M = 2n + 1``.
 
+This module alone maps ground residue pairs to the finite root system:
+``finite_roots`` is the one table from a pair (a, b) to the finite part
+of e~_b - e~_a, and the class keys, root recognition (``vector_to_root``),
+delta-strings and plane lifts all read it.
+
 All computations are exact: integer arithmetic for pair bookkeeping and
 ``fractions.Fraction`` for the little plane geometry that rank-2
-subsystems need.
+subsystems need, only in ``_rref_plane_key`` and ``_solve_in_plane``.
 """
 
 from __future__ import annotations
@@ -173,43 +178,18 @@ def vector_to_root(typ: AffineType, vec) -> tuple[int, Root] | None:
     vec = tuple(vec)
     if len(vec) != typ.dim:
         raise ValueError("wrong vector length")
-    fin, c_delta = vec[:-1], vec[-1]
-    m = typ.modulus
-    reps: list[tuple[int, int]] = []  # (a, b) with finite part e_b - e_a
-    if typ.family == "A":
-        if sorted(c for c in fin if c) != [-1, 1]:
-            return None
-        a = next(r for r, c in enumerate(fin) if c == -1)
-        b = next(r for r, c in enumerate(fin) if c == 1)
-        reps.append((a, b))
-    else:
-        support = [(v + 1, c) for v, c in enumerate(fin) if c]
-        if len(support) == 1:
-            v, c = support[0]
-            if c == 2:
-                reps.append((-v, v))
-            elif c == -2:
-                reps.append((v, -v))
-            else:
-                return None
-        elif len(support) == 2:
-            (v1, c1), (v2, c2) = support
-            if abs(c1) != 1 or abs(c2) != 1:
-                return None
-            # e_b - e_a: read one +/-1 entry as b, the other (negated) as a
-            reps.append((v1 if c1 == -1 else -v1, v2 if c2 == 1 else -v2))
-        else:
-            return None
-    for a, b in reps:
-        lo, hi = a, b + c_delta * m
-        sign = 1
-        if lo > hi:
-            lo, hi, sign = hi, lo, -1
-        try:
-            return sign, canonical_root(typ, lo, hi)
-        except NotARoot:
-            return None
-    return None
+    pair = _pair_of_finite_root(typ).get(vec[:-1])
+    if pair is None:
+        return None
+    # e~_{b + kM} - e~_a has finite part e_b - e_a and delta coordinate k
+    lo, hi = pair[0], pair[1] + vec[-1] * typ.modulus
+    sign = 1
+    if lo > hi:
+        lo, hi, sign = hi, lo, -1
+    try:
+        return sign, canonical_root(typ, lo, hi)
+    except NotARoot:
+        return None
 
 
 # The largest window a windowed operation may build.  Those operations
@@ -278,14 +258,49 @@ def negate_class(key: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def finite_roots(typ: AffineType) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The finite root system Phi_0: each ordered pair (a, b) of distinct
+    ground residues (0..M-1 for A; +-1..+-n for B, C, D, without a = -b
+    for D) mapped to the finite part of e~_b - e~_a, in a-then-b order.
+
+    Family B lists its short roots doubled, as 2e_v from (-v, v), like
+    the pair vectors of its roots."""
+    if typ.family == "A":
+        ground = range(typ.modulus)
+    else:
+        ground = [v for v in range(-typ.n, typ.n + 1) if v]
+    return {
+        (a, b): _pair_vector(typ, a, b)[:-1]
+        for a in ground
+        for b in ground
+        if a != b and not (typ.family == "D" and a == -b)
+    }
+
+
+@lru_cache(maxsize=None)
+def _pair_of_finite_root(typ: AffineType) -> dict[tuple[int, ...], tuple[int, int]]:
+    """One residue pair per finite root vector: finite_roots inverted."""
+    return {fin: pair for pair, fin in finite_roots(typ).items()}
+
+
+@lru_cache(maxsize=None)
+def pair_class_keys(typ: AffineType) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The Phi_0-class key of e_b - e_a for each residue pair of finite_roots."""
+    return {pair: primitive_direction(fin) for pair, fin in finite_roots(typ).items()}
+
+
+@lru_cache(maxsize=None)
 def all_class_keys(typ: AffineType) -> tuple[tuple[int, ...], ...]:
     """Keys of all Phi_0-classes (both signs), i.e. of all finite roots."""
-    seen = set()
-    for r in root_window(typ, 1):
-        k = finite_class(r)
-        seen.add(k)
-        seen.add(negate_class(k))
-    return tuple(sorted(seen))
+    return tuple(sorted(set(pair_class_keys(typ).values())))
+
+
+def positive_class_pairs(typ: AffineType) -> list[tuple[int, int]]:
+    """One residue pair per positive Phi_0-class (a key that precedes its
+    negative), sorted."""
+    pairs = {key: pair for pair, key in pair_class_keys(typ).items()
+             if key < negate_class(key)}
+    return sorted(pairs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +363,26 @@ def _solve_in_plane(basis, vec):
     return None
 
 
-def _angular_sort(basis, members: list[Root]) -> list[Root]:
-    """Sort plane members by angle; betweenness = interval in this order."""
-    coords = {r: _solve_in_plane(basis, r.vector()) for r in members}
-    outside = [r for r, c in coords.items() if c is None]
+def _angular_sort(basis, members, vector=Root.vector) -> list:
+    """Sort plane members by angle; betweenness = interval in this order.
+
+    ``vector(m)`` gives the coordinates of a member, by default a Root's."""
+    coords = {m: _solve_in_plane(basis, vector(m)) for m in members}
+    outside = [m for m, c in coords.items() if c is None]
     if outside:
         raise AfweakError(f"{outside} lie outside the plane {basis}")
 
-    def cmp(r1, r2):
-        a, b = coords[r1], coords[r2]
-        c = a[0] * b[1] - a[1] * b[0]
-        if c == 0 and r1 != r2:
+    def cross(m1, m2):
+        return coords[m1][0] * coords[m2][1] - coords[m1][1] * coords[m2][0]
+
+    def cmp(m1, m2):
+        if cross(m1, m2) > 0:
+            return -1
+        if cross(m1, m2) < 0:
+            return 1
+        if m1 != m2:
             raise AssertionError("proportional positive roots in a plane")
-        return -1 if c > 0 else (1 if c < 0 else 0)
+        return 0
 
     return sorted(members, key=functools.cmp_to_key(cmp))
 
@@ -383,93 +405,31 @@ class RankTwoSubsystem:
         if self.kind != "Atilde1":
             return tuple(r for r in self.positive_roots if r.height <= h)
         lo, hi = self.positive_roots
-        left = _delta_string_up(lo, h)
-        right = _delta_string_up(hi, h)
+        left = _class_string(self.type, lo.vector()[:-1], h)
+        right = _class_string(self.type, hi.vector()[:-1], h)
         return tuple(left + right[::-1])
 
 
-def _delta_string_up(base: Root, h: int) -> list[Root]:
-    """base, base+delta, base+2delta, ... up to height h.
+def _class_string(typ: AffineType, fin, h: int) -> list[Root]:
+    """The positive roots of height <= h with finite part fin, upward.
 
-    Type-B short strings advance in steps of 2M in the pair coordinates,
-    so a couple of misses are tolerated before stopping.
-    """
-    typ = base.type
-    m = typ.modulus
-    out, k, misses = [], 0, 0
-    while misses <= 2:
-        try:
-            r = canonical_root(typ, base.i, base.j + k * m)
-        except NotARoot:
-            misses += 1
-            k += 1
-            continue
-        if r.height > h:
-            break
-        out.append(r)
-        misses = 0
-        k += 1
+    A positive root fin + k*delta has k >= 0 and height k or k - 1, so
+    k <= h + 1 reaches them all."""
+    out = []
+    for k in range(h + 2):
+        got = vector_to_root(typ, fin + (k,))
+        if got is not None and got[0] == 1 and got[1].height <= h:
+            out.append(got[1])
     return out
-
-
-def _string_base(r: Root) -> Root:
-    """Minimal-height root on the delta-string of r."""
-    typ = r.type
-    m = typ.modulus
-    best = r
-    while True:
-        nxt = None
-        for k in (1, 2):
-            if best.j - k * m <= best.i:
-                continue
-            try:
-                nxt = canonical_root(typ, best.i, best.j - k * m)
-                break
-            except NotARoot:
-                continue
-        if nxt is None:
-            return best
-        best = nxt
-
-
-def _opposite_string_base(base: Root) -> Root:
-    """Minimal root whose finite part is the negative of base's."""
-    typ = base.type
-    fin = base.vector()[:-1]
-    neg = tuple(-c for c in fin)
-    for k in range(0, 5):
-        got = vector_to_root(typ, neg + (k,))
-        if got is not None and got[0] == 1:
-            return got[1]
-    raise AssertionError("no opposite string base found")
-
-
-@lru_cache(maxsize=None)
-def _finite_root_vectors(typ: AffineType) -> tuple[tuple[int, ...], ...]:
-    """All roots of the finite system Phi_0 as pair-vector finite parts."""
-    vecs = set()
-    for r in root_window(typ, 1):
-        fin = r.vector()[:-1]
-        vecs.add(fin)
-        vecs.add(tuple(-c for c in fin))
-    return tuple(sorted(vecs))
 
 
 def _delta_lift(basis, fin):
     """The unique k with fin + k*delta in the plane, if it is an integer."""
-    b1, b2 = basis
-    n = len(fin)
-    for p in range(n):
-        for q in range(p + 1, n):
-            det = b1[p] * b2[q] - b1[q] * b2[p]
-            if det:
-                x = Fraction(fin[p] * b2[q] - fin[q] * b2[p], det)
-                y = Fraction(b1[p] * fin[q] - b1[q] * fin[p], det)
-                if any(x * b1[k] + y * b2[k] != fin[k] for k in range(n)):
-                    return None
-                k = x * b1[n] + y * b2[n]
-                return int(k) if k.denominator == 1 else None
-    return None
+    xy = _solve_in_plane(tuple(b[:-1] for b in basis), fin)
+    if xy is None:
+        return None
+    k = xy[0] * basis[0][-1] + xy[1] * basis[1][-1]
+    return int(k) if k.denominator == 1 else None
 
 
 def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
@@ -480,17 +440,17 @@ def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
     basis = plane_key(a, b)
     delta = tuple([0] * (typ.dim - 1) + [1])
     if _solve_in_plane(basis, delta) is not None:
-        lo = _string_base(a)
-        return RankTwoSubsystem(
-            "Atilde1", typ, tuple(sorted({lo, _opposite_string_base(lo)},
-                                         key=Root.sort_key))
-        )
+        # the lowest root of each class has height 0 or 1
+        fin = a.vector()[:-1]
+        bases = {_class_string(typ, f, 1)[0] for f in (fin, negate_class(fin))}
+        return RankTwoSubsystem("Atilde1", typ,
+                                tuple(sorted(bases, key=Root.sort_key)))
     members = set()
-    for fin in _finite_root_vectors(typ):
+    for fin in _pair_of_finite_root(typ):
         k = _delta_lift(basis, fin)
         if k is None:
             continue
-        got = vector_to_root(typ, tuple(fin) + (k,))
+        got = vector_to_root(typ, fin + (k,))
         if got is not None and got[0] == 1:
             members.add(got[1])
     members = sorted(members, key=Root.sort_key)

@@ -285,13 +285,35 @@ def test_export_dot_empty():
     assert text.startswith("digraph") and "->" not in text
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["close"])  # missing --in
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["join", "--family", "A", "--in", "a.json"])  # spelled --type
     assert exc.value.code == 2
+    # an n out of range or a malformed one-line notation exits 2; a
+    # well-formed --u that is no group element is a domain error
+    a3 = str(tmp_path / "a3.json")
+    assert run(["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+                "--out", a3]) == 0
+    for code, argv in (
+        (2, ["join", "--type", "A", "--n", "0", "--in", a3, a3]),
+        (2, ["faces", "--family", "A", "--n", "0"]),
+        (2, ["build", "--family", "D", "--n", "1", "--face", "[[1],[-1]]"]),
+        (2, ["hasse", "--family", "A", "--n", "0", "--face", "[[0]]",
+             "--bound", "1"]),
+        (2, ["join-finite", "--family", "B", "--rank", "3", "--u", "12x",
+             "--w", "123"]),
+        (2, ["join-finite", "--family", "B", "--rank", "-1", "--u", "1",
+             "--w", "1"]),
+        (1, ["join-finite", "--family", "B", "--rank", "3", "--u", "123",
+             "--w", "123"]),
+    ):
+        capsys.readouterr()
+        assert run(argv) == code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
 
 
 def test_verify_accepts_every_suite():
@@ -410,6 +432,22 @@ def test_check_child_matches_in_process(tmp_path, capsys):
         child = _child("check", "--in", path)
         assert child.returncode == code
         assert child.stdout == capsys.readouterr().out.encode()
+
+
+def test_domain_error_prints_its_witness(tmp_path, capsys):
+    # classify on a non-biclosed window names the witness that check prints
+    bad = _write(
+        tmp_path, "bad.json", {"family": "A", "n": 2, "H": 3, "roots": [[0, 3]]}
+    )
+    assert run(["check", "--in", bad]) == 1
+    cert = _capture(capsys)
+    child = _child("classify", "--in", bad)
+    assert child.returncode == 1 and child.stdout == b""
+    witness = json.dumps({k: cert[k] for k in ("violated", "witness")},
+                         sort_keys=True)
+    assert child.stderr.decode() == (
+        f"NotBiclosed: window trace violates the {cert['violated']} condition"
+        f" {witness}\n")
 
 
 def test_oversized_window_is_refused_at_once(tmp_path):

@@ -10,14 +10,19 @@ from afweak.errors import AfweakError, DependentRoots, NotARoot, TooLarge
 from afweak.roots import (
     MAX_WINDOW_ROOTS,
     AffineType,
+    all_class_keys,
     canonical_root,
     delta_height,
     finite_class,
+    finite_roots,
     negate_class,
+    pair_class_keys,
     plane_key,
+    positive_class_pairs,
     rank2_subsystem,
     guard_window,
     root_window,
+    signed_residue,
     vector_to_root,
     window_size,
     _angular_sort,
@@ -32,6 +37,9 @@ C2 = AffineType("C", 2)
 B2 = AffineType("B", 2)
 D2 = AffineType("D", 2)
 D3 = AffineType("D", 3)
+SMALL_TYPES = [AffineType(fam, n)
+               for fam, lo, hi in (("A", 2, 6), ("B", 1, 5), ("C", 1, 5), ("D", 2, 5))
+               for n in range(lo, hi + 1)]
 
 
 def test_canonical_translation():
@@ -110,6 +118,14 @@ def test_vector_round_trip():
             assert vector_to_root(typ, r.vector()) == (1, r)
             neg = tuple(-c for c in r.vector())
             assert vector_to_root(typ, neg) == (-1, r)
+    # wrong support, a +-2 entry in families A and D, a zero finite part,
+    # an undoubled B short root and a B short root with odd delta part
+    for typ, vec in ((A4, (1, 0, 0, 0, 0)), (A4, (1, 1, -1, -1, 0)),
+                     (A4, (2, -2, 0, 0, 1)), (A4, (0, 0, 0, 0, 1)),
+                     (D3, (1, 0, 0, 0)), (D3, (1, 1, 1, 2)), (D3, (2, 0, 0, 1)),
+                     (D3, (0, -2, 0, 0)), (D3, (0, 0, 0, 3)), (C2, (1, 2, 0)),
+                     (B2, (1, 0, 0)), (B2, (2, 0, 1)), (B2, (0, 0, -1))):
+        assert vector_to_root(typ, vec) is None, (typ, vec)
 
 
 def test_rank2_kinds_and_orders():
@@ -157,10 +173,38 @@ def _in_open_cone(basis, ends, mid):
     return x > 0 and y > 0
 
 
+def test_finite_root_table_matches_the_height_one_window():
+    # brute reference: read each residue pair and its class off the roots
+    for typ in SMALL_TYPES:
+        keys = {}
+        for r in root_window(typ, 1):
+            if typ.family == "A":
+                a, b = r.i % typ.modulus, r.j % typ.modulus
+            else:
+                a, b = signed_residue(typ, r.i), signed_residue(typ, r.j)
+            k, nk = finite_class(r), negate_class(finite_class(r))
+            pairs = [((a, b), k), ((b, a), nk)]
+            if typ.family != "A":
+                pairs += [((-b, -a), k), ((-a, -b), nk)]
+            for p, key in pairs:
+                assert keys.setdefault(p, key) == key
+        assert list(pair_class_keys(typ).items()) == sorted(keys.items())
+        assert all_class_keys(typ) == tuple(sorted(set(keys.values())))
+        fins = {r.vector()[:-1] for r in root_window(typ, 1)}
+        assert set(finite_roots(typ).values()) == fins | {negate_class(f) for f in fins}
+        positive = positive_class_pairs(typ)
+        assert positive == sorted(positive)
+        assert sorted(keys[p] for p in positive) == sorted(
+            k for k in set(keys.values()) if k < negate_class(k))
+
+
 def test_rank2_betweenness_is_cone_membership():
     rng = random.Random(1)
-    for typ in (A3, C2, B2, D3):
-        window = root_window(typ, 3)
+    # B3, C3 and D4 at height 4: short B strings skip a height
+    for typ, h in ((A3, 3), (C2, 3), (B2, 3), (D3, 3),
+                   (AffineType("B", 3), 4), (AffineType("C", 3), 4),
+                   (AffineType("D", 4), 4)):
+        window = root_window(typ, h)
         pairs = 0
         while pairs < 25:
             a, b = rng.sample(window, 2)
@@ -169,7 +213,7 @@ def test_rank2_betweenness_is_cone_membership():
             except DependentRoots:
                 continue
             pairs += 1
-            ordered = sub.ordered_window(3)
+            ordered = sub.ordered_window(h)
             basis = _rref_plane_key(a.vector(), b.vector())
             # the ordered window is exactly the window part of the plane
             plane_members = {
