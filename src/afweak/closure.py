@@ -1,13 +1,24 @@
 """Windowed brute-force layer: closure, interior, biclosedness, B_infinity.
 
 Everything here works on explicit finite sets of canonical roots of
-delta-height at most H.  Closure is computed by interval filling inside
-every rank-2 plane meeting the window (pairwise root sums are not enough:
-a B2 plane can force a half-sum and an affine A~1 plane forces a whole
-delta-string).  Results are truncations; callers needing exactness use
-stable_close, the one implementation of the h/2h stability protocol:
-close on the 2h window and require its cut to height h to equal the
-closure of the height-h window.
+delta-height at most H.  A window set is a Python-int bitmask over the
+indices of root_window(type, H), whose order is (height, i, j); the
+height-h window is the first window_size(type, h) indices of every
+larger one, so cutting a set to height h is one AND.
+
+Biclosedness is a rank-2 condition: a root strictly between two roots
+of a rank-2 plane is forced in when both are in and out when both are
+out.  A plane with only two window roots has no root between them and
+imposes nothing, so the plane tests read _plane_table, the planes with
+three or more window roots, each with the masks of its prefixes and
+suffixes in betweenness order.  A trace (a set cut to one plane) is
+biclosed iff it is a prefix or a suffix.  Closure fills the interval
+between the first and last roots of every trace (pairwise root sums are
+not enough: a B2 plane can force a half-sum and an affine A~1 plane
+forces a whole delta-string).  Results are truncations; callers needing
+exactness use stable_close, the one implementation of the h/2h
+stability protocol: close on the 2h window and require its cut to
+height h to equal the closure of the height-h window.
 """
 
 from __future__ import annotations
@@ -24,29 +35,74 @@ from .roots import (
     finite_class,
     guard_window,
     root_window,
+    window_size,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class WindowSet:
-    """A finite set of canonical roots of height <= H."""
+    """A finite set of canonical roots of height <= H, held as a bitmask
+    over the indices of root_window(type, H); ``members`` builds the
+    frozenset of roots on each access."""
 
     type: AffineType
     H: int
-    members: frozenset[Root]
+    mask: int
 
-    def __post_init__(self):
-        guard_window(self.type, self.H)
-        window = set(root_window(self.type, self.H))
-        bad = [r for r in self.members if r not in window]
+    def __init__(self, type: AffineType, H: int, members):
+        guard_window(type, H)
+        index = _window_index(type, H)[1]
+        mask = 0
+        bad = []
+        for r in members:
+            k = index.get(r)
+            if k is None:
+                bad.append(r)
+            else:
+                mask |= 1 << k
         if bad:
-            raise ValueError(f"roots outside the height-{self.H} window: {bad}")
+            raise ValueError(f"roots outside the height-{H} window: {bad}")
+        _set_fields(self, type, H, mask)
+
+    @classmethod
+    def from_mask(cls, typ: AffineType, h: int, mask: int) -> WindowSet:
+        """The set whose root_window(typ, h) indices are the bits of mask."""
+        guard_window(typ, h)
+        if mask < 0 or mask >> window_size(typ, h):
+            raise ValueError(f"mask has bits outside the height-{h} window")
+        s = object.__new__(cls)
+        _set_fields(s, typ, h, mask)
+        return s
+
+    @property
+    def members(self) -> frozenset[Root]:
+        return frozenset(self.sorted_members())
 
     def sorted_members(self) -> list[Root]:
-        return sorted(self.members, key=Root.sort_key)
+        roots = root_window(self.type, self.H)
+        return [roots[k] for k in _bits(self.mask)]
 
     def __contains__(self, r: Root) -> bool:
-        return r in self.members
+        k = _window_index(self.type, self.H)[1].get(r)
+        return k is not None and self.mask >> k & 1 == 1
+
+    def __repr__(self):
+        return f"WindowSet(type={self.type!r}, H={self.H!r}, members={self.members!r})"
+
+
+def _set_fields(s: WindowSet, typ: AffineType, h: int, mask: int) -> None:
+    object.__setattr__(s, "type", typ)
+    object.__setattr__(s, "H", h)
+    object.__setattr__(s, "mask", mask)
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    return [k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _full_mask(typ: AffineType, h: int) -> int:
+    return (1 << window_size(typ, h)) - 1
 
 
 def window_set(typ: AffineType, h: int, roots) -> WindowSet:
@@ -54,7 +110,7 @@ def window_set(typ: AffineType, h: int, roots) -> WindowSet:
 
 
 def full_window(typ: AffineType, h: int) -> WindowSet:
-    return WindowSet(typ, h, frozenset(root_window(typ, h)))
+    return WindowSet.from_mask(typ, h, _full_mask(typ, h))
 
 
 @lru_cache(maxsize=64)
@@ -87,36 +143,65 @@ def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
                  for key, ids in sorted(by_plane.items()))
 
 
+@lru_cache(maxsize=64)
+def _plane_table(typ: AffineType, h: int):
+    """The planes of _window_planes with three or more window roots, each
+    as (plane, mask, prefix, suffix): prefix[c] and suffix[c] are the
+    masks of the plane's first and last c roots in betweenness order."""
+    table = []
+    for plane in _window_planes(typ, h):
+        if len(plane) < 3:
+            continue
+        prefix, suffix = [0], [0]
+        for k, j in zip(plane, reversed(plane)):
+            prefix.append(prefix[-1] | 1 << k)
+            suffix.append(suffix[-1] | 1 << j)
+        table.append((plane, prefix[-1], tuple(prefix), tuple(suffix)))
+    return tuple(table)
+
+
+def _bad_plane(mask: int, entries):
+    """The first plane entry whose trace of mask is neither a prefix nor a
+    suffix (the empty and full traces are both), or None."""
+    for entry in entries:
+        t = mask & entry[1]
+        c = t.bit_count()
+        if t != entry[2][c] and t != entry[3][c]:
+            return entry
+    return None
+
+
+def _close_mask(mask: int, table) -> int:
+    """Fill the interval of every plane trace until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for _, plane_mask, prefix, suffix in table:
+            t = mask & plane_mask
+            c = t.bit_count()
+            if t == prefix[c] or t == suffix[c]:
+                continue  # empty, full, or an interval at one end
+            lo = 0
+            while not prefix[lo + 1] & t:
+                lo += 1
+            hi = len(prefix) - 1
+            while prefix[hi - 1] & t == t:
+                hi -= 1
+            fill = prefix[hi] ^ prefix[lo]
+            if fill != t:
+                mask |= fill
+                changed = True
+    return mask
+
+
 def close(s: WindowSet) -> WindowSet:
     """Smallest window superset interval-closed in every rank-2 plane.
 
     Idempotent, extensive and monotone; equals the true closure cut to
     the window whenever the closure stabilizes below the cutoff.
     """
-    typ, h = s.type, s.H
-    roots, index = _window_index(typ, h)
-    planes = _window_planes(typ, h)
-    inset = bytearray(len(roots))
-    for r in s.members:
-        inset[index[r]] = 1
-    changed = True
-    while changed:
-        changed = False
-        for plane in planes:
-            first = last = -1
-            for pos, k in enumerate(plane):
-                if inset[k]:
-                    if first < 0:
-                        first = pos
-                    last = pos
-            if first < 0:
-                continue
-            for pos in range(first + 1, last):
-                k = plane[pos]
-                if not inset[k]:
-                    inset[k] = 1
-                    changed = True
-    return WindowSet(typ, h, frozenset(r for k, r in enumerate(roots) if inset[k]))
+    return WindowSet.from_mask(
+        s.type, s.H, _close_mask(s.mask, _plane_table(s.type, s.H)))
 
 
 def stable_close(typ: AffineType, inside, h: int) -> WindowSet:
@@ -125,20 +210,22 @@ def stable_close(typ: AffineType, inside, h: int) -> WindowSet:
     UnstableWindow otherwise.  The 2h window is guarded before anything
     is enumerated."""
     guard_window(typ, 2 * h)
-    union = frozenset(r for r in root_window(typ, 2 * h) if inside(r))
-    big = close(WindowSet(typ, 2 * h, union))
-    small = close(WindowSet(typ, h, frozenset(r for r in union if r.height <= h)))
-    if frozenset(r for r in big.members if r.height <= h) != small.members:
+    union = 0
+    for k, r in enumerate(root_window(typ, 2 * h)):
+        if inside(r):
+            union |= 1 << k
+    big = _close_mask(union, _plane_table(typ, 2 * h))
+    low = _full_mask(typ, h)
+    if big & low != _close_mask(union & low, _plane_table(typ, h)):
         raise UnstableWindow("closure did not stabilize below the cutoff")
-    return big
+    return WindowSet.from_mask(typ, 2 * h, big)
 
 
 def interior(s: WindowSet) -> WindowSet:
     """Largest window-coclosed subset, via the complement duality."""
-    typ, h = s.type, s.H
-    complement = frozenset(root_window(typ, h)) - s.members
-    closed = close(WindowSet(typ, h, complement))
-    return WindowSet(typ, h, frozenset(root_window(typ, h)) - closed.members)
+    full = _full_mask(s.type, s.H)
+    closed = _close_mask(full ^ s.mask, _plane_table(s.type, s.H))
+    return WindowSet.from_mask(s.type, s.H, full ^ closed)
 
 
 @dataclass(frozen=True)
@@ -155,39 +242,28 @@ class FiniteBiclosedCertificate:
 
 
 def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
-    """Check that every plane trace is a down-set or an up-set."""
-    typ, h = s.type, s.H
-    roots, index = _window_index(typ, h)
-    planes = _window_planes(typ, h)
-    inset = bytearray(len(roots))
-    for r in s.members:
-        inset[index[r]] = 1
-    for plane in planes:
-        trace = [inset[k] for k in plane]
-        ones = [p for p, t in enumerate(trace) if t]
-        if not ones:
-            continue
-        gap = next(
-            (p for p in range(ones[0] + 1, ones[-1]) if not trace[p]), None
-        )
-        if gap is not None:
-            return FiniteBiclosedCertificate(
-                False,
-                (roots[plane[ones[0]]], roots[plane[gap]], roots[plane[ones[-1]]]),
-                "closed",
-            )
-        zeros = [p for p, t in enumerate(trace) if not t]
-        if zeros:
-            mid = next(
-                (p for p in range(zeros[0] + 1, zeros[-1]) if trace[p]), None
-            )
-            if mid is not None:
-                return FiniteBiclosedCertificate(
-                    False,
-                    (roots[plane[zeros[0]]], roots[plane[mid]], roots[plane[zeros[-1]]]),
-                    "coclosed",
-                )
-    return FiniteBiclosedCertificate(True)
+    """Check that every plane trace is a down-set or an up-set.
+
+    The witness comes from the first plane that fails: the first and
+    last roots of the trace with its first gap between them ("closed"),
+    or, for a trace without gaps, the first and last roots outside it
+    with the trace's first root between them ("coclosed").
+    """
+    entry = _bad_plane(s.mask, _plane_table(s.type, s.H))
+    if entry is None:
+        return FiniteBiclosedCertificate(True)
+    roots, plane = root_window(s.type, s.H), entry[0]
+    trace = [s.mask >> k & 1 for k in plane]
+    ones = [p for p, t in enumerate(trace) if t]
+    gap = next((p for p in range(ones[0] + 1, ones[-1]) if not trace[p]), None)
+    if gap is not None:
+        ends, mid, violated = ones, gap, "closed"
+    else:
+        ends = [p for p, t in enumerate(trace) if not t]
+        mid = next(p for p in range(ends[0] + 1, ends[-1]) if trace[p])
+        violated = "coclosed"
+    witness = (roots[plane[ends[0]]], roots[plane[mid]], roots[plane[ends[-1]]])
+    return FiniteBiclosedCertificate(False, witness, violated)
 
 
 def _pivots(u, v) -> tuple[int, int]:
@@ -205,24 +281,19 @@ def _pivots(u, v) -> tuple[int, int]:
 
 def doubling_check(s: WindowSet) -> bool:
     """True iff no triple of D(S) = S u -(window\\S) has a vanishing
-    positive combination, searching each rank-2 plane of the window.
+    positive combination, searching each rank-2 plane of the window
+    (a vanishing combination needs three vectors).
 
     Exact in integers: each plane is projected onto two pivot
     coordinates, a linear isomorphism onto Z^2, so the sign tests on
     the projected vectors decide the plane's cone geometry.
     """
-    typ, h = s.type, s.H
-    roots, index = _window_index(typ, h)
-    vecs = _window_vectors(typ, h)
-    inset = bytearray(len(roots))
-    for r in s.members:
-        inset[index[r]] = 1
-    for plane in _window_planes(typ, h):
-        if len(plane) < 3:
-            continue  # a vanishing combination needs three vectors
+    vecs = _window_vectors(s.type, s.H)
+    mask = s.mask
+    for plane, *_ in _plane_table(s.type, s.H):
         p, q = _pivots(vecs[plane[0]], vecs[plane[-1]])
         dvecs = [
-            (vecs[k][p], vecs[k][q]) if inset[k] else (-vecs[k][p], -vecs[k][q])
+            (vecs[k][p], vecs[k][q]) if mask >> k & 1 else (-vecs[k][p], -vecs[k][q])
             for k in plane
         ]
         m = len(dvecs)
@@ -246,31 +317,21 @@ def doubling_check(s: WindowSet) -> bool:
 
 @lru_cache(maxsize=64)
 def _planes_through(typ: AffineType, h: int):
-    """For each window root index, the planes containing it."""
-    roots, _ = _window_index(typ, h)
-    planes = _window_planes(typ, h)
-    through: list[list[tuple[int, ...]]] = [[] for _ in roots]
-    for plane in planes:
-        for k in plane:
-            through[k].append(plane)
-    return tuple(tuple(ps) for ps in through)
+    """For each window root index, the _plane_table entries containing it."""
+    through: list[list[tuple]] = [[] for _ in root_window(typ, h)]
+    for entry in _plane_table(typ, h):
+        for k in entry[0]:
+            through[k].append(entry)
+    return tuple(tuple(es) for es in through)
 
 
-def _still_biclosed(typ, h, inset, new_idx) -> bool:
+def _still_biclosed(typ, h, mask: int, new_idx: int) -> bool:
     """Whether a biclosed window set stays biclosed after adding one root.
 
     Any new rank-2 violation must involve the added root, so only its
     planes need rechecking.
     """
-    for plane in _planes_through(typ, h)[new_idx]:
-        trace = [inset[k] or k == new_idx for k in plane]
-        ones = [p for p, t in enumerate(trace) if t]
-        if any(not trace[p] for p in range(ones[0] + 1, ones[-1])):
-            return False
-        zeros = [p for p, t in enumerate(trace) if not t]
-        if zeros and any(trace[p] for p in range(zeros[0] + 1, zeros[-1])):
-            return False
-    return True
+    return _bad_plane(mask | 1 << new_idx, _planes_through(typ, h)[new_idx]) is None
 
 
 def finite_biclosed_bfs(typ: AffineType, h: int, max_size: int):
@@ -279,27 +340,36 @@ def finite_biclosed_bfs(typ: AffineType, h: int, max_size: int):
 
     Returns a dict frozenset-of-roots -> size.
     """
-    roots, _ = _window_index(typ, h)
-    found: dict[frozenset[Root], int] = {frozenset(): 0}
-    frontier: list[tuple[frozenset[Root], bytearray]] = [
-        (frozenset(), bytearray(len(roots)))
-    ]
+    roots = root_window(typ, h)
+    found = {0: 0}
+    frontier = [0]
     for size in range(1, max_size + 1):
         nxt = []
-        for s, inset in frontier:
-            for k, r in enumerate(roots):
-                if inset[k]:
+        for mask in frontier:
+            for k in range(len(roots)):
+                cand = mask | 1 << k
+                if cand == mask or cand in found:
                     continue
-                cand = s | {r}
-                if cand in found:
-                    continue
-                if _still_biclosed(typ, h, inset, k):
+                if _still_biclosed(typ, h, mask, k):
                     found[cand] = size
-                    mask = bytearray(inset)
-                    mask[k] = 1
-                    nxt.append((cand, mask))
+                    nxt.append(cand)
         frontier = nxt
-    return found
+    return {frozenset(roots[k] for k in _bits(m)): size for m, size in found.items()}
+
+
+@lru_cache(maxsize=64)
+def _class_tops(typ: AffineType, h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per Phi_0-class key, the mask of the top half of its window chain:
+    its roots above height h // 2, or else its highest root."""
+    chains: dict[tuple, list[Root]] = {}
+    for r in root_window(typ, h):
+        chains.setdefault(finite_class(r), []).append(r)
+    _, index = _window_index(typ, h)
+    tops = []
+    for key, chain in chains.items():
+        top = [r for r in chain if r.height > h // 2] or chain[-1:]
+        tops.append((key, sum(1 << index[r] for r in top)))
+    return tuple(tops)
 
 
 def b_infinity(s: WindowSet):
@@ -309,19 +379,14 @@ def b_infinity(s: WindowSet):
     Returns (frozenset of class keys, stable flag).  Class keys are the
     primitive finite direction vectors from roots.finite_class.
     """
-    chains: dict[tuple, list[Root]] = {}
-    for r in root_window(s.type, s.H):
-        chains.setdefault(finite_class(r), []).append(r)
-    half = s.H // 2
     keys = set()
     stable = True
-    for key, chain in sorted(chains.items()):
-        top = [r for r in chain if r.height > half] or chain[-1:]
-        bits = {r in s.members for r in top}
-        if len(bits) > 1:
-            stable = False
-        elif bits == {True}:
+    for key, top in _class_tops(s.type, s.H):
+        t = s.mask & top
+        if t == top:
             keys.add(key)
+        elif t:
+            stable = False
     return frozenset(keys), stable
 
 

@@ -185,8 +185,10 @@ def _ordered_set_partitions(items: tuple):
             yield tail[:k] + (frozenset({first}),) + tail[k:]
 
 
+@lru_cache(maxsize=None)
 def enumerate_faces(typ: AffineType) -> tuple[FanFace, ...]:
-    """All faces of the finite Coxeter fan, each exactly once."""
+    """All faces of the finite Coxeter fan, each exactly once; cached per
+    type (TooLarge is raised on every call above n = 6)."""
     if typ.n > 6:
         raise TooLarge("face enumeration is guarded at n <= 6")
     out = []
@@ -458,8 +460,11 @@ class BiclosedTriple:
 
     def window(self, h: int) -> _closure.WindowSet:
         guard_window(self.type, h)
-        roots = frozenset(r for r in root_window(self.type, h) if self.member(r))
-        return _closure.WindowSet(self.type, h, roots)
+        mask = 0
+        for k, r in enumerate(root_window(self.type, h)):
+            if self.member(r):
+                mask |= 1 << k
+        return _closure.WindowSet.from_mask(self.type, h, mask)
 
     def __repr__(self):
         ws = {k: list(v.window) for k, v in self.w}
@@ -679,20 +684,16 @@ def classify(s, h: int | None = None) -> BiclosedTriple:
     bits, stable = _closure.b_infinity(s)
     if not stable:
         raise UnstableWindow("b_infinity unstable; enlarge the window")
-    member = lambda r: r in s.members
     try:
-        t = _classify_from_bits(s.type, dict.fromkeys(bits, True), member, s.H)
+        t = _classify_from_bits(s.type, dict.fromkeys(bits, True), s.__contains__, s.H)
     except NotBiclosed as e:
         # the window itself is biclosed, so inconsistent asymptotic data
         # comes from the cutoff
         raise UnstableWindow(
             f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
         ) from e
-    for r in root_window(s.type, s.H):
-        if t.member(r) != (r in s.members):
-            raise UnstableWindow(
-                "classification does not round-trip; enlarge the window"
-            )
+    if t.window(s.H) != s:
+        raise UnstableWindow("classification does not round-trip; enlarge the window")
     return t
 
 

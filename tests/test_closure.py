@@ -1,13 +1,16 @@
 """The windowed oracle layer: closure, interior, certificates, B_infinity."""
 
+import dataclasses
 import itertools
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from afweak.closure import (
+    FiniteBiclosedCertificate,
     WindowSet,
     b_infinity,
     close,
@@ -19,6 +22,7 @@ from afweak.closure import (
     is_biclosed,
     stable_close,
     window_set,
+    _still_biclosed,
     _window_index,
     _window_planes,
 )
@@ -30,11 +34,13 @@ from afweak.perms import (
     simple_reflections,
 )
 from afweak.roots import (
+    MAX_WINDOW_ROOTS,
     AffineType,
     _rref_plane_key,
     _solve_in_plane,
     canonical_root,
     root_window,
+    window_size,
 )
 from afweak.verify import random_triple
 
@@ -273,13 +279,186 @@ def test_stable_close_certificate():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        WindowSet(A2, 1, frozenset([canonical_root(A2, 0, 5)]))
+    outside, inside = canonical_root(A2, 0, 5), canonical_root(A2, 0, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"roots outside the height-1 window: [{outside!r}]")):
+        WindowSet(A2, 1, frozenset([outside]))
+    # the offending roots are listed as the input gives them
+    with pytest.raises(ValueError, match=re.escape(
+            f"roots outside the height-1 window: [{outside!r}, {outside!r}]")):
+        WindowSet(A2, 1, [outside, inside, outside])
+    with pytest.raises(ValueError, match=">= 0"):
+        WindowSet(A2, -1, [])
+    big = AffineType("A", 6)
+    assert window_size(big, 8) > MAX_WINDOW_ROOTS
+    with pytest.raises(TooLarge):
+        WindowSet(big, 8, [])
+    with pytest.raises(TooLarge):
+        WindowSet.from_mask(big, 8, 0)
+    with pytest.raises(ValueError, match="outside the height-1 window"):
+        WindowSet.from_mask(A2, 1, 1 << window_size(A2, 1))
+    with pytest.raises(ValueError, match="outside the height-1 window"):
+        WindowSet.from_mask(A2, 1, -1)
+
+
+def test_window_set_contract():
+    typ, h = AffineType("B", 2), 3
+    window = root_window(typ, h)
+    members = frozenset(random.Random(3).sample(window, 7))
+    a = WindowSet(typ, h, members)
+    b = WindowSet(typ, h, list(members))
+    c = WindowSet(typ, h, (r for r in window if r in members))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c, window_set(typ, h, members)}) == 1
+    assert a.members == members and WindowSet(typ, h, a.members) == a
+    assert a.sorted_members() == sorted(members, key=lambda r: r.sort_key())
+    assert a != WindowSet(typ, h, members - {a.sorted_members()[0]})
+    # the same roots under another cutoff make another window set
+    assert WindowSet(typ, h + 1, members) != a
+    assert WindowSet(typ, h, []) != WindowSet(typ, h + 1, [])
+    assert all((r in a) == (r in members) for r in window)
+    above = next(r for r in root_window(typ, h + 1) if r.height > h)
+    assert above not in a and above not in full_window(typ, h)
+    assert canonical_root(A2, 0, 1) not in full_window(typ, h)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.mask = 0
+    # the repr of the frozen dataclass over (type, H, members)
+    assert repr(WindowSet(A2, 3, [])) == (
+        "WindowSet(type=AffineType('A', 2), H=3, members=frozenset())")
+    assert repr(window_set(A2, 3, [canonical_root(A2, 0, 3)])) == (
+        "WindowSet(type=AffineType('A', 2), H=3, members=frozenset({Root(A2:0,3)}))")
+    # the height-h window leads every larger one, so a cut to height h
+    # (stable_close) keeps the low bits of a mask
+    for t in FAMILIES + (typ,):
+        for k in range(4):
+            assert root_window(t, 2 * k)[:window_size(t, k)] == root_window(t, k)
 
 
 def test_finite_bfs_small():
-    for typ in FAMILIES[:2]:
+    # the sizes the finite-enumeration suite of verify uses
+    for typ in (A2, A3, AffineType("B", 2), AffineType("C", 2)):
         target = {
-            inversions(w): l for w, l in elements_up_to_length(typ, 3).items()
+            inversions(w): l for w, l in elements_up_to_length(typ, 4).items()
         }
-        assert finite_biclosed_bfs(typ, 5, 3) == target
+        assert finite_biclosed_bfs(typ, 6, 4) == target
+
+
+# The list-walking plane scans that the bitmask layer replaced, kept as
+# the reference: each walks every plane of _window_planes, two-root planes
+# included, as a list of 0/1 flags in betweenness order.
+
+
+def _reference_inset(s):
+    roots, index = _window_index(s.type, s.H)
+    inset = bytearray(len(roots))
+    for r in s.members:
+        inset[index[r]] = 1
+    return roots, inset
+
+
+def _reference_close(s):
+    roots, inset = _reference_inset(s)
+    changed = True
+    while changed:
+        changed = False
+        for plane in _window_planes(s.type, s.H):
+            first = last = -1
+            for pos, k in enumerate(plane):
+                if inset[k]:
+                    if first < 0:
+                        first = pos
+                    last = pos
+            if first < 0:
+                continue
+            for pos in range(first + 1, last):
+                k = plane[pos]
+                if not inset[k]:
+                    inset[k] = 1
+                    changed = True
+    return frozenset(r for k, r in enumerate(roots) if inset[k])
+
+
+def _reference_interior(s):
+    window = frozenset(root_window(s.type, s.H))
+    return window - _reference_close(WindowSet(s.type, s.H, window - s.members))
+
+
+def _reference_is_biclosed(s):
+    roots, inset = _reference_inset(s)
+    for plane in _window_planes(s.type, s.H):
+        trace = [inset[k] for k in plane]
+        ones = [p for p, t in enumerate(trace) if t]
+        if not ones:
+            continue
+        gap = next(
+            (p for p in range(ones[0] + 1, ones[-1]) if not trace[p]), None
+        )
+        if gap is not None:
+            return FiniteBiclosedCertificate(
+                False,
+                (roots[plane[ones[0]]], roots[plane[gap]], roots[plane[ones[-1]]]),
+                "closed",
+            )
+        zeros = [p for p, t in enumerate(trace) if not t]
+        if zeros:
+            mid = next(
+                (p for p in range(zeros[0] + 1, zeros[-1]) if trace[p]), None
+            )
+            if mid is not None:
+                return FiniteBiclosedCertificate(
+                    False,
+                    (roots[plane[zeros[0]]], roots[plane[mid]], roots[plane[zeros[-1]]]),
+                    "coclosed",
+                )
+    return FiniteBiclosedCertificate(True)
+
+
+def _reference_still_biclosed(typ, h, inset, new_idx):
+    for plane in _window_planes(typ, h):
+        if new_idx not in plane:
+            continue
+        trace = [inset[k] or k == new_idx for k in plane]
+        ones = [p for p, t in enumerate(trace) if t]
+        if any(not trace[p] for p in range(ones[0] + 1, ones[-1])):
+            return False
+        zeros = [p for p, t in enumerate(trace) if not t]
+        if zeros and any(trace[p] for p in range(zeros[0] + 1, zeros[-1])):
+            return False
+    return True
+
+
+def _sample_sets(typ, h, rng):
+    """Windows of random triples, their one-root flips, unions of two of
+    them, random subsets, and the complements of all of these."""
+    window = root_window(typ, h)
+    wins = [random_triple(typ, rng).window(h).members for _ in range(3)]
+    sets = wins + [w ^ {rng.choice(window)} for w in wins]
+    sets += [wins[0] | wins[1], wins[1] | wins[2]]
+    sets += [frozenset(rng.sample(window, rng.randrange(len(window) + 1)))
+             for _ in range(2)]
+    return sets + [frozenset(window) - s for s in sets]
+
+
+def test_bitmask_layer_matches_the_list_reference():
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
+    violated, still = set(), set()
+    for typ, h in (
+        (AffineType("A", 5), 5), (AffineType("B", 3), 6),
+        (AffineType("C", 3), 5), (AffineType("D", 4), 6),
+        (A2, 4), (AffineType("B", 2), 5), (AffineType("C", 2), 5),
+        (AffineType("D", 3), 4),
+    ):
+        for members in _sample_sets(typ, h, rng):
+            s = WindowSet(typ, h, members)
+            where = (typ, h, s.sorted_members())
+            assert close(s).members == _reference_close(s), where
+            assert interior(s).members == _reference_interior(s), where
+            cert = is_biclosed(s)
+            assert cert == _reference_is_biclosed(s), where
+            violated.add(cert.violated)
+            _, inset = _reference_inset(s)
+            for k in rng.sample(range(len(inset)), 8):
+                got = _still_biclosed(typ, h, s.mask, k)
+                assert got == _reference_still_biclosed(typ, h, inset, k), (where, k)
+                still.add(got)
+    assert violated == {None, "closed", "coclosed"} and still == {True, False}
