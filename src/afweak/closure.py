@@ -204,16 +204,12 @@ def close(s: WindowSet) -> WindowSet:
         s.type, s.H, _close_mask(s.mask, _plane_table(s.type, s.H)))
 
 
-def stable_close(typ: AffineType, inside, h: int) -> WindowSet:
-    """The closure of {r : inside(r)} on the height-2h window, certified
-    by agreeing, cut to height h, with the closure of the height-h window;
+def stable_close(typ: AffineType, union: int, h: int) -> WindowSet:
+    """The closure of the set with height-2h window mask union, certified
+    by agreeing, cut to height h, with the closure of its height-h cut;
     UnstableWindow otherwise.  The 2h window is guarded before anything
     is enumerated."""
     guard_window(typ, 2 * h)
-    union = 0
-    for k, r in enumerate(root_window(typ, 2 * h)):
-        if inside(r):
-            union |= 1 << k
     big = _close_mask(union, _plane_table(typ, 2 * h))
     low = _full_mask(typ, h)
     if big & low != _close_mask(union & low, _plane_table(typ, h)):
@@ -228,7 +224,7 @@ def interior(s: WindowSet) -> WindowSet:
     return WindowSet.from_mask(s.type, s.H, full ^ closed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteBiclosedCertificate:
     """Pass, or a rank-2 witness (alpha, gamma, beta) with gamma strictly
     between alpha and beta; ``violated`` says which half failed."""
@@ -241,6 +237,9 @@ class FiniteBiclosedCertificate:
         return self.ok
 
 
+_PASS = FiniteBiclosedCertificate(True)  # one shared pass certificate
+
+
 def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
     """Check that every plane trace is a down-set or an up-set.
 
@@ -251,7 +250,7 @@ def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
     """
     entry = _bad_plane(s.mask, _plane_table(s.type, s.H))
     if entry is None:
-        return FiniteBiclosedCertificate(True)
+        return _PASS
     roots, plane = root_window(s.type, s.H), entry[0]
     trace = [s.mask >> k & 1 for k in plane]
     ones = [p for p, t in enumerate(trace) if t]

@@ -6,6 +6,8 @@ decomposes into affine components; a biclosed set is described exactly by
 a face F, a union of components Phi' and one component element each, with
 membership decided by the sign of the face functional on a root and, on
 the zero part, by Phi'-membership xored with the component inversions.
+Both are constant on a residue class (i mod M, j mod M), so a window is
+read per class, with the component inversions xored in on the zero part.
 
 The face functional is never realized in coordinates: its sign on
 e~_j - e~_i is the difference of the block indices of the residues.
@@ -460,11 +462,7 @@ class BiclosedTriple:
 
     def window(self, h: int) -> _closure.WindowSet:
         guard_window(self.type, h)
-        mask = 0
-        for k, r in enumerate(root_window(self.type, h)):
-            if self.member(r):
-                mask |= 1 << k
-        return _closure.WindowSet.from_mask(self.type, h, mask)
+        return _closure.WindowSet.from_mask(self.type, h, _window_mask(self, h))
 
     def __repr__(self):
         ws = {k: list(v.window) for k, v in self.w}
@@ -534,6 +532,43 @@ def membership(t: BiclosedTriple, r: Root) -> bool:
     decomp = parahoric(t.face)
     comp = decomp.component_of_root(r)
     return (comp.id in t.phi_prime) != (r in t.inv_global)
+
+
+@lru_cache(maxsize=64)
+def _residue_classes(typ: AffineType, h: int) -> tuple[tuple[Root, int], ...]:
+    """root_window(typ, h) grouped by residue pair (i mod M, j mod M): a
+    representative root and the mask of the class per pair.  The face
+    sign and the component are constant on a class."""
+    m = typ.modulus
+    classes: dict[tuple[int, int], list] = {}
+    for k, r in enumerate(root_window(typ, h)):
+        classes.setdefault((r.i % m, r.j % m), [r, 0])[1] |= 1 << k
+    return tuple((rep, mask) for rep, mask in classes.values())
+
+
+def _base_masks(face: FanFace, phi_prime, h: int) -> tuple[int, int]:
+    """The height-h window masks of B(F, Phi') with identity component
+    elements and of its zero part Phi_F, read once per residue class."""
+    decomp = parahoric(face)
+    mask = zero = 0
+    for rep, cls in _residue_classes(face.type, h):
+        sign = face.pairing_sign(rep)
+        if sign < 0:
+            mask |= cls
+        elif sign == 0:
+            zero |= cls
+            if decomp.component_of_root(rep).id in phi_prime:
+                mask |= cls
+    return mask, zero
+
+
+def _window_mask(t: BiclosedTriple, h: int) -> int:
+    """The height-h window mask of t: the base mask with the component
+    inversions xored in on the zero part.  Unguarded, for any h."""
+    mask, zero = _base_masks(t.face, t.phi_prime, h)
+    index = _closure._window_index(t.type, h)[1]
+    flip = sum(1 << index[r] for r in t.inv_global if r in index)
+    return mask ^ (flip & zero)
 
 
 def triple_of_element(w: AffinePermutation) -> BiclosedTriple:
@@ -685,31 +720,32 @@ def classify(s, h: int | None = None) -> BiclosedTriple:
     if not stable:
         raise UnstableWindow("b_infinity unstable; enlarge the window")
     try:
-        t = _classify_from_bits(s.type, dict.fromkeys(bits, True), s.__contains__, s.H)
+        t = _classify_from_bits(s.type, dict.fromkeys(bits, True), s.mask, s.H)
     except NotBiclosed as e:
         # the window itself is biclosed, so inconsistent asymptotic data
         # comes from the cutoff
         raise UnstableWindow(
             f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
         ) from e
-    if t.window(s.H) != s:
+    if _window_mask(t, s.H) != s.mask:
         raise UnstableWindow("classification does not round-trip; enlarge the window")
     return t
 
 
-def _classify_from_bits(typ, true_bits, member, h) -> BiclosedTriple:
+def _classify_from_bits(typ, true_bits, mask, h) -> BiclosedTriple:
+    """The triple with the given asymptotic class bits whose height-h
+    window mask is mask: the bits give (F, Phi'), and the difference from
+    the window of B(F, Phi') gives the component inversions.  Unguarded."""
     bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
     face, phi = _face_from_bits(typ, bits)
-    base = build_biclosed(face, phi, {})
-    x = set()
-    for r in root_window(typ, h):
-        if member(r) != base.member(r):
-            if face.pairing_sign(r) != 0:
-                raise UnstableWindow(
-                    "membership mismatch off the zero part; enlarge the window"
-                )
-            x.add(r)
-    wmap = _recover_w(parahoric(face), x)
+    base, zero = _base_masks(face, phi, h)
+    diff = mask ^ base
+    if diff & ~zero:
+        raise UnstableWindow(
+            "membership mismatch off the zero part; enlarge the window"
+        )
+    roots = root_window(typ, h)
+    wmap = _recover_w(parahoric(face), {roots[k] for k in _closure._bits(diff)})
     return build_biclosed(face, phi, wmap)
 
 

@@ -563,7 +563,7 @@ def join_finite(family: str, rank: int, u, w) -> tuple[int, ...]:
 # experimental joins for B/D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TryJoinResult:
     ok: bool
     triple: BiclosedTriple | None = None
@@ -575,10 +575,11 @@ def try_join(xs, h: int) -> TryJoinResult:
 
     On success the result really is the join: the closure of the union
     is below every biclosed upper bound.  On failure the rank-2 witness
-    of non-biclosedness is returned.  Stability is certified by agreeing
-    windows at h and 2h (closure.stable_close), so the cutoff h must be
-    at least 1.  The 2h closure is certified once: classify runs
-    is_biclosed on it, and its NotBiclosed carries the witness.
+    of non-biclosedness is returned.  The inputs' 2h window masks are
+    unioned; stability is certified by agreeing windows at h and 2h
+    (closure.stable_close), so the cutoff h must be at least 1.  The 2h
+    closure is certified once: classify runs is_biclosed on it, and its
+    NotBiclosed carries the witness.
     """
     xs = list(xs)
     typ = xs[0].type
@@ -586,7 +587,10 @@ def try_join(xs, h: int) -> TryJoinResult:
         raise TypeMismatch("mixed types in try_join")
     if h < 1:
         raise ValueError(f"try_join needs a cutoff h >= 1, not {h}")
-    big = _closure.stable_close(typ, lambda r: any(x.member(r) for x in xs), h)
+    union = 0
+    for x in xs:
+        union |= x.window(2 * h).mask
+    big = _closure.stable_close(typ, union, h)
     try:
         return TryJoinResult(True, classify(big), None)
     except NotBiclosed as e:

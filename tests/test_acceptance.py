@@ -8,7 +8,7 @@ import os
 import random
 import time
 
-from afweak.closure import finite_biclosed_bfs, stable_close
+from afweak.closure import finite_biclosed_bfs, stable_close, window_set
 from afweak.errors import UnstableWindow
 from afweak.fan import (
     act,
@@ -231,9 +231,9 @@ def test_criterion_9_lattice_property_suites():
             if pair < 40:
                 # windowed closure-of-union oracle with the h/2h certificate
                 try:
-                    big = stable_close(
-                        typ, lambda r: x.member(r) or y.member(r), 4
-                    )
+                    big = stable_close(typ, window_set(typ, 8, filter(
+                        lambda r: x.member(r) or y.member(r), root_window(typ, 8)
+                    )).mask, 4)
                 except UnstableWindow:
                     continue
                 assert classify(big) == j

@@ -154,6 +154,32 @@ def test_is_biclosed_examples():
     )
 
 
+def test_a_pass_certificate_is_shared_and_a_failure_is_fresh():
+    from afweak.errors import NotBiclosed
+    from afweak.fan import classify
+    from afweak.lattice import TryJoinResult
+
+    ok = [is_biclosed(window_set(A2, 3, [])),
+          is_biclosed(full_window(AffineType("D", 4), 2))]
+    assert ok[0] is ok[1] == FiniteBiclosedCertificate(True)
+    bad = window_set(A2, 3, [canonical_root(A2, 0, 3)])
+    first, again = is_biclosed(bad), is_biclosed(bad)
+    assert first is not again and first == again and hash(first) == hash(again)
+    assert first.witness is not None and first.violated == "coclosed"
+    with pytest.raises(NotBiclosed) as err:
+        classify(bad)
+    assert err.value.witness == first and err.value.witness is not first
+    # slotted: no per-instance dict, and the repr of the plain dataclass
+    res = TryJoinResult(False, None, first)
+    for obj in (first, res):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.ok = True
+    assert repr(ok[0]) == (
+        "FiniteBiclosedCertificate(ok=True, witness=None, violated=None)")
+    assert repr(res) == f"TryJoinResult(ok=False, triple=None, witness={first!r})"
+
+
 def test_figure_two_other_examples():
     # the finite up-set {a1, a1+d} and the cofinite set missing only a0
     a1 = [canonical_root(A2, 1, 2), canonical_root(A2, 1, 4)]
@@ -258,24 +284,26 @@ def test_commensurable():
         commensurable(window_set(A2, 6, picks), empty)
 
 
-def test_stable_close_certificate():
+def test_stable_close_certificate(monkeypatch):
     # found by a seeded search over random two-root sets: (2, 6) lies
     # between (2, 3) and (2, 9) in an affine A~1 string, so the 2h closure
     # puts it below the cutoff while the h window's own closure does not
     seed = frozenset([canonical_root(A3, 2, 3), canonical_root(A3, 2, 9)])
     with pytest.raises(UnstableWindow, match="did not stabilize"):
-        stable_close(A3, seed.__contains__, 1)
-    big = stable_close(A3, seed.__contains__, 2)
+        stable_close(A3, window_set(A3, 2, seed).mask, 1)
+    big = stable_close(A3, window_set(A3, 4, seed).mask, 2)
     assert big.H == 4 and big.members == close(window_set(A3, 4, seed)).members
 
-    def inside(r):
+    def enumerate_window(typ, h):
         raise AssertionError("enumerated before the guard")
 
+    for name in ("root_window", "_window_index", "_plane_table"):
+        monkeypatch.setattr(f"afweak.closure.{name}", enumerate_window)
     A5 = AffineType("A", 5)
     with pytest.raises(TooLarge):
-        stable_close(A5, inside, 7)  # the height-14 window, not the height-7 one
+        stable_close(A5, 0, 7)  # the height-14 window, not the height-7 one
     with pytest.raises(ValueError, match=">= 0"):
-        stable_close(A5, inside, -1)
+        stable_close(A5, 0, -1)
 
 
 def test_window_validation():

@@ -6,8 +6,15 @@ import random
 
 import pytest
 
-from afweak.closure import b_infinity, is_biclosed, window_set
+from afweak.closure import (
+    WindowSet,
+    b_infinity,
+    is_biclosed,
+    stable_close,
+    window_set,
+)
 from afweak.errors import (
+    AfweakError,
     ComponentMismatch,
     NotBiclosed,
     TooLarge,
@@ -15,9 +22,12 @@ from afweak.errors import (
     UnstableWindow,
 )
 from afweak.fan import (
+    BiclosedTriple,
     _classify_from_bits,
+    _face_from_bits,
     _peel,
     _recover_w,
+    _window_mask,
     act,
     build_biclosed,
     classify,
@@ -26,12 +36,14 @@ from afweak.fan import (
     face_from_blocks,
     face_poset,
     global_element,
+    membership,
     origin_face,
     parahoric,
     path_component_poset,
     phi_prime_from_blocks,
     triple_of_element,
 )
+from afweak.lattice import TryJoinResult, try_join
 from afweak.orders import order_from_triple, precedes, relabel
 from afweak.perms import (
     elements_up_to_length,
@@ -46,13 +58,15 @@ from afweak.perms import (
     word,
 )
 from afweak.roots import (
+    MAX_WINDOW_ROOTS,
     AffineType,
     all_class_keys,
     canonical_root,
     finite_class,
     root_window,
+    window_size,
 )
-from afweak.verify import random_triple
+from afweak.verify import all_triples, random_triple
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -84,7 +98,9 @@ def classify_oracle(typ, member, settle):
         bits[key] = vals.pop()
     for _ in range(4):
         try:
-            out = _classify_from_bits(typ, bits, member, h)
+            mask = sum(1 << k for k, r in enumerate(root_window(typ, h))
+                       if member(r))
+            out = _classify_from_bits(typ, bits, mask, h)
         except UnstableWindow:
             h *= 2
             continue
@@ -274,6 +290,17 @@ def test_windowed_triples_are_biclosed():
             t = build_biclosed(face, phi, wmap)
             for h in (4, 6):
                 assert is_biclosed(t.window(h)).ok
+    # every small triple, and random ones of all four families with
+    # D-twists: the precondition for reading a classification as its
+    # own certificate
+    for typ in (A3, C2, D2):
+        for t in all_triples(typ, 3):
+            assert is_biclosed(t.window(4)).ok, t
+    rng = random.Random(SEED + 63)
+    for typ, h in ((AffineType("A", 5), 5), (B3, 6), (AffineType("C", 3), 5),
+                   (D4, 6), (D3, 4), (B2, 5)):
+        for t in _sample_triples(typ, rng, 12):
+            assert is_biclosed(t.window(h)).ok, t
 
 
 def test_commensurable_iff_face_and_phi_agree():
@@ -351,6 +378,18 @@ def _twisted(t, rng):
     split = [c.id for c in parahoric(t.face).components if c.kind == "splitA1"]
     phi = (t.phi_prime - set(split)) | {split[rng.randrange(2)]}
     return build_biclosed(t.face, phi, t.w_map())
+
+
+def _sample_triples(typ, rng, count):
+    """Random triples, every other one of family D twisted when it can be."""
+    out = []
+    for k in range(count):
+        t = random_triple(typ, rng)
+        if typ.family == "D" and k % 2 and any(
+                c.kind == "splitA1" for c in parahoric(t.face).components):
+            t = _twisted(t, rng)
+        out.append(t)
+    return out
 
 
 def test_act_matches_windowed_oracle():
@@ -516,3 +555,129 @@ def test_face_poset_counts():
     assert len(faces) == 13 and len(strict) == 24
     dims = sorted(len(f.blocks) for f in faces)
     assert dims.count(3) == 6 and dims.count(2) == 6 and dims.count(1) == 1
+
+
+# The per-root paths that the residue-class window masks replaced, kept
+# as the reference: a window asks membership root by root, and
+# classification compares that membership with the base triple's.
+
+
+def _reference_window(t, h):
+    return frozenset(r for r in root_window(t.type, h) if membership(t, r))
+
+
+def _reference_classify_from_bits(typ, true_bits, member, h):
+    bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
+    face, phi = _face_from_bits(typ, bits)
+    base = build_biclosed(face, phi, {})
+    x = set()
+    for r in root_window(typ, h):
+        if member(r) != base.member(r):
+            if face.pairing_sign(r) != 0:
+                raise UnstableWindow(
+                    "membership mismatch off the zero part; enlarge the window"
+                )
+            x.add(r)
+    return build_biclosed(face, phi, _recover_w(parahoric(face), x))
+
+
+def _reference_classify(s):
+    cert = is_biclosed(s)
+    if not cert.ok:
+        raise NotBiclosed(
+            f"window trace violates the {cert.violated} condition", cert
+        )
+    bits, stable = b_infinity(s)
+    if not stable:
+        raise UnstableWindow("b_infinity unstable; enlarge the window")
+    try:
+        t = _reference_classify_from_bits(
+            s.type, dict.fromkeys(bits, True), s.__contains__, s.H)
+    except NotBiclosed as e:
+        raise UnstableWindow(
+            f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
+        ) from e
+    if _reference_window(t, s.H) != s.members:
+        raise UnstableWindow("classification does not round-trip; enlarge the window")
+    return t
+
+
+def _reference_try_join(xs, h):
+    typ = xs[0].type
+    union = window_set(typ, 2 * h, filter(
+        lambda r: any(x.member(r) for x in xs), root_window(typ, 2 * h)))
+    big = stable_close(typ, union.mask, h)
+    try:
+        return TryJoinResult(True, _reference_classify(big), None)
+    except NotBiclosed as e:
+        return TryJoinResult(False, None, e.witness)
+
+
+def test_window_masks_match_per_root_membership():
+    rng = random.Random(SEED + 61)
+    cases = [(typ, list(all_triples(typ, 3)), 4) for typ in (A3, C2, D2)]
+    cases += [(AffineType(f, n), _sample_triples(AffineType(f, n), rng, 12), None)
+              for f, n in (("A", 5), ("B", 3), ("C", 3), ("D", 4))]
+    twists = 0
+    for typ, triples, low_heights in cases:
+        top = MAX_WINDOW_ROOTS // window_size(typ, 0) - 1  # the guard height
+        above = root_window(typ, top + 3)
+        for t in triples:
+            twists += len(t.phi_prime & {c.id for c in parahoric(t.face).components
+                                         if c.kind == "splitA1"}) == 1
+            want = sum(1 << k for k, r in enumerate(above) if membership(t, r))
+            # the height-h window is the first window_size(typ, h) roots;
+            # the random triples sweep every height up to the guard
+            for h in [*range(low_heights or top), top]:
+                low = (1 << window_size(typ, h)) - 1
+                assert t.window(h).mask == want & low, (t, h)
+            assert t.window(top).members == _reference_window(t, top)
+            assert _window_mask(t, top + 3) == want, t
+            with pytest.raises(TooLarge):
+                t.window(top + 1)
+    assert twists >= 20
+    # a window reads the component inversions on the zero part only, as
+    # membership does: an inversion planted off it changes nothing
+    t = build_biclosed(face_from_blocks(A4, [{1, 3}, {0, 2}]), set(),
+                       {"blk1": reflection(A2, 0, 1)})
+    off = next(r for r in root_window(A4, 2) if t.face.pairing_sign(r))
+    planted = BiclosedTriple(t.face, t.phi_prime, t.w)
+    planted.__dict__["inv_global"] = t.inv_global | {off}
+    assert planted.window(4).members == _reference_window(planted, 4) == (
+        t.window(4).members)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type, message and witness of the error it raises."""
+    try:
+        return f(*args)
+    except AfweakError as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def test_mask_outcomes_match_the_per_root_reference():
+    rng = random.Random(SEED + 62)
+    kinds = set()
+    # try_join on the B/D heights whose 2h planes classify builds, and at
+    # h = 1 everywhere
+    for typ, h, join_h in (
+        (AffineType("A", 5), 5, None), (B3, 6, 3), (AffineType("C", 3), 5, None),
+        (D4, 6, 3), (A3, 1, 1), (B2, 1, 1), (C2, 1, 1), (D3, 1, 1),
+    ):
+        triples = _sample_triples(typ, rng, 4)
+        size = window_size(typ, h)
+        wins = [t.window(h).mask for t in triples[:3]]
+        masks = wins + [w ^ 1 << rng.randrange(size) for w in wins]
+        masks += [wins[0] | wins[1], wins[1] | wins[2]]
+        masks += [rng.getrandbits(size) for _ in range(2)]
+        for mask in masks:
+            s = WindowSet.from_mask(typ, h, mask)
+            got = _outcome(classify, s)
+            assert got == _outcome(_reference_classify, s), s
+            kinds.add(type(got) if isinstance(got, BiclosedTriple) else got[0])
+        for xs in (triples[:2], triples[2:], triples[1:3]) if join_h else ():
+            got = _outcome(try_join, xs, join_h)
+            assert got == _outcome(_reference_try_join, xs, join_h), xs
+            kinds.add(type(got) if isinstance(got, TryJoinResult) else got[0])
+    assert kinds == {BiclosedTriple, TryJoinResult, NotBiclosed, UnstableWindow}
+

@@ -370,7 +370,8 @@ def test_join_C_matches_windowed_oracle():
         x, y = random_triple(C2, rng, 2), random_triple(C2, rng, 2)
         j = join_C([x, y])
         try:
-            big = stable_close(C2, lambda r: x.member(r) or y.member(r), 5)
+            big = stable_close(C2, window_set(C2, 10, filter(
+                lambda r: x.member(r) or y.member(r), root_window(C2, 10))).mask, 5)
         except UnstableWindow:
             continue
         assert classify(big) == j
@@ -393,7 +394,8 @@ def test_meets_and_joins_match_the_windowed_interior_and_closure():
         else:
             inside = lambda r: not all(x.member(r) for x in xs)
         try:
-            big = stable_close(typ, inside, h)
+            big = stable_close(typ, window_set(
+                typ, 2 * h, filter(inside, root_window(typ, 2 * h))).mask, h)
         except UnstableWindow:
             continue
         cut = frozenset(r for r in big.members if r.height <= h)
@@ -675,7 +677,9 @@ def _try_join_reference(xs, h):
     """try_join certifying twice: is_biclosed on the 2h closure, then
     classify, which runs is_biclosed on it again."""
     xs = list(xs)
-    big = stable_close(xs[0].type, lambda r: any(x.member(r) for x in xs), h)
+    typ = xs[0].type
+    big = stable_close(typ, window_set(typ, 2 * h, filter(
+        lambda r: any(x.member(r) for x in xs), root_window(typ, 2 * h))).mask, h)
     cert = is_biclosed(big)
     if not cert.ok:
         return TryJoinResult(False, None, cert)
