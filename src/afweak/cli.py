@@ -58,9 +58,29 @@ def _input_parser(fn):
     return parse
 
 
+_EXPECTED = {int: "an integer", str: "a string", list: "a list",
+             dict: "an object", (bool, type(None)): "true, false or null"}
+
+
+def _typed(value, kind, what: str):
+    """value if it is a JSON value of kind (a bool is no int); an
+    InputError otherwise: JSON values are checked, never coerced."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise InputError(f"{what}: expected {_EXPECTED[kind]}, "
+                         f"not {json.dumps(value)}")
+    return value
+
+
+def _list_of(values, kind, what: str) -> list:
+    """values if it is a JSON list of values of kind."""
+    for v in _typed(values, list, what):
+        _typed(v, kind, what)
+    return values
+
+
 @_input_parser
 def type_from_json(d) -> _roots.AffineType:
-    return _roots.AffineType(d["family"], int(d["n"]))
+    return _roots.AffineType(d["family"], _typed(d["n"], int, "n"))
 
 
 def type_to_json(typ: _roots.AffineType) -> dict:
@@ -73,7 +93,8 @@ def root_to_json(r: _roots.Root) -> dict:
 
 @_input_parser
 def root_from_json(d) -> _roots.Root:
-    return _roots.canonical_root(type_from_json(d), int(d["i"]), int(d["j"]))
+    return _roots.canonical_root(
+        type_from_json(d), _typed(d["i"], int, "i"), _typed(d["j"], int, "j"))
 
 
 def windowset_to_json(s: _closure.WindowSet) -> dict:
@@ -87,18 +108,17 @@ def windowset_to_json(s: _closure.WindowSet) -> dict:
 @_input_parser
 def windowset_from_json(d) -> _closure.WindowSet:
     typ = type_from_json(d)
-    roots = frozenset(
-        _roots.canonical_root(typ, int(i), int(j)) for i, j in d["roots"]
-    )
-    return _closure.WindowSet(typ, int(d["H"]), roots)
+    pairs = (_list_of(p, int, "roots") for p in _typed(d["roots"], list, "roots"))
+    roots = frozenset(_roots.canonical_root(typ, i, j) for i, j in pairs)
+    return _closure.WindowSet(typ, _typed(d["H"], int, "H"), roots)
 
 
 @_input_parser
 def perm_from_json(d) -> _perms.AffinePermutation:
     typ = type_from_json(d)
     if "word" in d:
-        return word_element(typ, d["word"])
-    return _perms.from_window(typ, d["window"])
+        return word_element(typ, _typed(d["word"], str, "word"))
+    return _perms.from_window(typ, _list_of(d["window"], int, "window"))
 
 
 def word_element(typ, text: str) -> _perms.AffinePermutation:
@@ -121,7 +141,9 @@ def face_to_json_blocks(face: _fan.FanFace) -> list:
 
 @_input_parser
 def face_from_json(typ, blocks) -> _fan.FanFace:
-    return _fan.face_from_blocks(typ, [frozenset(b) for b in blocks])
+    return _fan.face_from_blocks(
+        typ, [frozenset(_list_of(b, int, "block"))
+              for b in _typed(blocks, list, "blocks")])
 
 
 def triple_to_json(t: _fan.BiclosedTriple) -> dict:
@@ -139,10 +161,11 @@ def triple_from_json(d) -> _fan.BiclosedTriple:
     face = face_from_json(typ, d["face"])
     decomp = _fan.parahoric(face)
     wmap = {}
-    for cid, win in dict(d.get("w", {})).items():
+    for cid, win in _typed(d.get("w", {}), dict, "w").items():
         comp = decomp.by_id(cid)
-        wmap[cid] = _perms.from_window(comp.ctype, win)
-    return _fan.build_biclosed(face, frozenset(d.get("phi_prime", ())), wmap)
+        wmap[cid] = _perms.from_window(comp.ctype, _list_of(win, int, "w"))
+    phi = _list_of(d.get("phi_prime", []), str, "phi_prime")
+    return _fan.build_biclosed(face, frozenset(phi), wmap)
 
 
 def order_to_json(o: _orders.PeriodicOrder) -> dict:
@@ -165,13 +188,14 @@ def order_to_json(o: _orders.PeriodicOrder) -> dict:
 def order_from_json(d) -> _orders.PeriodicOrder:
     typ = type_from_json(d)
     face = face_from_json(typ, d["blocks"])
-    reversed_blocks = [k for k, flag in enumerate(d.get("orient", [])) if flag]
+    orient = _list_of(d.get("orient", []), (bool, type(None)), "orient")
+    reversed_blocks = [k for k, flag in enumerate(orient) if flag]
     perms = {}
-    for k, win in dict(d.get("perms", {})).items():
+    for k, win in _typed(d.get("perms", {}), dict, "perms").items():
         ptype = _orders._block_perm_type(face, int(k))
         if ptype is None:
             raise AfweakError(f"block {k} takes no permutation")
-        perms[int(k)] = _perms.from_window(ptype, win)
+        perms[int(k)] = _perms.from_window(ptype, _list_of(win, int, "perms"))
     return _orders.periodic_order(face, reversed_blocks, perms)
 
 
@@ -251,7 +275,8 @@ def _face_and_phi(typ, args):
         return face, frozenset(args.phi or ())
     return face, _option(
         "--phi-blocks", args.phi_blocks,
-        lambda v: _fan.phi_prime_from_blocks(face, [int(k) for k in v]),
+        lambda v: _fan.phi_prime_from_blocks(
+            face, _list_of(v, int, "--phi-blocks")),
     )
 
 
@@ -324,7 +349,8 @@ def _cmd_build(args):
             comp = decomp.by_id(cid)
             if spec_.lstrip().startswith("["):
                 wmap[cid] = _option(
-                    "--w", spec_, lambda v: _perms.from_window(comp.ctype, v)
+                    "--w", spec_,
+                    lambda v: _perms.from_window(comp.ctype, _list_of(v, int, "--w")),
                 )
             else:
                 wmap[cid] = word_element(comp.ctype, spec_.replace(",", " "))
@@ -442,8 +468,10 @@ def _cmd_hasse(args):
 
 
 def _cmd_verify(args):
-    seed = int(os.environ.get("AFWEAK_SEED", "0"))
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
+    except ValueError as e:
+        raise InputError(f"AFWEAK_SEED: {e}") from e
     names = _verify.SUITES.keys() if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:

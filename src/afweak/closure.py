@@ -12,7 +12,10 @@ out.  A plane with only two window roots has no root between them and
 imposes nothing, so the plane tests read _plane_table, the planes with
 three or more window roots, each with the masks of its prefixes and
 suffixes in betweenness order.  A trace (a set cut to one plane) is
-biclosed iff it is a prefix or a suffix.  Closure fills the interval
+biclosed iff it is a prefix or a suffix.  The doubling criterion is the
+same test: three vectors of D(S) = S u -(window\\S) in one plane have a
+vanishing positive combination iff the trace shows in-out-in or
+out-in-out (doubling_check proves it).  Closure fills the interval
 between the first and last roots of every trace (pairwise root sums are
 not enough: a B2 plane can force a half-sum and an affine A~1 plane
 forces a whole delta-string).  Results are truncations; callers needing
@@ -120,17 +123,11 @@ def _window_index(typ: AffineType, h: int):
 
 
 @lru_cache(maxsize=64)
-def _window_vectors(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors of root_window(typ, h), in the same order."""
-    return tuple(r.vector() for r in root_window(typ, h))
-
-
-@lru_cache(maxsize=64)
 def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
     """All rank-2 planes meeting the window, as betweenness-ordered tuples
     of indices into root_window(typ, h).  Cached: independent of the set."""
-    roots, index = _window_index(typ, h)
-    vecs = _window_vectors(typ, h)
+    roots = root_window(typ, h)
+    vecs = [r.vector() for r in roots]
     by_plane: dict[tuple, set[int]] = {}
     n = len(roots)
     for p in range(n):
@@ -265,53 +262,31 @@ def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
     return FiniteBiclosedCertificate(False, witness, violated)
 
 
-def _pivots(u, v) -> tuple[int, int]:
-    """Two coordinates onto which the span of independent u, v projects
-    isomorphically: the first non-zero column, then the first later one
-    with a non-zero 2x2 minor."""
-    p = 0
-    while not (u[p] or v[p]):
-        p += 1
-    q = p + 1
-    while u[p] * v[q] == u[q] * v[p]:
-        q += 1
-    return p, q
-
-
 def doubling_check(s: WindowSet) -> bool:
-    """True iff no triple of D(S) = S u -(window\\S) has a vanishing
-    positive combination, searching each rank-2 plane of the window
-    (a vanishing combination needs three vectors).
+    """True iff no three vectors of D(S) = S u -(window\\S) have a
+    vanishing positive combination, decided by the plane-trace test of
+    is_biclosed through this lemma.
 
-    Exact in integers: each plane is projected onto two pivot
-    coordinates, a linear isomorphism onto Z^2, so the sign tests on
-    the projected vectors decide the plane's cone geometry.
+    D(S) holds one of v, -v per window root v, and no two roots are
+    parallel, so three vectors of D(S) with a vanishing positive
+    combination are pairwise non-parallel and span a rank-2 plane P with
+    three or more window roots, a plane of _plane_table.  The window
+    roots of P lie in an open half-plane (the sum of simple-root
+    coefficients is positive on every positive root), no two are
+    parallel (the root system is reduced), and _plane_table lists them
+    as v_1, ..., v_m in betweenness order, which is their angular order.
+    Three pairwise non-parallel plane vectors have a vanishing positive
+    combination iff the negative of one lies strictly between the other
+    two.  Let e_k be +1 if v_k is in S and -1 if not, and a < c < b.  If
+    e_a = e_b = -e_c, then -e_c v_c = e_a v_c lies strictly between e_a v_a
+    and e_b v_b: a vanishing triple.  If the three signs agree, the
+    vectors lie in an open half-plane.  If e_a alone differs, the vectors
+    e_b (-v_a, v_c, v_b) lie in the arc from v_c to -v_a, shorter than
+    pi, and the case e_b alone is the mirror image.  So D(S) has a
+    vanishing triple in P iff the trace of S on P shows in-out-in or
+    out-in-out, that is iff it is neither a prefix nor a suffix.
     """
-    vecs = _window_vectors(s.type, s.H)
-    mask = s.mask
-    for plane, *_ in _plane_table(s.type, s.H):
-        p, q = _pivots(vecs[plane[0]], vecs[plane[-1]])
-        dvecs = [
-            (vecs[k][p], vecs[k][q]) if mask >> k & 1 else (-vecs[k][p], -vecs[k][q])
-            for k in plane
-        ]
-        m = len(dvecs)
-        for a in range(m):
-            xa, ya = dvecs[a]
-            for b in range(a + 1, m):
-                xb, yb = dvecs[b]
-                det = xa * yb - ya * xb
-                if det == 0:
-                    continue
-                sgn = 1 if det > 0 else -1
-                for c in range(b + 1, m):
-                    xc, yc = dvecs[c]
-                    # -(c) = x*(a) + y*(b) with x, y > 0: both Cramer
-                    # numerators have the sign of det
-                    if (sgn * (yc * xb - xc * yb) > 0
-                            and sgn * (xc * ya - yc * xa) > 0):
-                        return False
-    return True
+    return _bad_plane(s.mask, _plane_table(s.type, s.H)) is None
 
 
 @lru_cache(maxsize=64)

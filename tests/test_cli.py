@@ -10,7 +10,14 @@ import time
 import pytest
 
 import afweak
-from afweak.cli import _parser, run, triple_to_json, windowset_to_json
+from afweak.cli import (
+    InputError,
+    _parser,
+    root_from_json,
+    run,
+    triple_to_json,
+    windowset_to_json,
+)
 from afweak.closure import window_set
 from afweak.fan import triple_of_element
 from afweak.perms import simple_reflections
@@ -309,11 +316,64 @@ def test_usage_error_exit_code(tmp_path, capsys):
              "--w", "1"]),
         (1, ["join-finite", "--family", "B", "--rank", "3", "--u", "123",
              "--w", "123"]),
+        (2, ["build", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
+             "--phi-blocks", "[true]"]),
+        (2, ["build", "--family", "A", "--n", "3", "--face", "[[0, 1.0], [2]]"]),
     ):
         capsys.readouterr()
         assert run(argv) == code, argv
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, (argv, err)
+    # JSON numbers are checked, not coerced: a float, a string or a bool
+    # where an integer belongs exits 2, as does a string where a list of
+    # component ids belongs
+    window = {"family": "A", "n": 2, "H": 2, "roots": [[0, 1]]}
+    with open(a3) as fh:
+        triple = json.load(fh)
+    order = {"family": "A", "n": 2, "blocks": [[0, 1]], "orient": [True],
+             "perms": {"0": [2, 1]}}
+    for cmd, obj in (("check", window), ("classify", triple), ("order", order)):
+        assert run([cmd, "--in", _write(tmp_path, "ok.json", obj)]) == 0
+    capsys.readouterr()
+    for cmd, obj in (
+        ("check", {**window, "H": 2.5}),
+        ("check", {**window, "H": True}),
+        ("check", {**window, "n": "2"}),
+        ("check", {**window, "n": 2.0}),
+        ("check", {**window, "roots": [[0, "1"]]}),
+        ("check", {**window, "roots": [[0, 1.0]]}),
+        ("check", {**window, "roots": [[False, 1]]}),
+        ("check", {**window, "roots": "01"}),
+        ("classify", {**triple, "phi_prime": "blk0"}),
+        ("classify", {**triple, "phi_prime": [0]}),
+        ("classify", {**triple, "face": [[0, 1], [2.0]]}),
+        ("classify", {**triple, "w": {"blk0": [2.0, 1]}}),
+        ("classify", {**triple, "w": [["blk0", [2, 1]]]}),
+        ("classify", {"family": "A", "n": 3, "window": [1, 2, "3"]}),
+        ("classify", {"family": "A", "n": 3, "window": [1, 2, 3.0]}),
+        ("classify", {"family": "A", "n": 3, "word": 5}),
+        ("order", {**order, "orient": [1]}),
+        ("order", {**order, "blocks": [[0, True]]}),
+        ("order", {**order, "perms": {"0": [2, 1.0]}}),
+        ("order", {**order, "perms": [[0, [2, 1]]]}),
+    ):
+        path = _write(tmp_path, "bad.json", obj)
+        assert run([cmd, "--in", path]) == 2, obj
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, (obj, err)
+        assert err.startswith("afweak: malformed input: "), (obj, err)
+    with pytest.raises(InputError, match="expected an integer, not 1.0"):
+        root_from_json({"family": "A", "n": 2, "i": 0, "j": 1.0})
+
+
+def test_malformed_seed_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("AFWEAK_SEED", "abc")
+    child = _child("verify", "roundtrip")
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert child.stdout == b"" and "Traceback" not in err
+    assert err == ("afweak: malformed input: AFWEAK_SEED: invalid literal for int()"
+                   " with base 10: 'abc'\n")
 
 
 def test_verify_accepts_every_suite():

@@ -1,6 +1,7 @@
 """The windowed oracle layer: closure, interior, certificates, B_infinity."""
 
 import dataclasses
+import functools
 import itertools
 import os
 import random
@@ -22,6 +23,7 @@ from afweak.closure import (
     is_biclosed,
     stable_close,
     window_set,
+    _plane_table,
     _still_biclosed,
     _window_index,
     _window_planes,
@@ -213,16 +215,29 @@ def test_doubling_agrees_with_biclosed_on_stable_sets():
             assert is_biclosed(s).ok == doubling_check(s)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_planes(typ, h):
+    """The planes of _window_planes with three or more window roots (a
+    vanishing combination needs three vectors), each with the rational
+    coordinates of its roots in the plane's RREF basis."""
+    roots, _ = _window_index(typ, h)
+    planes = []
+    for plane in _window_planes(typ, h):
+        if len(plane) >= 3:
+            basis = _rref_plane_key(roots[plane[0]].vector(), roots[plane[-1]].vector())
+            planes.append((plane, [_solve_in_plane(basis, roots[k].vector())
+                                   for k in plane]))
+    return planes
+
+
 def _reference_doubling(s):
-    """The doubling criterion in plane coordinates over the rationals:
-    an RREF basis per plane and Fraction Cramer quotients."""
-    roots, _ = _window_index(s.type, s.H)
-    for plane in _window_planes(s.type, s.H):
-        basis = _rref_plane_key(roots[plane[0]].vector(), roots[plane[-1]].vector())
-        dvecs = []
-        for k in plane:
-            x, y = _solve_in_plane(basis, roots[k].vector())
-            dvecs.append((x, y) if roots[k] in s.members else (-x, -y))
+    """The doubling criterion by a cone search over the rationals: in
+    plane coordinates, does some triple of D(S) have a vanishing positive
+    combination (Fraction Cramer quotients)?"""
+    roots, members = root_window(s.type, s.H), s.members
+    for plane, coords in _reference_planes(s.type, s.H):
+        dvecs = [(x, y) if roots[k] in members else (-x, -y)
+                 for k, (x, y) in zip(plane, coords)]
         for (xa, ya), (xb, yb), (xc, yc) in itertools.combinations(dvecs, 3):
             det = xa * yb - ya * xb
             if (det and Fraction(yc * xb - xc * yb, det) > 0
@@ -232,23 +247,52 @@ def _reference_doubling(s):
 
 
 def test_doubling_matches_rational_reference():
-    # windows of random triples, one-root flips of them and random subsets
+    # windows of random triples, one-root flips, unions and intersections
+    # of two windows and random subsets, at small heights and at the
+    # window-oracle sizes D4 h=6 and A5 h=5; every type gives both answers
     rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
-    answers = set()
-    for typ in (A3, AffineType("B", 3), AffineType("C", 2), AffineType("D", 3)):
-        for h in (4, 5, 6):
+    for typ, heights in (
+        (A3, (4, 5, 6)), (AffineType("B", 3), (4, 5, 6)),
+        (AffineType("C", 2), (4, 5, 6)), (AffineType("D", 3), (4, 5, 6)),
+        (AffineType("D", 4), (6,)), (AffineType("A", 5), (5,)),
+    ):
+        answers = set()
+        for h in heights:
             window = root_window(typ, h)
-            for _ in range(2):
-                w = random_triple(typ, rng).window(h)
-                for s in (
-                    w,
-                    window_set(typ, h, w.members ^ {rng.choice(window)}),
-                    window_set(typ, h, rng.sample(window, rng.randrange(len(window) + 1))),
-                ):
-                    got = doubling_check(s)
-                    assert got == _reference_doubling(s), (typ, h, s.sorted_members())
-                    answers.add(got)
-    assert answers == {True, False}
+            w1, w2 = (random_triple(typ, rng).window(h).members for _ in range(2))
+            for members in (
+                w1, w2, w1 ^ {rng.choice(window)}, w2 ^ {rng.choice(window)},
+                w1 | w2, w1 & w2,
+                frozenset(rng.sample(window, rng.randrange(len(window) + 1))),
+            ):
+                s = WindowSet(typ, h, members)
+                got = doubling_check(s)
+                assert got == _reference_doubling(s), (typ, h, s.sorted_members())
+                answers.add(got)
+        assert answers == {True, False}, typ
+
+
+def test_plane_table_is_strictly_angular():
+    # the precondition of doubling_check's lemma: projected onto two
+    # coordinates with a non-zero 2x2 minor (an isomorphism of the plane
+    # onto Q^2), every pair a < b of a plane's roots in table order has a
+    # non-zero determinant of one fixed sign, so the roots are pairwise
+    # non-parallel, lie in an open half-plane and come in angular order
+    for typ, h in (
+        (AffineType("A", 5), 5), (AffineType("B", 3), 6),
+        (AffineType("C", 3), 5), (AffineType("D", 4), 6),
+        (A2, 4), (A3, 5), (AffineType("B", 2), 5), (AffineType("C", 2), 5),
+        (AffineType("D", 3), 4),
+    ):
+        vecs = [r.vector() for r in root_window(typ, h)]
+        for plane, *_ in _plane_table(typ, h):
+            u, v = vecs[plane[0]], vecs[plane[-1]]
+            p, q = next((p, q) for p, q in itertools.combinations(range(len(u)), 2)
+                        if u[p] * v[q] != u[q] * v[p])
+            xy = [(vecs[k][p], vecs[k][q]) for k in plane]
+            signs = {(xa * yb > ya * xb) - (xa * yb < ya * xb)
+                     for (xa, ya), (xb, yb) in itertools.combinations(xy, 2)}
+            assert signs in ({1}, {-1}), (typ, h, plane)
 
 
 def test_b_infinity_examples():
