@@ -87,16 +87,6 @@ def type_to_json(typ: _roots.AffineType) -> dict:
     return {"family": typ.family, "n": typ.n}
 
 
-def root_to_json(r: _roots.Root) -> dict:
-    return {**type_to_json(r.type), "i": r.i, "j": r.j}
-
-
-@_input_parser
-def root_from_json(d) -> _roots.Root:
-    return _roots.canonical_root(
-        type_from_json(d), _typed(d["i"], int, "i"), _typed(d["j"], int, "j"))
-
-
 def windowset_to_json(s: _closure.WindowSet) -> dict:
     return {
         **type_to_json(s.type),

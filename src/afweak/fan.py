@@ -11,6 +11,10 @@ read per class, with the component inversions xored in on the zero part.
 
 The face functional is never realized in coordinates: its sign on
 e~_j - e~_i is the difference of the block indices of the residues.
+
+``parahoric`` alone names the components and maps blocks to them; every
+other reader, here and in ``orders`` and ``lattice``, asks its
+decomposition for the component over a block, a residue pair or a root.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .roots import (
     Root,
     all_class_keys,
     canonical_root,
-    finite_class,
     finite_roots,
     guard_window,
     negate_class,
@@ -116,9 +119,11 @@ class FanFace:
             return x % self.type.modulus
         return signed_residue(self.type, x)
 
-    @property
+    @cached_property
     def block_of(self) -> dict[int, int]:
-        return _block_of(self)
+        """The block position of each residue, computed on first use and
+        kept on the face (``==`` and ``hash`` read only the fields)."""
+        return {v: k for k, b in enumerate(self.blocks) for v in b}
 
     def pairing_sign(self, r: Root) -> int:
         """Sign of <f, r> for f in the relative interior of the face."""
@@ -136,15 +141,6 @@ class FanFace:
     def __repr__(self):
         inner = ["{" + ",".join(map(str, sorted(b))) + "}" for b in self.blocks]
         return f"FanFace({self.type.family}{self.type.n}:({','.join(inner)}))"
-
-
-@lru_cache(maxsize=4096)
-def _block_of(face: FanFace) -> dict[int, int]:
-    out = {}
-    for k, b in enumerate(face.blocks):
-        for v in b:
-            out[v] = k
-    return out
 
 
 def face_from_blocks(typ: AffineType, blocks) -> FanFace:
@@ -235,12 +231,15 @@ class Component:
     factors over the integers whose residue lies in one block; "central"
     components sit over the self-negated central block; a "splitA1" is one
     of the two A~1 factors of a split central D~2.  The first two are
-    relabeled onto their own group by ``_rho`` over ``reps``.
+    relabeled onto their own group by ``_rho`` over ``reps``.  ``block``
+    is the position of the block the component sits over (the middle one
+    for "central" and "splitA1").
     """
 
     id: str
     ctype: AffineType
     kind: str
+    block: int
     reps: tuple[int, ...]  # ablock/central: see _block_reps
     gamma: tuple[int, ...] = ()  # splitA1: positive finite direction
     parent: AffineType = None
@@ -279,45 +278,72 @@ class Component:
 
 @dataclass(frozen=True)
 class ParahoricDecomposition:
+    """The components of Phi_F.  Three maps, each built once on first
+    use, answer every question about them: components by id, the
+    components over each block position, and the split A~1 factors by
+    Phi_0-class."""
+
     face: FanFace
     components: tuple[Component, ...]
 
-    def by_id(self, cid: str) -> Component:
+    @cached_property
+    def _by_id(self) -> dict[str, Component]:
+        return {c.id: c for c in self.components}
+
+    @cached_property
+    def by_block(self) -> tuple[tuple[Component, ...], ...]:
+        """The components over each block position: none, one, or the
+        two factors of a split central D~2; a signed block below the
+        middle gets its mirror's."""
+        top = len(self.face.blocks) - 1
+        over = [[] for _ in range(top + 1)]
         for c in self.components:
-            if c.id == cid:
-                return c
-        raise ComponentMismatch(f"no component {cid!r}")
+            over[c.block].append(c)
+            if c.kind == "ablock" and self.face.type.family != "A":
+                over[top - c.block].append(c)
+        return tuple(map(tuple, over))
+
+    @cached_property
+    def _split_by_class(self) -> dict[tuple[int, ...], Component]:
+        out = {}
+        for c in self.components:
+            if c.kind == "splitA1":
+                key = primitive_direction(c.gamma)
+                out[key] = out[negate_class(key)] = c
+        return out
+
+    def by_id(self, cid: str) -> Component:
+        comp = self._by_id.get(cid)
+        if comp is None:
+            raise ComponentMismatch(f"no component {cid!r}")
+        return comp
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.components)
+        return tuple(self._by_id)
+
+    def check_ids(self, ids, what: str) -> None:
+        """ComponentMismatch unless every id names a component."""
+        unknown = set(ids) - self._by_id.keys()
+        if unknown:
+            raise ComponentMismatch(
+                f"{what} names unknown components {sorted(unknown)}")
+
+    def component_of_pair(self, a: int, b: int) -> Component | None:
+        """The component of the roots e~_j - e~_i whose residues (i, j)
+        are (a, b), or None if a and b lie in different blocks."""
+        block_of = self.face.block_of
+        k = block_of[a]
+        if block_of[b] != k:
+            return None
+        comps = self.by_block[k]
+        if len(comps) == 2:
+            return self._split_by_class[pair_class_keys(self.face.type)[(a, b)]]
+        return comps[0]
 
     def component_of_root(self, r: Root) -> Component | None:
         """The component containing a root of Phi_F (sign zero), else None."""
         face = self.face
-        if face.pairing_sign(r) != 0:
-            return None
-        ri = face.residue(r.i)
-        pos = face.block_of[ri]
-        if face.type.family == "A":
-            cid = f"blk{pos}"
-        else:
-            mid = len(face.blocks) // 2
-            if pos != mid:
-                cid = f"blk{mid + abs(pos - mid)}"
-            else:
-                splits = [c for c in self.components if c.kind == "splitA1"]
-                if splits:
-                    fin = finite_class(r)
-                    for c in splits:
-                        gk = primitive_direction(c.gamma)
-                        if fin in (gk, negate_class(gk)):
-                            return c
-                    raise AssertionError("split component not found")
-                cid = "ctr"
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise AssertionError(f"no component for {r} (singleton block?)")
+        return self.component_of_pair(face.residue(r.i), face.residue(r.j))
 
 
 def _block_reps(face: FanFace, k: int) -> tuple[int, ...]:
@@ -359,6 +385,7 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
             id=f"blk{k}",
             ctype=AffineType("A", len(b)),
             kind="ablock",
+            block=k,
             reps=_block_reps(face, k),
             parent=typ,
         )
@@ -383,6 +410,7 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
                     id=f"ctrA1:{tag}",
                     ctype=AffineType("A", 2),
                     kind="splitA1",
+                    block=mid,
                     reps=(),
                     gamma=fin,
                     parent=typ,
@@ -394,6 +422,7 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
                 id="ctr",
                 ctype=AffineType(typ.family, c),
                 kind="central",
+                block=mid,
                 reps=_block_reps(face, mid),
                 parent=typ,
             )
@@ -405,25 +434,20 @@ def phi_prime_from_blocks(face: FanFace, positions) -> frozenset[str]:
     """Translate block positions into component ids, enforcing +- pairing."""
     decomp = parahoric(face)
     positions = set(positions)
-    if face.type.family == "A":
-        ids = {f"blk{k}" for k in positions}
-    else:
-        mid = len(face.blocks) // 2
-        ids = set()
-        for k in positions:
-            if k == mid:
-                ids.update(c.id for c in decomp.components
-                           if c.kind in ("central", "splitA1"))
-                continue
-            partner = 2 * mid - k
-            if partner not in positions:
-                raise UnpairedPhiPrime(
-                    f"block {k} selected without its negative {partner}"
-                )
-            ids.add(f"blk{max(k, partner)}")
-    known = set(decomp.ids())
-    if not ids <= known:
-        raise ComponentMismatch(f"unknown components {sorted(ids - known)}")
+    nblocks = len(face.blocks)
+    mid = nblocks // 2
+    ids, empty = set(), set()
+    for k in positions:
+        if face.type.family != "A" and k != mid and 2 * mid - k not in positions:
+            raise UnpairedPhiPrime(
+                f"block {k} selected without its negative {2 * mid - k}"
+            )
+        comps = decomp.by_block[k] if 0 <= k < nblocks else ()
+        if not comps and (face.type.family == "A" or k != mid):
+            empty.add(k)
+        ids.update(c.id for c in comps)
+    if empty:
+        raise ComponentMismatch(f"blocks {sorted(empty)} hold no component")
     return frozenset(ids)
 
 
@@ -484,13 +508,9 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
     """
     decomp = parahoric(face)
     phi = _interned(frozenset(phi_prime))
-    unknown = phi - set(decomp.ids())
-    if unknown:
-        raise ComponentMismatch(f"phi_prime names unknown components {sorted(unknown)}")
+    decomp.check_ids(phi, "phi_prime")
     w = dict(w or {})
-    unknown = set(w) - set(decomp.ids())
-    if unknown:
-        raise ComponentMismatch(f"w names unknown components {sorted(unknown)}")
+    decomp.check_ids(w, "w")
     items = []
     for comp in decomp.components:
         u = w.get(comp.id)
@@ -620,12 +640,10 @@ def _recover_w(decomp: ParahoricDecomposition, x: set[Root]):
 
 
 def _recover_w_a(decomp: ParahoricDecomposition, x: set[Root]):
-    m = decomp.face.type.modulus
-    comp_of = {s: comp for comp in decomp.components for s in comp.reps}
     local: dict[str, set[Root]] = {}
     for r in x:
-        comp = comp_of.get(r.i % m)
-        if comp is None or r.j % m not in comp.reps:
+        comp = decomp.component_of_root(r)
+        if comp is None:
             raise NotBiclosed("the zero part is not a parahoric inversion set")
         local.setdefault(comp.id, set()).add(
             canonical_root(comp.ctype, comp.rho(r.i), comp.rho(r.j)))
@@ -851,27 +869,21 @@ def _face_from_bits(typ: AffineType, bits) -> tuple[FanFace, frozenset[str]]:
 
 
 def _phi_from_bits(face: FanFace, bits) -> frozenset[str]:
-    """Phi' components are those whose classes are asymptotically full."""
+    """Phi' components are those whose classes are asymptotically full;
+    the classes of a component are those of its residue pairs."""
     decomp = parahoric(face)
+    values: dict[str, set[bool]] = {c.id: set() for c in decomp.components}
+    for pair, key in pair_class_keys(face.type).items():
+        comp = decomp.component_of_pair(*pair)
+        if comp is not None:
+            values[comp.id].add(bits[key])
     phi = set()
-    for comp in decomp.components:
-        keys = _component_class_keys(comp)
-        values = {bits[k] for k in keys}
-        if len(values) != 1:
-            raise NotBiclosed(
-                f"component {comp.id} is asymptotically inconsistent"
-            )
-        if values == {True}:
-            phi.add(comp.id)
+    for cid, vals in values.items():
+        if len(vals) != 1:
+            raise NotBiclosed(f"component {cid} is asymptotically inconsistent")
+        if vals == {True}:
+            phi.add(cid)
     return frozenset(phi)
-
-
-def _component_class_keys(comp: Component):
-    keys = set()
-    for loc in root_window(comp.ctype, 1):
-        keys.add(finite_class(comp.to_global(loc)))
-    keys |= {negate_class(k) for k in set(keys)}
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +934,8 @@ def path_component_poset(face: FanFace, phi_prime, bound: int,
     """Biclosed sets commensurable with B(F, Phi') truncated to component
     lengths <= bound, with covers the single-root containments."""
     decomp = parahoric(face)
-    phi = phi_prime_from_ids(decomp, phi_prime)
+    phi = frozenset(phi_prime)
+    decomp.check_ids(phi, "phi_prime")
     per_comp = []
     for comp in decomp.components:
         elems = sorted(
@@ -966,14 +979,6 @@ def path_component_poset(face: FanFace, phi_prime, bound: int,
         covers=tuple(sorted(covers)),
         node_sizes=tuple(n[0] - base_size for n in nodes),
     )
-
-
-def phi_prime_from_ids(decomp: ParahoricDecomposition, phi_prime) -> frozenset[str]:
-    phi = frozenset(phi_prime)
-    unknown = phi - set(decomp.ids())
-    if unknown:
-        raise ComponentMismatch(f"unknown components {sorted(unknown)}")
-    return phi
 
 
 def face_poset(typ: AffineType):

@@ -290,6 +290,7 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
                     raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
                 after.append((a, b))
     face = FanFace(typ, tuple(_ordered_blocks(range(m), equal, after, NotAnOrder)))
+    decomp = parahoric(face)
     phi = set()
     x_roots: set[Root] = set()
     for k, blk in enumerate(face.blocks):
@@ -302,7 +303,7 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
             if diag_rev != reversed_:
                 raise NotAnOrder("mixed orientations inside a block")
         if reversed_:
-            phi.add(f"blk{k}")
+            phi.add(decomp.by_block[k][0].id)
         for a in blk:
             for b in blk:
                 if a == b:
@@ -316,7 +317,7 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
                     raise NotAnOrder(f"in-block entry ({a},{b}) is infinite")
                 for d in data.upto(data.max_finite() or 0):
                     x_roots.add(canonical_root(typ, a, b + d * m))
-    wmap = _recover_w(parahoric(face), x_roots)
+    wmap = _recover_w(decomp, x_roots)
     return build_biclosed(face, frozenset(phi), wmap)
 
 
@@ -411,28 +412,22 @@ def restrict_c(t: BiclosedTriple, typ: AffineType) -> BiclosedTriple:
     for blk in t.face.blocks:
         blocks.append(frozenset(v if v <= typ.n else v - m for v in blk))
     face = FanFace(typ, tuple(blocks))
-    mid = len(blocks) // 2
+    top = len(blocks) - 1
+    # the C-face has the blocks of t's face at the same positions
+    over = parahoric(t.face).by_block
     phi = set()
     wmap = {}
-    decomp = parahoric(face)
-    for comp in decomp.components:
+    for comp in parahoric(face).components:
+        (a_comp,) = over[comp.block]
+        u = t.component_w(a_comp.id)
         if comp.kind == "central":
-            a_id = f"blk{mid}"
-            u = t.component_w(a_id)
-            window = tuple(u(k) for k in range(1, comp.ctype.n + 1))
-            wmap[comp.id] = from_window(comp.ctype, window)
-            if a_id in t.phi_prime:
-                phi.add(comp.id)
-        else:
-            k = int(comp.id[3:])
-            mirror = f"blk{2 * mid - k}"
-            if (comp.id in t.phi_prime) != (mirror in t.phi_prime):
-                raise SigmaFixednessViolated("phi_prime is not sigma-symmetric")
-            if comp.id in t.phi_prime:
-                phi.add(comp.id)
-            wmap[comp.id] = t.component_w(comp.id)
-    out = build_biclosed(face, frozenset(phi), wmap)
-    return out
+            u = from_window(comp.ctype, tuple(u(k) for k in range(1, comp.ctype.n + 1)))
+        elif (a_comp.id in t.phi_prime) != (over[top - comp.block][0].id in t.phi_prime):
+            raise SigmaFixednessViolated("phi_prime is not sigma-symmetric")
+        wmap[comp.id] = u
+        if a_comp.id in t.phi_prime:
+            phi.add(comp.id)
+    return build_biclosed(face, frozenset(phi), wmap)
 
 
 def _pull_back(t: BiclosedTriple, typ: AffineType, what: str) -> BiclosedTriple:

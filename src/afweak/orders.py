@@ -43,7 +43,7 @@ from .perms import (
     from_window,
     identity,
     invert,
-    max_displacement,
+    inversions,
     multiply,
     reflection,
 )
@@ -194,71 +194,43 @@ def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
 def inversion_set(o: PeriodicOrder) -> BiclosedTriple:
     """The biclosed triple of {roots (i, j) : i > j in the order}."""
     face = o.face
-    typ = face.type
+    signed = face.type.family != "A"
     decomp = parahoric(face)
     mid = len(face.blocks) // 2
     phi = set()
     wmap = {}
-    for k in range(len(face.blocks)):
-        if typ.family != "A" and k < mid:
+    for k in range(mid if signed else 0, len(face.blocks)):
+        comps = decomp.by_block[k]
+        if not comps:
             continue
         data = o.data_at(k)
-        blk = face.blocks[k]
-        central = typ.family != "A" and k == mid
-        if not central:
-            if len(blk) < 2:
-                continue
-            cid = f"blk{k}"
-            if data.reversed:
-                phi.add(cid)
-            if data.perm is not None:
-                wmap[cid] = data.perm
-            continue
-        ctr_ids = [
-            c.id for c in decomp.components if c.kind in ("central", "splitA1")
-        ]
-        if not ctr_ids:
-            continue
         if data.reversed:
-            phi.update(ctr_ids)
-        x = _central_inversion_roots(o, k)
-        wmap.update(_recover_w(decomp, x))
+            phi.update(c.id for c in comps)
+        if signed and k == mid:
+            wmap.update(_recover_w(decomp, _central_inversion_roots(o, k)))
+        elif data.perm is not None:
+            wmap[comps[0].id] = data.perm
     return build_biclosed(face, frozenset(phi), wmap)
 
 
 def _central_inversion_roots(o: PeriodicOrder, k: int) -> set[Root]:
-    """Family-admissible roots inverted by the forward central order."""
-    face = o.face
-    typ = face.type
-    m = typ.modulus
-    blk = face.blocks[k]
-    data = o.data_at(k)
-    reps = sorted(v % m for v in blk if v % m != 0)
-    pos = _block_position_fn(
-        o if not data.reversed
-        else PeriodicOrder(
-            face,
-            o.block_data[:k]
-            + (BlockData(False, data.perm),)
-            + o.block_data[k + 1:],
-        ),
-        k,
-    )
-    disp = 0 if data.perm is None else max_displacement(data.perm)
-    hmax = 2 * disp + 2
+    """Family-admissible roots inverted by the forward central order.
+
+    They are the images under rho^-1 of the local inversions of the
+    C-type block permutation (rho commutes with negation and with +M);
+    family D drops i = -j and family B its odd long pairs."""
+    u = o.data_at(k).perm
+    if u is None:
+        return set()
+    typ = o.type
+    reps = _block_reps(o.face, k)
     out = set()
-    for i in reps:
-        for j in range(i + 1, i + (hmax + 1) * m):
-            if j % m not in reps:
-                continue
-            try:
-                r = canonical_root(typ, i, j)
-            except NotARoot:
-                continue
-            if r.i != i or r.j != j:
-                continue
-            if pos(i) > pos(j):
-                out.add(r)
+    for p in inversions(u):
+        try:
+            out.add(canonical_root(typ, _rho_inv(reps, typ.modulus, p.i),
+                                   _rho_inv(reps, typ.modulus, p.j)))
+        except NotARoot:
+            continue
     return out
 
 
@@ -269,41 +241,25 @@ def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
     factor of a split central D~2: those sets need a DTwist.
     """
     face = t.face
-    typ = face.type
+    signed = face.type.family != "A"
     decomp = parahoric(face)
     mid = len(face.blocks) // 2
-    data: list[BlockData | None] = []
-    for k in range(len(face.blocks)):
-        if typ.family != "A" and k < mid:
-            data.append(None)
-            continue
-        blk = face.blocks[k]
-        central = typ.family != "A" and k == mid
-        if not central:
-            if len(blk) < 2:
-                data.append(BlockData())
-                continue
-            cid = f"blk{k}"
-            u = t.component_w(cid)
-            data.append(
-                BlockData(cid in t.phi_prime, None if u.is_identity() else u)
-            )
-            continue
-        ctr_ids = [
-            c.id for c in decomp.components if c.kind in ("central", "splitA1")
-        ]
-        if not ctr_ids:
-            data.append(BlockData())
-            continue
-        selected = t.phi_prime & set(ctr_ids)
-        if len(ctr_ids) == 2 and len(selected) == 1:
+    data: list[BlockData | None] = [None] * mid if signed else []
+    for k in range(len(data), len(face.blocks)):
+        comps = decomp.by_block[k]
+        selected = t.phi_prime & {c.id for c in comps}
+        if len(comps) == 2 and len(selected) == 1:
             raise DRepresentationRequired(
                 "Phi' uses one A~1 of a split central D~2; use a DTwist"
             )
-        wmap = {cid: t.component_w(cid) for cid in ctr_ids}
-        u = _central_order_perm(face, wmap)
+        if not comps:
+            u = None
+        elif signed and k == mid:
+            u = _central_order_perm(face, {c.id: t.component_w(c.id) for c in comps})
+        else:
+            u = t.component_w(comps[0].id)
         data.append(
-            BlockData(bool(selected), None if u.is_identity() else u)
+            BlockData(bool(selected), None if u is None or u.is_identity() else u)
         )
     return PeriodicOrder(face, tuple(data))
 
@@ -314,9 +270,9 @@ def _central_order_perm(face: FanFace, wmap) -> AffinePermutation:
     mid = len(face.blocks) // 2
     reps = _block_reps(face, mid)
     c = len(reps) // 2
-    if [parahoric(face).by_id(cid).kind for cid in wmap] == ["central"]:
-        # the component is relabeled over the same reps, so its element
-        # already is the block permutation
+    if len(parahoric(face).by_block[mid]) == 1:
+        # the lone central component is relabeled over the same reps, so
+        # its element already is the block permutation
         (u,) = wmap.values()
         return from_window(AffineType("C", c), u.window)
     g = global_element(face, wmap)
@@ -441,6 +397,5 @@ def d_twist_set(d: DTwist) -> BiclosedTriple:
             f"the central block of the base is not {{+-{i}, +-{j}}}"
         )
     t = inversion_set(o)
-    cid = f"ctrA1:{i},{j}"
-    phi = t.phi_prime ^ {cid}
-    return build_biclosed(face, phi, t.w_map())
+    toggle = parahoric(face).component_of_pair(i, j).id
+    return build_biclosed(face, t.phi_prime ^ {toggle}, t.w_map())

@@ -56,10 +56,14 @@ def identity(typ: AffineType) -> AffinePermutation:
 def from_window(typ: AffineType, values) -> AffinePermutation:
     """Validate a window and build the permutation.
 
-    Raises InvalidWindow for malformed data and ParityViolation when a
-    B/D evenness condition fails (the message names the odd count).
+    Raises TypeError for a value that is not an int (a bool is none),
+    InvalidWindow for malformed data and ParityViolation when a B/D
+    evenness condition fails (the message names the odd count).
     """
-    values = tuple(int(v) for v in values)
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"window values must be ints, not {v!r}")
     m = typ.modulus
     if typ.family == "A":
         if len(values) != m:

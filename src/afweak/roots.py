@@ -43,6 +43,8 @@ class AffineType:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"the rank n must be an int, not {self.n!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         least = 2 if self.family == "D" else 1
@@ -209,8 +211,11 @@ def window_size(typ: AffineType, h: int) -> int:
 
 
 def guard_window(typ: AffineType, h: int) -> None:
-    """ValueError for a negative height, and TooLarge, before anything is
+    """TypeError for a height that is not an int (a bool is none),
+    ValueError for a negative one, and TooLarge, before anything is
     enumerated, for a height-h window of more than MAX_WINDOW_ROOTS roots."""
+    if type(h) is not int:
+        raise TypeError(f"a window height must be an int, not {h!r}")
     if h < 0:
         raise ValueError(f"a window height must be >= 0, not {h}")
     size = window_size(typ, h)

@@ -11,9 +11,7 @@ import pytest
 
 import afweak
 from afweak.cli import (
-    InputError,
     _parser,
-    root_from_json,
     run,
     triple_to_json,
     windowset_to_json,
@@ -277,14 +275,6 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "AfweakError" in err or "no generator" in err
 
 
-def test_root_json_round_trip():
-    from afweak.cli import root_from_json, root_to_json
-
-    r = root_from_json({"family": "C", "n": 2, "i": -2, "j": 1})
-    assert (r.i, r.j) == (3, 6)  # canonical on output
-    assert root_to_json(r) == {"family": "C", "n": 2, "i": 3, "j": 6}
-
-
 def test_export_dot_empty():
     from afweak.cli import export_dot
 
@@ -362,8 +352,6 @@ def test_usage_error_exit_code(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, (obj, err)
         assert err.startswith("afweak: malformed input: "), (obj, err)
-    with pytest.raises(InputError, match="expected an integer, not 1.0"):
-        root_from_json({"family": "A", "n": 2, "i": 0, "j": 1.0})
 
 
 def test_malformed_seed_is_a_usage_error(monkeypatch):

@@ -26,6 +26,7 @@ from afweak.fan import (
     _classify_from_bits,
     _face_from_bits,
     _peel,
+    _phi_from_bits,
     _recover_w,
     _window_mask,
     act,
@@ -63,6 +64,9 @@ from afweak.roots import (
     all_class_keys,
     canonical_root,
     finite_class,
+    negate_class,
+    pair_class_keys,
+    primitive_direction,
     root_window,
     window_size,
 )
@@ -681,3 +685,104 @@ def test_mask_outcomes_match_the_per_root_reference():
             kinds.add(type(got) if isinstance(got, TryJoinResult) else got[0])
     assert kinds == {BiclosedTriple, TryJoinResult, NotBiclosed, UnstableWindow}
 
+
+
+# The id-building paths that the decomposition's block maps replaced,
+# kept as the reference: component ids are built from the block position
+# and the components searched by id.
+
+
+def _reference_component_of_root(decomp, r):
+    face = decomp.face
+    if face.pairing_sign(r) != 0:
+        return None
+    pos = face.block_of[face.residue(r.i)]
+    if face.type.family == "A":
+        cid = f"blk{pos}"
+    else:
+        mid = len(face.blocks) // 2
+        if pos != mid:
+            cid = f"blk{mid + abs(pos - mid)}"
+        else:
+            splits = [c for c in decomp.components if c.kind == "splitA1"]
+            if splits:
+                fin = finite_class(r)
+                return next(c for c in splits if fin in (
+                    primitive_direction(c.gamma),
+                    negate_class(primitive_direction(c.gamma))))
+            cid = "ctr"
+    return next(c for c in decomp.components if c.id == cid)
+
+
+def _reference_component_class_keys(comp):
+    keys = {finite_class(comp.to_global(loc)) for loc in root_window(comp.ctype, 1)}
+    return keys | {negate_class(k) for k in keys}
+
+
+def _reference_phi_prime_from_blocks(face, positions):
+    decomp = parahoric(face)
+    positions = set(positions)
+    if face.type.family == "A":
+        ids = {f"blk{k}" for k in positions}
+    else:
+        mid = len(face.blocks) // 2
+        ids = set()
+        for k in positions:
+            if k == mid:
+                ids.update(c.id for c in decomp.components
+                           if c.kind in ("central", "splitA1"))
+                continue
+            partner = 2 * mid - k
+            if partner not in positions:
+                raise UnpairedPhiPrime(
+                    f"block {k} selected without its negative {partner}")
+            ids.add(f"blk{max(k, partner)}")
+    known = set(decomp.ids())
+    if not ids <= known:
+        raise ComponentMismatch(f"unknown components {sorted(ids - known)}")
+    return frozenset(ids)
+
+
+def _ids_or_error(f, *args):
+    try:
+        return f(*args)
+    except (UnpairedPhiPrime, ComponentMismatch) as e:
+        return type(e), str(e) if isinstance(e, UnpairedPhiPrime) else None
+
+
+def test_component_maps_match_the_id_reference():
+    rng = random.Random(SEED + 63)
+    types = [AffineType(f, n) for f, ns in (
+        ("A", (2, 3, 4)), ("B", (1, 2, 3)), ("C", (1, 2, 3)), ("D", (2, 3, 4)))
+        for n in ns]
+    subsets = 0
+    for typ in types:
+        window = root_window(typ, 2)
+        keyvec = pair_class_keys(typ)
+        for face in enumerate_faces(typ):
+            decomp = parahoric(face)
+            for r in window:
+                assert decomp.component_of_root(r) == (
+                    _reference_component_of_root(decomp, r)), (face, r)
+            for comp in decomp.components:
+                keys = {key for pair, key in keyvec.items()
+                        if decomp.component_of_pair(*pair) == comp}
+                want = _reference_component_class_keys(comp)
+                assert keys == want, (face, comp.id)
+                # Phi' read off asymptotic bits full on exactly these classes
+                bits = {k: k in want for k in all_class_keys(typ)}
+                assert _phi_from_bits(face, bits) == {comp.id}, (face, comp.id)
+            # every subset of block positions, sampled on faces with many
+            # blocks, and positions outside the face
+            blocks = range(len(face.blocks))
+            picks = [s for k in range(len(blocks) + 1)
+                     for s in itertools.combinations(blocks, k)]
+            if len(picks) > 64:
+                picks = rng.sample(picks, 64)
+            picks += [(-1,), (len(blocks),), (-1, len(blocks))]
+            for pick in picks:
+                got = _ids_or_error(phi_prime_from_blocks, face, pick)
+                assert got == _ids_or_error(
+                    _reference_phi_prime_from_blocks, face, pick), (face, pick)
+            subsets += len(picks)
+    assert subsets > 10000

@@ -8,6 +8,7 @@ import pytest
 from afweak.errors import (
     DRepresentationRequired,
     InvalidTwist,
+    NotARoot,
     OutOfDomain,
 )
 from afweak.fan import (
@@ -25,8 +26,12 @@ from afweak.fan import (
     phi_prime_from_blocks,
 )
 from afweak.orders import (
+    BlockData,
     DTwist,
+    PeriodicOrder,
+    _block_perm_type,
     _block_position_fn,
+    _central_inversion_roots,
     _central_order_perm,
     compare,
     d_twist_set,
@@ -41,9 +46,11 @@ from afweak.orders import (
 from afweak.perms import (
     from_window,
     identity,
+    max_displacement,
     multiply,
     reflection,
     simple_reflections,
+    word,
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import all_triples
@@ -276,3 +283,56 @@ def test_d_twist_in_bigger_rank():
     base = periodic_order(face)
     t = d_twist_set(DTwist(base, (1, 2)))
     assert classify(t.window(4)) == t
+
+
+def _reference_central_inversion_roots(o, k):
+    """The height scan that reading the block permutation replaced: every
+    admissible root up to twice the displacement of the central block,
+    kept where the forward order inverts it."""
+    face = o.face
+    typ = face.type
+    m = typ.modulus
+    data = o.data_at(k)
+    reps = sorted(v % m for v in face.blocks[k] if v % m != 0)
+    forward = PeriodicOrder(
+        face, o.block_data[:k] + (BlockData(False, data.perm),) + o.block_data[k + 1:])
+    pos = _block_position_fn(forward, k)
+    disp = 0 if data.perm is None else max_displacement(data.perm)
+    out = set()
+    for i in reps:
+        for j in range(i + 1, i + (2 * disp + 3) * m):
+            if j % m not in reps:
+                continue
+            try:
+                r = canonical_root(typ, i, j)
+            except NotARoot:
+                continue
+            if (r.i, r.j) == (i, j) and pos(i) > pos(j):
+                out.add(r)
+    return out
+
+
+def test_central_inversion_roots_match_the_height_scan():
+    # every face of B2-B4, C2-C4 and D2-D4 with a central block
+    # permutation, six random words of length 0-6 each, forward or
+    # reversed
+    rng = random.Random(7)
+    orders = nonempty = 0
+    for fam in "BCD":
+        for n in (2, 3, 4):
+            for face in enumerate_faces(AffineType(fam, n)):
+                mid = len(face.blocks) // 2
+                ptype = _block_perm_type(face, mid)
+                if ptype is None:
+                    continue
+                gens = simple_reflections(ptype)
+                for _ in range(6):
+                    u = word(ptype, [rng.randrange(len(gens))
+                                     for _ in range(rng.randrange(7))])
+                    o = periodic_order(face, [mid] if rng.random() < 0.5 else [],
+                                       {mid: None if u.is_identity() else u})
+                    got = _central_inversion_roots(o, mid)
+                    assert got == _reference_central_inversion_roots(o, mid), o
+                    orders += 1
+                    nonempty += bool(got)
+    assert orders == 9810 and nonempty > 3000

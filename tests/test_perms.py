@@ -54,6 +54,16 @@ def test_from_window_validation():
         from_window(C2, [1, 4])  # 4 = -1 collides with 1 up to sign
 
 
+def test_from_window_rejects_non_integers():
+    # values are checked, never coerced: a float, a string or a bool (no
+    # int here) is a TypeError, even where int() would give a valid window
+    a3 = AffineType("A", 3)
+    for values in ([1.9, 2.5, 3.99], [True, "2", 3.5], [1, 2, 3.0], [1, True, 4]):
+        with pytest.raises(TypeError, match="window values must be ints"):
+            from_window(a3, values)
+    assert from_window(a3, iter([3, 2, 1])).window == (3, 2, 1)
+
+
 def test_parity_violation_message():
     t23 = reflection(C2, 2, 3)
     with pytest.raises(ParityViolation) as exc:

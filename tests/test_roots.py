@@ -42,6 +42,21 @@ SMALL_TYPES = [AffineType(fam, n)
                for n in range(lo, hi + 1)]
 
 
+def test_rank_and_height_must_be_ints():
+    # a bool is no int: AffineType("A", True) would be A1, and a window of
+    # height True would read the cached h = 1 window
+    for n in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="rank n must be an int"):
+            AffineType("A", n)
+    a3 = AffineType("A", 3)
+    for h in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="window height must be an int"):
+            guard_window(a3, h)
+        with pytest.raises(TypeError, match="window height must be an int"):
+            WindowSet(a3, h, [])
+    guard_window(a3, 1)
+
+
 def test_canonical_translation():
     assert canonical_root(A4, 5, 7).pair() == (1, 3)
     assert canonical_root(A4, 1, 3).pair() == (1, 3)  # idempotent
