@@ -112,10 +112,6 @@ def window_set(typ: AffineType, h: int, roots) -> WindowSet:
     return WindowSet(typ, h, frozenset(roots))
 
 
-def full_window(typ: AffineType, h: int) -> WindowSet:
-    return WindowSet.from_mask(typ, h, _full_mask(typ, h))
-
-
 @lru_cache(maxsize=64)
 def _window_index(typ: AffineType, h: int):
     roots = root_window(typ, h)

@@ -11,6 +11,10 @@ read per class, with the component inversions xored in on the zero part.
 
 The face functional is never realized in coordinates: its sign on
 e~_j - e~_i is the difference of the block indices of the residues.
+Read back from comparisons, a face is found by counting: an element's
+level is the number of elements it is directly after, and the blocks
+are the levels; in family D, which never compares v with -v, the middle
+singletons {-v} < {v} share a level and so form the central block {+-v}.
 
 ``parahoric`` alone names the components and maps blocks to them; every
 other reader, here and in ``orders`` and ``lattice``, asks its
@@ -443,7 +447,7 @@ def phi_prime_from_blocks(face: FanFace, positions) -> frozenset[str]:
                 f"block {k} selected without its negative {2 * mid - k}"
             )
         comps = decomp.by_block[k] if 0 <= k < nblocks else ()
-        if not comps and (face.type.family == "A" or k != mid):
+        if not comps:
             empty.add(k)
         ids.update(c.id for c in comps)
     if empty:
@@ -647,29 +651,37 @@ def _recover_w_a(decomp: ParahoricDecomposition, x: set[Root]):
             raise NotBiclosed("the zero part is not a parahoric inversion set")
         local.setdefault(comp.id, set()).add(
             canonical_root(comp.ctype, comp.rho(r.i), comp.rho(r.j)))
-    return {comp.id: _from_inversions(comp.ctype, local[comp.id])
-            for comp in decomp.components if comp.id in local}
+    out = {}
+    for comp in decomp.components:
+        inv = local.get(comp.id)
+        if inv is None:
+            continue
+        try:
+            u = _from_inversions(comp.ctype, ((r.i, r.j, 1) for r in inv))
+        except InvalidWindow:
+            u = None
+        if u is None or inversions(u) != inv:
+            raise NotBiclosed("the zero part is not a parahoric inversion set")
+        out[comp.id] = u
+    return out
 
 
-def _from_inversions(typ: AffineType, inv: set[Root]) -> AffinePermutation:
-    """The family-A element u with N(u) = inv, else NotBiclosed.
+def _from_inversions(typ: AffineType, counts) -> AffinePermutation:
+    """The family-A element u with, for each (p, q, n) of counts, n
+    translation classes of inversions (p, q) (p and q taken mod M);
+    InvalidWindow when no element has these counts.
 
     With v = u^{-1}, (p, q) is an inversion iff p < q and v(p) > v(q), and
     v(p) - p = #{inversions (p, q)} - #{inversions (q, p)}: v moves p past
-    exactly the points it inverts with.
+    exactly the points it inverts with.  Sets other than N(u) can have
+    the same counts, so a caller holding a set compares it with N(u).
     """
     m = typ.modulus
     shift = [0] * m
-    for r in inv:
-        shift[r.i % m] += 1
-        shift[r.j % m] -= 1
-    try:
-        u = invert(from_window(typ, [p + shift[p % m] for p in range(1, m + 1)]))
-    except InvalidWindow:
-        u = None
-    if u is None or inversions(u) != inv:
-        raise NotBiclosed("the zero part is not a parahoric inversion set")
-    return u
+    for p, q, n in counts:
+        shift[p % m] += n
+        shift[q % m] -= n
+    return invert(from_window(typ, [p + shift[p % m] for p in range(1, m + 1)]))
 
 
 def _peel(decomp: ParahoricDecomposition, x: set[Root]):
@@ -771,45 +783,28 @@ def _ordered_blocks(ground, equal, after, error) -> list[frozenset[int]]:
     """The blocks of a total preorder given by pairwise comparisons.
 
     ``equal`` pairs share a block; an ``after`` pair (a, b) puts a's block
-    above b's.  Blocks are listed bottom to top, by the number of blocks
-    transitively below each one: the direct comparisons may skip a pair
-    (the +-singletons of family D) that is ordered only through other
-    blocks.  A strict comparison inside a block or a block order that is
-    not total raises ``error``.
+    above b's.  An element's level is the number of elements it is
+    directly after, and the blocks are the levels, bottom to top.  When
+    every pair is compared (families A, B, C) a level counts the elements
+    strictly below, so it is constant on a block and grows from block to
+    block.  Family D skips the pairs (v, -v): an element above the middle
+    misses only its own negative, which keeps the level constant on its
+    block, and two blocks tie only as the singletons {-v} < {v} at the
+    middle, which share one level and form the central block {+-v}.  An
+    ``equal`` pair on two levels, or an ``after`` pair not going up a
+    level, raises ``error``.
     """
-    parent = {v: v for v in ground}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in equal:
-        parent[find(a)] = find(b)
+    level = dict.fromkeys(ground, 0)
+    for a, _ in after:
+        level[a] += 1
+    if any(level[a] != level[b] for a, b in equal):
+        raise error("strict comparison inside a block")
+    if any(level[a] <= level[b] for a, b in after):
+        raise error("block order is not total")
     blocks: dict[int, set[int]] = {}
     for v in ground:
-        blocks.setdefault(find(v), set()).add(v)
-    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
-    below: dict[frozenset, set[frozenset]] = {x: set() for x in fsets.values()}
-    for a, b in after:
-        fa, fb = fsets[find(a)], fsets[find(b)]
-        if fa == fb:
-            raise error("strict comparison inside a block")
-        below[fa].add(fb)
-    changed = True
-    while changed:
-        changed = False
-        for x in below.values():
-            grow = set().union(*(below[y] for y in x))
-            if not grow <= x:
-                x |= grow
-                changed = True
-    blist = sorted(below, key=lambda x: (len(below[x]), sorted(x)))
-    for i, x in enumerate(blist):
-        if any(y in below[x] for y in blist[i + 1:]):
-            raise error("block order is not total")
-    return blist
+        blocks.setdefault(level[v], set()).add(v)
+    return [frozenset(blocks[k]) for k in sorted(blocks)]
 
 
 def _face_from_bits(typ: AffineType, bits) -> tuple[FanFace, frozenset[str]]:
@@ -832,35 +827,19 @@ def _face_from_bits(typ: AffineType, bits) -> tuple[FanFace, frozenset[str]]:
         else:
             after.append((b, a))
     blist = _ordered_blocks(ground, equal, after, NotBiclosed)
-    if typ.family == "A":
-        try:
-            face = FanFace(typ, tuple(blist))
-        except ValueError as e:
-            raise NotBiclosed(f"asymptotic data gives no face: {e}") from e
-        return face, _phi_from_bits(face, bits)
-    # signed families: locate/insert the central block
-    self_neg = [b for b in blist if frozenset(-v for v in b) == b]
-    if len(self_neg) > 1:
-        raise NotBiclosed("several self-negated blocks")
-    if self_neg:
-        mid = blist.index(self_neg[0])
-        if typ.family in ("B", "C"):
-            blist[mid] = frozenset(self_neg[0] | {0})
-    else:
-        if len(blist) % 2:
+    if typ.family != "A":
+        # signed families: locate or insert the central block
+        self_neg = [b for b in blist if frozenset(-v for v in b) == b]
+        if len(self_neg) > 1:
+            raise NotBiclosed("several self-negated blocks")
+        if self_neg:
+            if typ.family in ("B", "C"):
+                blist[blist.index(self_neg[0])] = self_neg[0] | {0}
+        elif len(blist) % 2:
             raise NotBiclosed("odd block count without a self-negated block")
-        mid = len(blist) // 2
-        lower, upper = blist[mid - 1], blist[mid]
-        if typ.family == "D" and len(upper) == 1:
-            v = next(iter(upper))
-            if lower != frozenset({-v}):
-                raise NotBiclosed("unmergeable middle blocks")
-            blist[mid - 1: mid + 1] = [frozenset({v, -v})]
-            mid = mid - 1
-        elif typ.family == "D":
-            blist[mid:mid] = [frozenset()]
         else:
-            blist[mid:mid] = [frozenset({0})]
+            blist.insert(len(blist) // 2,
+                         frozenset() if typ.family == "D" else frozenset({0}))
     try:
         face = FanFace(typ, tuple(blist))
     except ValueError as e:

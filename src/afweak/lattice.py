@@ -8,6 +8,9 @@ are handled with Kleene stars, so no unbounded fixpoint iteration is
 needed; meets are complement-dual joins.  The order check reads the
 least and largest point of every entry first and decides the sums with
 a ray [T, oo) from those; the rest take the general IntSet operations.
+The periodic order model bridges relations and triples both ways: iota
+writes the relation of a triple's order, and pi reads the order that a
+relation encodes and writes its relation back, which certifies it.
 Family C reduces to family A by the negation involution sigma, whose
 fixed points the C-orders are.  A C join or meet projects through pi
 once; whether the result is sigma-fixed and whether its pull-back
@@ -27,6 +30,7 @@ from math import inf
 
 from . import closure as _closure
 from .errors import (
+    InvalidWindow,
     NotAnOrder,
     NotBiclosed,
     SigmaFixednessViolated,
@@ -40,13 +44,14 @@ from .fan import (
     classify,
     origin_face,
     parahoric,
+    _from_inversions,
     _ordered_blocks,
-    _recover_w,
 )
 from .intset import IntSet, _is_ray
-from .orders import _block_position_fn, order_from_triple
+from .orders import (BlockData, PeriodicOrder, _block_position_fn, inversion_set,
+                     order_from_triple)
 from .perms import from_window
-from .roots import AffineType, Root, canonical_root
+from .roots import AffineType
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +122,6 @@ class ThresholdRelation:
             return "Empty" if empty else "AtMost"
         full = v.is_cofinal_from() == _eps(a, b) and w.is_empty()
         return "All" if full else "AtLeast"
-
-
-def relation_from_pairs(m: int, roots) -> ThresholdRelation:
-    """The finite relation of an explicit set of family-A roots."""
-    cells: dict[tuple[int, int], set[int]] = {}
-    for r in roots:
-        cells.setdefault((r.i, r.j % m), set()).add(r.j // m)
-    rows = (
-        tuple(IntSet.points(cells.get((a, b), ())) for b in range(m)) for a in range(m)
-    )
-    return ThresholdRelation(m, tuple(rows))
 
 
 def _shape(s: IntSet) -> tuple[int, int | float, bool] | None:
@@ -215,22 +209,17 @@ _EMPTY = IntSet.empty()
 _RAYS = (IntSet.from_range(0), IntSet.from_range(1))
 
 
-def iota(t: BiclosedTriple) -> ThresholdRelation:
-    """The threshold relation of a family-A or family-C triple.
+def _relation(o: PeriodicOrder) -> ThresholdRelation:
+    """The threshold relation of a family-A or family-C periodic order.
 
-    The relation is read off the triple's canonical periodic order, in
-    which singleton classes are ordered increasingly.  Positions inside a
-    block come from the block-position function of ``orders.precedes``;
-    a family-C block below the centre mirrors its negation,
-    pos_k(x) = -pos_{2 mid - k}(-x), and the central block places the
-    multiples of M.  A family-C triple therefore yields, over residues
-    0..M-1, the relation of its sigma-fixed family-A order.
+    Positions inside a block come from the block-position function of
+    ``orders.precedes``; a family-C block below the centre mirrors its
+    negation, pos_k(x) = -pos_{2 mid - k}(-x), and the central block
+    places the multiples of M.  A family-C order therefore yields, over
+    residues 0..M-1, the relation of its sigma-fixed family-A order.
     """
-    typ = t.type
-    if typ.family not in ("A", "C"):
-        raise TypeMismatch("iota takes family-A or family-C triples")
+    typ = o.type
     m = typ.modulus
-    o = order_from_triple(t)
     face = o.face
     top = len(face.blocks) - 1
     block, pos, step = {}, {}, {}
@@ -264,8 +253,25 @@ def iota(t: BiclosedTriple) -> ThresholdRelation:
     return ThresholdRelation(m, tuple(rows))
 
 
+def iota(t: BiclosedTriple) -> ThresholdRelation:
+    """The threshold relation of a family-A or family-C triple: the
+    relation of its canonical periodic order, in which singleton classes
+    are ordered increasingly."""
+    if t.type.family not in ("A", "C"):
+        raise TypeMismatch("iota takes family-A or family-C triples")
+    return _relation(order_from_triple(t))
+
+
 def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
-    """Project a translation-invariant order onto its family-A triple."""
+    """Project a translation-invariant order onto its family-A triple.
+
+    pi reads the order that r encodes and writes its relation back: the
+    face from entry finiteness, each block's orientation from a diagonal
+    entry, and its permutation from the in-block inversion counts
+    (``fan._from_inversions``), complemented in a reversed block.  Only
+    the relation of a genuine order equals the relation written back;
+    any other r raises NotAnOrder.
+    """
     if typ.family != "A" or typ.modulus != r.M:
         raise TypeMismatch("pi needs the family-A type matching the modulus")
     m = r.M
@@ -273,52 +279,35 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
     equal, after = [], []
     for a in range(m):
         for b in range(a + 1, m):
-            va, vb = r.entry(a, b), r.entry(b, a)
-            fa, fb = va.is_finite(), vb.is_finite()
-            if fa and fb:
+            fa, fb = r.entry(a, b).is_finite(), r.entry(b, a).is_finite()
+            if fa == fb:
                 equal.append((a, b))
-            elif not fa and not fb:
-                if va.is_cofinal_from() is None or vb.is_cofinal_from() is None:
-                    raise NotAnOrder(f"entry ({a},{b}) has a patterned tail")
-                equal.append((a, b))
-            elif fa:
-                if not va.is_empty() or vb != IntSet.from_range(_eps(b, a)):
-                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
-                after.append((b, a))
             else:
-                if not vb.is_empty() or va != IntSet.from_range(_eps(a, b)):
-                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
-                after.append((a, b))
+                after.append((b, a) if fa else (a, b))
     face = FanFace(typ, tuple(_ordered_blocks(range(m), equal, after, NotAnOrder)))
-    decomp = parahoric(face)
-    phi = set()
-    x_roots: set[Root] = set()
-    for k, blk in enumerate(face.blocks):
-        if len(blk) == 1:
-            continue  # singleton orientations carry no root data
-        probe = next(iter(blk))
-        reversed_ = not r.entry(probe, probe).is_empty()
-        for a in blk:
-            diag_rev = not r.entry(a, a).is_empty()
-            if diag_rev != reversed_:
-                raise NotAnOrder("mixed orientations inside a block")
-        if reversed_:
-            phi.add(decomp.by_block[k][0].id)
-        for a in blk:
-            for b in blk:
-                if a == b:
-                    continue
-                data = (
-                    r.entry(a, b).complement_in(_eps(a, b))
-                    if reversed_
-                    else r.entry(a, b)
-                )
-                if not data.is_finite():
-                    raise NotAnOrder(f"in-block entry ({a},{b}) is infinite")
-                for d in data.upto(data.max_finite() or 0):
-                    x_roots.add(canonical_root(typ, a, b + d * m))
-    wmap = _recover_w(decomp, x_roots)
-    return build_biclosed(face, frozenset(phi), wmap)
+    data = []
+    for blk in face.blocks:
+        reps = sorted(blk)
+        reversed_ = not r.entry(reps[0], reps[0]).is_empty()
+        counts = []
+        for (p, a), (q, b) in itertools.permutations(enumerate(reps), 2):
+            inv = r.entry(a, b)
+            if reversed_:
+                inv = inv.complement_in(_eps(a, b))
+            # the shifts d of the inversions (a, b + dM); an infinite set
+            # fails the certificate below, whatever it counts
+            counts.append((p, q, inv.fin.bit_count()))
+        perm = None
+        if len(reps) > 1:
+            try:
+                perm = _from_inversions(AffineType("A", len(reps)), counts)
+            except InvalidWindow as e:
+                raise NotAnOrder(f"block {reps} has no element: {e}") from e
+        data.append(BlockData(reversed_, perm))
+    o = PeriodicOrder(face, tuple(data))
+    if _relation(o) != r:
+        raise NotAnOrder("the relation is not that of the order it encodes")
+    return inversion_set(o)
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,12 @@ def _translate_first(typ: AffineType, i: int, j: int) -> tuple[int, int]:
 def canonical_root(typ: AffineType, i: int, j: int) -> Root:
     """Return the canonical representative of the root e~_j - e~_i.
 
-    Raises NotARoot if (i, j) is inadmissible for the family or names a
+    Raises TypeError if i or j is not an int (a bool is none), and
+    NotARoot if (i, j) is inadmissible for the family or names a
     non-positive vector.
     """
+    if type(i) is not int or type(j) is not int:
+        raise TypeError(f"root indices must be ints, not {i!r}, {j!r}")
     if i >= j:
         raise NotARoot(f"({i},{j}) is not a positive root (need i < j)")
     m = typ.modulus
@@ -226,9 +229,14 @@ def guard_window(typ: AffineType, h: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def root_window(typ: AffineType, h: int) -> tuple[Root, ...]:
-    """All canonical roots of delta-height <= h, sorted by (height, i, j)."""
+    """All canonical roots of delta-height <= h, sorted by (height, i, j).
+
+    TypeError for a height that is not an int (a bool is none); the cache
+    is typed, so a bool or float never meets a cached int height."""
+    if type(h) is not int:
+        raise TypeError(f"a window height must be an int, not {h!r}")
     m = typ.modulus
     out = []
     first = range(m) if typ.family == "A" else range(1, m)

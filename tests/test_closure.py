@@ -18,7 +18,6 @@ from afweak.closure import (
     commensurable,
     doubling_check,
     finite_biclosed_bfs,
-    full_window,
     interior,
     is_biclosed,
     stable_close,
@@ -131,7 +130,7 @@ def test_close_is_order_independent():
 
 
 def test_interior_examples():
-    w = full_window(A2, 3)
+    w = window_set(A2, 3, root_window(A2, 3))
     assert interior(w).members == w.members
     lone = window_set(A2, 3, [canonical_root(A2, 0, 3)])
     assert interior(lone).members == frozenset()
@@ -161,8 +160,9 @@ def test_a_pass_certificate_is_shared_and_a_failure_is_fresh():
     from afweak.fan import classify
     from afweak.lattice import TryJoinResult
 
+    d4 = AffineType("D", 4)
     ok = [is_biclosed(window_set(A2, 3, [])),
-          is_biclosed(full_window(AffineType("D", 4), 2))]
+          is_biclosed(window_set(d4, 2, root_window(d4, 2)))]
     assert ok[0] is ok[1] == FiniteBiclosedCertificate(True)
     bad = window_set(A2, 3, [canonical_root(A2, 0, 3)])
     first, again = is_biclosed(bad), is_biclosed(bad)
@@ -389,8 +389,9 @@ def test_window_set_contract():
     assert WindowSet(typ, h, []) != WindowSet(typ, h + 1, [])
     assert all((r in a) == (r in members) for r in window)
     above = next(r for r in root_window(typ, h + 1) if r.height > h)
-    assert above not in a and above not in full_window(typ, h)
-    assert canonical_root(A2, 0, 1) not in full_window(typ, h)
+    full = window_set(typ, h, window)
+    assert above not in a and above not in full
+    assert canonical_root(A2, 0, 1) not in full
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.mask = 0
     # the repr of the frozen dataclass over (type, H, members)

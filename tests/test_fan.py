@@ -23,6 +23,7 @@ from afweak.errors import (
 )
 from afweak.fan import (
     BiclosedTriple,
+    FanFace,
     _classify_from_bits,
     _face_from_bits,
     _peel,
@@ -205,6 +206,17 @@ def test_build_rejects_a_bad_split_image(monkeypatch):
 def test_phi_prime_from_blocks_pairing():
     f = face_from_blocks(C2, [{-2}, {-1}, {0}, {1}, {2}])
     assert phi_prime_from_blocks(f, []) == frozenset()
+    # a middle without a component is refused like any other position:
+    # the B2 chamber's {0}, a D3 empty centre and a D3 centre {+-v}
+    for typ, blocks, pos in (
+        (B2, [{-2}, {-1}, {0}, {1}, {2}], [2]),
+        (D3, [{-3}, {-1, -2}, set(), {1, 2}, {3}], [2]),
+        (D3, [{-3}, {-2}, {-1, 1}, {2}, {3}], [2]),
+    ):
+        with pytest.raises(ComponentMismatch, match=r"blocks \[2\] hold no"):
+            phi_prime_from_blocks(face_from_blocks(typ, blocks), pos)
+    with pytest.raises(ComponentMismatch, match=r"blocks \[1, 3\] hold no"):
+        phi_prime_from_blocks(f, [1, 3])
     f = face_from_blocks(C2, [{-1, -2}, {0}, {1, 2}])
     assert phi_prime_from_blocks(f, [0, 2]) == frozenset({"blk2"})
     with pytest.raises(UnpairedPhiPrime):
@@ -729,8 +741,9 @@ def _reference_phi_prime_from_blocks(face, positions):
         ids = set()
         for k in positions:
             if k == mid:
-                ids.update(c.id for c in decomp.components
-                           if c.kind in ("central", "splitA1"))
+                # a middle without a component names an unknown id
+                ids |= {c.id for c in decomp.components
+                        if c.kind in ("central", "splitA1")} or {"ctr"}
                 continue
             partner = 2 * mid - k
             if partner not in positions:
@@ -786,3 +799,137 @@ def test_component_maps_match_the_id_reference():
                     _reference_phi_prime_from_blocks, face, pick), (face, pick)
             subsets += len(picks)
     assert subsets > 10000
+
+
+# The face reader that counting levels replaced, kept as the reference:
+# a union-find of the equal pairs, a transitive closure of the block
+# order, and a merge of the family-D middle singletons.
+
+
+def _reference_ordered_blocks(ground, equal, after, error):
+    parent = {v: v for v in ground}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in equal:
+        parent[find(a)] = find(b)
+    blocks = {}
+    for v in ground:
+        blocks.setdefault(find(v), set()).add(v)
+    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
+    below = {x: set() for x in fsets.values()}
+    for a, b in after:
+        fa, fb = fsets[find(a)], fsets[find(b)]
+        if fa == fb:
+            raise error("strict comparison inside a block")
+        below[fa].add(fb)
+    changed = True
+    while changed:
+        changed = False
+        for x in below.values():
+            grow = set().union(*(below[y] for y in x))
+            if not grow <= x:
+                x |= grow
+                changed = True
+    blist = sorted(below, key=lambda x: (len(below[x]), sorted(x)))
+    for i, x in enumerate(blist):
+        if any(y in below[x] for y in blist[i + 1:]):
+            raise error("block order is not total")
+    return blist
+
+
+def _reference_face_from_bits(typ, bits):
+    keyvec = pair_class_keys(typ)
+    if typ.family == "A":
+        ground = list(range(typ.modulus))
+    else:
+        ground = [v for v in range(-typ.n, typ.n + 1) if v != 0]
+    equal, after = [], []
+    for (a, b), key in keyvec.items():
+        if a > b and (b, a) in keyvec:
+            continue
+        in_ab, in_ba = bits[key], bits[keyvec[(b, a)]]
+        if in_ab == in_ba:
+            equal.append((a, b))
+        else:
+            after.append((a, b) if in_ab else (b, a))
+    blist = _reference_ordered_blocks(ground, equal, after, NotBiclosed)
+    if typ.family != "A":
+        self_neg = [b for b in blist if frozenset(-v for v in b) == b]
+        if len(self_neg) > 1:
+            raise NotBiclosed("several self-negated blocks")
+        if self_neg:
+            mid = blist.index(self_neg[0])
+            if typ.family in ("B", "C"):
+                blist[mid] = frozenset(self_neg[0] | {0})
+        else:
+            if len(blist) % 2:
+                raise NotBiclosed("odd block count without a self-negated block")
+            mid = len(blist) // 2
+            lower, upper = blist[mid - 1], blist[mid]
+            if typ.family == "D" and len(upper) == 1:
+                v = next(iter(upper))
+                if lower != frozenset({-v}):
+                    raise NotBiclosed("unmergeable middle blocks")
+                blist[mid - 1: mid + 1] = [frozenset({v, -v})]
+            elif typ.family == "D":
+                blist[mid:mid] = [frozenset()]
+            else:
+                blist[mid:mid] = [frozenset({0})]
+    try:
+        face = FanFace(typ, tuple(blist))
+    except ValueError as e:
+        raise NotBiclosed(f"asymptotic data gives no face: {e}") from e
+    return face, _phi_from_bits(face, bits)
+
+
+def _face_bits(face, phi):
+    """The asymptotic class bits of B(F, Phi'): a class is in when the
+    face functional is negative on it, or zero and its component is in
+    Phi'."""
+    decomp = parahoric(face)
+    bo = face.block_of
+    bits = dict.fromkeys(all_class_keys(face.type), False)
+    for (a, b), key in pair_class_keys(face.type).items():
+        d = bo[b] - bo[a]
+        bits[key] = d < 0 or (d == 0 and decomp.component_of_pair(a, b).id in phi)
+    return bits
+
+
+def _face_or_rejected(read, typ, bits):
+    try:
+        return read(typ, bits)
+    except NotBiclosed:
+        return NotBiclosed
+
+
+def test_face_reader_matches_the_closure_reference():
+    rng = random.Random(SEED + 64)
+    patterns = 0
+    for f, ns in (("A", (2, 3, 4)), ("B", (1, 2, 3)), ("C", (1, 2, 3)),
+                  ("D", (2, 3, 4))):
+        for n in ns:
+            typ = AffineType(f, n)
+            keys = all_class_keys(typ)
+            genuine = []
+            for face in enumerate_faces(typ):
+                ids = parahoric(face).ids()
+                for k in range(len(ids) + 1):
+                    for phi in itertools.combinations(ids, k):
+                        bits = _face_bits(face, set(phi))
+                        assert _face_from_bits(typ, bits) == (face, frozenset(phi))
+                        genuine.append(bits)
+            flips = []
+            for bits in rng.choices(genuine, k=300):
+                key = rng.choice(keys)
+                flips.append({**bits, key: not bits[key]})
+            noise = [{k: rng.random() < 0.5 for k in keys} for _ in range(300)]
+            for bits in genuine + flips + noise:
+                assert _face_or_rejected(_face_from_bits, typ, bits) == (
+                    _face_or_rejected(_reference_face_from_bits, typ, bits)), bits
+                patterns += 1
+    assert patterns == 10086

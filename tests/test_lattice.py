@@ -2,6 +2,7 @@
 
 import os
 import random
+from functools import reduce
 
 import pytest
 
@@ -20,6 +21,7 @@ from afweak.errors import (
 from afweak.fan import (
     BiclosedTriple,
     FanFace,
+    _recover_w,
     build_biclosed,
     classify,
     face_from_blocks,
@@ -30,6 +32,7 @@ from afweak.fan import (
 from afweak.intset import IntSet
 from afweak.lattice import (
     ThresholdRelation,
+    _eps,
     TryJoinResult,
     a_ambient,
     check_order,
@@ -43,7 +46,6 @@ from afweak.lattice import (
     meet_A,
     meet_C,
     pi,
-    relation_from_pairs,
     restrict_c,
     sigma,
     sigma_relation,
@@ -125,8 +127,9 @@ def test_threshold_closure_is_transitive_and_idempotent():
 
 
 def test_check_order_flags_non_orders():
-    # an inversion that factors through two non-inversions
-    bad = relation_from_pairs(2, [canonical_root(A2, 0, 3)])
+    # the one inversion (0, 3) factors through two non-inversions
+    e = IntSet.empty()
+    bad = ThresholdRelation(2, ((e, IntSet.points([1])), (e, e)))
     with pytest.raises(NotAnOrder):
         check_order(bad)
 
@@ -153,9 +156,10 @@ def _perturbed_relations(rng, count):
 
 
 def test_pi_rejects_or_round_trips_perturbed_blocks():
-    # the in-block inversions pi hands to the component read-off come
-    # straight from the cells; a perturbed cell must be rejected, or the
-    # relation must be a genuine order again
+    # pi counts the in-block inversions straight from the cells; a
+    # perturbed cell either fails the order check or the certificate
+    # that the relation is that of the order read, so it raises
+    # NotAnOrder, or the relation is a genuine order again
     rng = random.Random(SEED + 43)
     seen = set()
     for typ, r2 in _perturbed_relations(rng, 150):
@@ -165,7 +169,7 @@ def test_pi_rejects_or_round_trips_perturbed_blocks():
             seen.add(type(err))
             continue
         assert iota(out).V == r2.V
-    assert NotBiclosed in seen
+    assert seen == {NotAnOrder}
 
 
 def _reference_check_order(r):
@@ -227,6 +231,125 @@ def test_check_order_matches_the_general_operations():
             assert msg == _outcome(_reference_check_order, s)
             messages.add(msg and msg.split(" ")[1])
     assert {None, "inversion", "diagonal"} <= messages
+
+
+# pi before it read the periodic order, kept as the reference: a union-find
+# and closure face reader, shape and orientation checks, in-block roots
+# built from the cells and handed to the component read-off.
+
+
+def _reference_ordered_blocks(ground, equal, after, error):
+    parent = {v: v for v in ground}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in equal:
+        parent[find(a)] = find(b)
+    blocks = {}
+    for v in ground:
+        blocks.setdefault(find(v), set()).add(v)
+    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
+    below = {x: set() for x in fsets.values()}
+    for a, b in after:
+        fa, fb = fsets[find(a)], fsets[find(b)]
+        if fa == fb:
+            raise error("strict comparison inside a block")
+        below[fa].add(fb)
+    changed = True
+    while changed:
+        changed = False
+        for x in below.values():
+            grow = set().union(*(below[y] for y in x))
+            if not grow <= x:
+                x |= grow
+                changed = True
+    blist = sorted(below, key=lambda x: (len(below[x]), sorted(x)))
+    for i, x in enumerate(blist):
+        if any(y in below[x] for y in blist[i + 1:]):
+            raise error("block order is not total")
+    return blist
+
+
+def _reference_pi(r, typ):
+    m = r.M
+    check_order(r)
+    equal, after = [], []
+    for a in range(m):
+        for b in range(a + 1, m):
+            va, vb = r.entry(a, b), r.entry(b, a)
+            fa, fb = va.is_finite(), vb.is_finite()
+            if fa and fb:
+                equal.append((a, b))
+            elif not fa and not fb:
+                if va.is_cofinal_from() is None or vb.is_cofinal_from() is None:
+                    raise NotAnOrder(f"entry ({a},{b}) has a patterned tail")
+                equal.append((a, b))
+            elif fa:
+                if not va.is_empty() or vb != IntSet.from_range(_eps(b, a)):
+                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
+                after.append((b, a))
+            else:
+                if not vb.is_empty() or va != IntSet.from_range(_eps(a, b)):
+                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
+                after.append((a, b))
+    face = FanFace(typ, tuple(_reference_ordered_blocks(range(m), equal, after,
+                                                        NotAnOrder)))
+    decomp = parahoric(face)
+    phi, x_roots = set(), set()
+    for k, blk in enumerate(face.blocks):
+        if len(blk) == 1:
+            continue
+        reversed_ = not r.entry(next(iter(blk)), next(iter(blk))).is_empty()
+        if any((not r.entry(a, a).is_empty()) != reversed_ for a in blk):
+            raise NotAnOrder("mixed orientations inside a block")
+        if reversed_:
+            phi.add(decomp.by_block[k][0].id)
+        for a in blk:
+            for b in blk:
+                if a == b:
+                    continue
+                data = r.entry(a, b)
+                if reversed_:
+                    data = data.complement_in(_eps(a, b))
+                if not data.is_finite():
+                    raise NotAnOrder(f"in-block entry ({a},{b}) is infinite")
+                for d in data.upto(data.max_finite() or 0):
+                    x_roots.add(canonical_root(typ, a, b + d * m))
+    return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))
+
+
+def _pi_or_rejected(f, r, typ):
+    try:
+        return f(r, typ)
+    except (NotAnOrder, NotBiclosed, NotARoot):
+        return "rejected"
+
+
+def test_pi_matches_the_reference_projection():
+    rng = random.Random(SEED + 46)
+    cases = []
+    for typ in (A3, A4, A5, AffineType("A", 6)):
+        for _ in range(130):
+            xs = [random_triple(typ, rng, 3) for _ in range(rng.choice((2, 3)))]
+            rels = [iota(x) for x in xs]
+            cases.append((typ, rels[0]))
+            cases.append((typ, threshold_closure(reduce(ThresholdRelation.union, rels))))
+            dual = reduce(ThresholdRelation.union, (x.complement() for x in rels))
+            cases.append((typ, threshold_closure(dual).complement()))
+    cases += list(_perturbed_relations(rng, 400))
+    for _ in range(200):
+        m = rng.randrange(3, 7)
+        cases.append((AffineType("A", m), _hand_built(rng, m)))
+    outcomes = set()
+    for typ, r in cases:
+        got = _pi_or_rejected(pi, r, typ)
+        assert got == _pi_or_rejected(_reference_pi, r, typ), r
+        outcomes.add(got == "rejected")
+    assert len(cases) >= 2000 and outcomes == {True, False}
 
 
 def test_pi_iota_identity():

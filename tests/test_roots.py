@@ -57,6 +57,18 @@ def test_rank_and_height_must_be_ints():
     guard_window(a3, 1)
 
 
+def test_root_indices_and_window_heights_must_be_ints():
+    # 0.5 would give the non-root Root(A3:0.5,2.0), True the root (1, 2)
+    for i, j in ((0.5, 2), (True, 2), (0, 2.0)):
+        with pytest.raises(TypeError, match="root indices must be ints"):
+            canonical_root(A3, i, j)
+    # the cache is typed: True and 1.0 do not meet the cached h = 1 window
+    assert len(root_window(A3, 1)) == window_size(A3, 1)
+    for h in (True, 1.0):
+        with pytest.raises(TypeError, match="window height must be an int"):
+            root_window(A3, h)
+
+
 def test_canonical_translation():
     assert canonical_root(A4, 5, 7).pair() == (1, 3)
     assert canonical_root(A4, 1, 3).pair() == (1, 3)  # idempotent
