@@ -10,13 +10,18 @@ Biclosedness is a rank-2 condition: a root strictly between two roots
 of a rank-2 plane is forced in when both are in and out when both are
 out.  A plane with only two window roots has no root between them and
 imposes nothing, so the plane tests read _plane_table, the planes with
-three or more window roots, each with the masks of its prefixes and
-suffixes in betweenness order.  A trace (a set cut to one plane) is
-biclosed iff it is a prefix or a suffix.  The doubling criterion is the
-same test: three vectors of D(S) = S u -(window\\S) in one plane have a
-vanishing positive combination iff the trace shows in-out-in or
-out-in-out (doubling_check proves it).  Closure fills the interval
-between the first and last roots of every trace (pairwise root sums are
+three or more window roots in betweenness order.  A trace (a set cut to
+one plane) is biclosed iff it is a prefix or a suffix, that is iff it
+changes at most once along the plane.  _plane_slots holds the same
+planes bit-sliced, one slot per (plane, position) and one int per root,
+so one OR over a set's members and a few shifts per plane length decide
+every trace at once.  The doubling criterion is the same test: three
+vectors of D(S) = S u -(window\\S) in one plane have a vanishing
+positive combination iff the trace shows in-out-in or out-in-out
+(doubling_check proves it).  Closure sweeps the planes and fills the
+interval between the first and last roots of every trace: a length-3
+plane is held as its mask and its middle bit and fills iff the trace is
+its two ends, a longer one by its prefix masks (pairwise root sums are
 not enough: a B2 plane can force a half-sum and an affine A~1 plane
 forces a whole delta-string).  Results are truncations; callers needing
 exactness use stable_close, the one implementation of the h/2h
@@ -138,30 +143,85 @@ def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=64)
 def _plane_table(typ: AffineType, h: int):
-    """The planes of _window_planes with three or more window roots, each
-    as (plane, mask, prefix, suffix): prefix[c] and suffix[c] are the
-    masks of the plane's first and last c roots in betweenness order."""
+    """The planes of _window_planes with three or more window roots, in
+    that order, each as (plane, mask, fill): a length-3 plane's fill is
+    the bit of its middle root, a longer plane's the tuple of its prefix
+    masks (fill[c] is the mask of its first c roots in betweenness order)."""
+    bit = [1 << k for k in range(window_size(typ, h))]  # shared middle bits
     table = []
     for plane in _window_planes(typ, h):
-        if len(plane) < 3:
-            continue
-        prefix, suffix = [0], [0]
-        for k, j in zip(plane, reversed(plane)):
-            prefix.append(prefix[-1] | 1 << k)
-            suffix.append(suffix[-1] | 1 << j)
-        table.append((plane, prefix[-1], tuple(prefix), tuple(suffix)))
+        if len(plane) == 3:
+            a, b, c = plane
+            table.append((plane, bit[a] | bit[b] | bit[c], bit[b]))
+        elif len(plane) > 3:
+            prefix = [0]
+            for k in plane:
+                prefix.append(prefix[-1] | bit[k])
+            table.append((plane, prefix[-1], tuple(prefix)))
     return tuple(table)
 
 
-def _bad_plane(mask: int, entries):
-    """The first plane entry whose trace of mask is neither a prefix nor a
-    suffix (the empty and full traces are both), or None."""
-    for entry in entries:
-        t = mask & entry[1]
-        c = t.bit_count()
-        if t != entry[2][c] and t != entry[3][c]:
-            return entry
-    return None
+@lru_cache(maxsize=64)
+def _plane_slots(typ: AffineType, h: int):
+    """The bit-sliced view of _plane_table, as (groups, slots).
+
+    The planes are grouped by length.  A group (base, length, count,
+    order) gives its planes the slots base + p * count + i, for position
+    p of its i-th plane, which is _plane_table entry order[i]; slots[k] is
+    the int with a bit at each slot that window root k holds.  The OR of
+    the slots of a set's members marks every plane trace at once.
+    """
+    table = _plane_table(typ, h)
+    by_length: dict[int, list[int]] = {}
+    for e, (plane, *_) in enumerate(table):
+        by_length.setdefault(len(plane), []).append(e)
+    groups, base = [], 0
+    for length, order in sorted(by_length.items()):
+        groups.append((base, length, len(order), tuple(order)))
+        base += length * len(order)
+    # built as bytes: ORing each slot into an int would copy the int
+    rows = [bytearray(base + 7 >> 3) for _ in range(window_size(typ, h))]
+    for start, _, count, order in groups:
+        for i, e in enumerate(order):
+            for p, k in enumerate(table[e][0]):
+                slot = start + p * count + i
+                rows[k][slot >> 3] |= 1 << (slot & 7)
+    return tuple(groups), tuple(int.from_bytes(row, "little") for row in rows)
+
+
+def _bad_planes(typ: AffineType, h: int, mask: int):
+    """Per group of _plane_slots, the group and the bits of its planes
+    whose trace of mask is neither a prefix nor a suffix, that is changes
+    twice or more along the plane (a set and its complement change at
+    the same positions, so the sparser of the two is traced)."""
+    groups, slots = _plane_slots(typ, h)
+    if 2 * mask.bit_count() > len(slots):
+        mask ^= (1 << len(slots)) - 1
+    t = 0
+    for k in _bits(mask):
+        t |= slots[k]
+    for group in groups:
+        base, length, count, _ = group
+        low = (1 << count) - 1
+        g = t >> base
+        prev = g & low
+        one = two = 0
+        for _ in range(1, length):
+            g >>= count
+            cur = g & low
+            change = prev ^ cur
+            two |= one & change
+            one |= change
+            prev = cur
+        if two:
+            yield group, two
+
+
+def _first_bad_plane(typ: AffineType, h: int, mask: int):
+    """The failing plane with the lowest _plane_table index, or None."""
+    firsts = [order[(bad & -bad).bit_length() - 1]
+              for (*_, order), bad in _bad_planes(typ, h, mask)]
+    return _plane_table(typ, h)[min(firsts)][0] if firsts else None
 
 
 def _close_mask(mask: int, table) -> int:
@@ -169,20 +229,28 @@ def _close_mask(mask: int, table) -> int:
     changed = True
     while changed:
         changed = False
-        for _, plane_mask, prefix, suffix in table:
+        for _, plane_mask, fill in table:
             t = mask & plane_mask
+            if not t or t == plane_mask:
+                continue
+            if fill.__class__ is int:  # a length-3 plane and its middle bit
+                if t == plane_mask ^ fill:
+                    mask |= fill
+                    changed = True
+                continue
             c = t.bit_count()
-            if t == prefix[c] or t == suffix[c]:
-                continue  # empty, full, or an interval at one end
+            n = len(fill) - 1
+            if t == fill[c] or t == plane_mask ^ fill[n - c]:
+                continue  # an interval at one end
             lo = 0
-            while not prefix[lo + 1] & t:
+            while not fill[lo + 1] & t:
                 lo += 1
-            hi = len(prefix) - 1
-            while prefix[hi - 1] & t == t:
+            hi = n
+            while fill[hi - 1] & t == t:
                 hi -= 1
-            fill = prefix[hi] ^ prefix[lo]
-            if fill != t:
-                mask |= fill
+            span = fill[hi] ^ fill[lo]
+            if span != t:
+                mask |= span
                 changed = True
     return mask
 
@@ -236,15 +304,16 @@ _PASS = FiniteBiclosedCertificate(True)  # one shared pass certificate
 def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
     """Check that every plane trace is a down-set or an up-set.
 
-    The witness comes from the first plane that fails: the first and
-    last roots of the trace with its first gap between them ("closed"),
-    or, for a trace without gaps, the first and last roots outside it
-    with the trace's first root between them ("coclosed").
+    The witness comes from the failing plane listed first in
+    _window_planes: the first and last roots of the trace with its first
+    gap between them ("closed"), or, for a trace without gaps, the first
+    and last roots outside it with the trace's first root between them
+    ("coclosed").
     """
-    entry = _bad_plane(s.mask, _plane_table(s.type, s.H))
-    if entry is None:
+    plane = _first_bad_plane(s.type, s.H, s.mask)
+    if plane is None:
         return _PASS
-    roots, plane = root_window(s.type, s.H), entry[0]
+    roots = root_window(s.type, s.H)
     trace = [s.mask >> k & 1 for k in plane]
     ones = [p for p, t in enumerate(trace) if t]
     gap = next((p for p in range(ones[0] + 1, ones[-1]) if not trace[p]), None)
@@ -260,8 +329,8 @@ def is_biclosed(s: WindowSet) -> FiniteBiclosedCertificate:
 
 def doubling_check(s: WindowSet) -> bool:
     """True iff no three vectors of D(S) = S u -(window\\S) have a
-    vanishing positive combination, decided by the plane-trace test of
-    is_biclosed through this lemma.
+    vanishing positive combination, decided by the bit-sliced plane-trace
+    test of is_biclosed through this lemma.
 
     D(S) holds one of v, -v per window root v, and no two roots are
     parallel, so three vectors of D(S) with a vanishing positive
@@ -280,28 +349,27 @@ def doubling_check(s: WindowSet) -> bool:
     e_b (-v_a, v_c, v_b) lie in the arc from v_c to -v_a, shorter than
     pi, and the case e_b alone is the mirror image.  So D(S) has a
     vanishing triple in P iff the trace of S on P shows in-out-in or
-    out-in-out, that is iff it is neither a prefix nor a suffix.
+    out-in-out, that is iff it is neither a prefix nor a suffix: iff it
+    changes twice or more along P.
     """
-    return _bad_plane(s.mask, _plane_table(s.type, s.H)) is None
-
-
-@lru_cache(maxsize=64)
-def _planes_through(typ: AffineType, h: int):
-    """For each window root index, the _plane_table entries containing it."""
-    through: list[list[tuple]] = [[] for _ in root_window(typ, h)]
-    for entry in _plane_table(typ, h):
-        for k in entry[0]:
-            through[k].append(entry)
-    return tuple(tuple(es) for es in through)
+    return next(_bad_planes(s.type, s.H, s.mask), None) is None
 
 
 def _still_biclosed(typ, h, mask: int, new_idx: int) -> bool:
     """Whether a biclosed window set stays biclosed after adding one root.
 
     Any new rank-2 violation must involve the added root, so only its
-    planes need rechecking.
+    planes need rechecking: a failing plane counts only if new_idx holds
+    one of its slots.
     """
-    return _bad_plane(mask | 1 << new_idx, _planes_through(typ, h)[new_idx]) is None
+    slot = _plane_slots(typ, h)[1][new_idx]
+    for (base, length, count, _), bad in _bad_planes(typ, h, mask | 1 << new_idx):
+        g = slot >> base
+        for _ in range(length):
+            if g & bad:
+                return False
+            g >>= count
+    return True
 
 
 def finite_biclosed_bfs(typ: AffineType, h: int, max_size: int):

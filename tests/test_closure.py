@@ -534,3 +534,71 @@ def test_bitmask_layer_matches_the_list_reference():
                 assert got == _reference_still_biclosed(typ, h, inset, k), (where, k)
                 still.add(got)
     assert violated == {None, "closed", "coclosed"} and still == {True, False}
+
+
+def _reference_failing_lengths(s):
+    """The lengths of the planes, in _window_planes order, whose trace of
+    s is neither ascending nor descending in betweenness order."""
+    lengths = []
+    for plane in _window_planes(s.type, s.H):
+        trace = [s.mask >> k & 1 for k in plane]
+        if trace != sorted(trace) and trace != sorted(trace, reverse=True):
+            lengths.append(len(plane))
+    return lengths
+
+
+def test_the_witness_plane_is_chosen_across_length_groups():
+    # B3 h=6 and C3 h=5 mix 3-root, 4-root and delta-string planes; the
+    # bit-sliced view decides each length group apart, and the witness
+    # must still come from the failing plane first in _window_planes
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
+    first_longer, first_shorter = 0, 0
+    for typ, h in ((AffineType("B", 3), 6), (AffineType("C", 3), 5)):
+        for members in _sample_sets(typ, h, rng) + _sample_sets(typ, h, rng):
+            s = WindowSet(typ, h, members)
+            lengths = _reference_failing_lengths(s)
+            if len(set(lengths)) < 2:
+                continue
+            assert is_biclosed(s) == _reference_is_biclosed(s), (typ, h, s.sorted_members())
+            first_longer += lengths[0] > min(lengths)
+            first_shorter += lengths[0] < max(lengths)
+    assert first_longer and first_shorter
+
+
+def test_stable_close_matches_the_list_reference():
+    # the tables try_join reads (B3 and D4 at h = 3 and 2h = 6): a union is
+    # stable iff its reference closure cut to height h equals the
+    # reference closure of its height-h cut.  Unions of two triple windows
+    # are stable; about one in twenty random 2- and 3-root sets is not.
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
+    h, outcomes = 3, set()
+    for typ in (AffineType("B", 3), AffineType("D", 4)):
+        window = root_window(typ, 2 * h)
+        unions = [random_triple(typ, rng).window(2 * h).members
+                  | random_triple(typ, rng).window(2 * h).members for _ in range(3)]
+        unions += [frozenset(rng.sample(window, k)) for k in (2, 3) * 15]
+        for members in unions:
+            big = _reference_close(WindowSet(typ, 2 * h, members))
+            low = frozenset(r for r in members if r.height <= h)
+            mask = WindowSet(typ, 2 * h, members).mask
+            if {r for r in big if r.height <= h} == _reference_close(WindowSet(typ, h, low)):
+                assert stable_close(typ, mask, h).members == big, (typ, mask)
+                outcomes.add("stable")
+            else:
+                with pytest.raises(UnstableWindow):
+                    stable_close(typ, mask, h)
+                outcomes.add("unstable")
+    assert outcomes == {"stable", "unstable"}
+
+
+def test_window_plane_counts_are_pinned():
+    # all planes / planes with three or more window roots, as ROADMAP
+    # item 2 quotes them; a change to the enumeration shows here first
+    for typ, h, planes, kept in (
+        (AffineType("A", 5), 5, 4330, 1090), (AffineType("A", 5), 6, 5890, 1480),
+        (AffineType("D", 4), 6, 8244, 2364), (AffineType("B", 3), 6, 2655, 891),
+        (AffineType("C", 3), 5, 2817, 873),
+    ):
+        got = _window_planes(typ, h)
+        assert (len(got), sum(len(p) >= 3 for p in got)) == (planes, kept), (typ, h)
+        assert len(_plane_table(typ, h)) == kept
