@@ -355,20 +355,32 @@ def doubling_check(s: WindowSet) -> bool:
     return next(_bad_planes(s.type, s.H, s.mask), None) is None
 
 
+@lru_cache(maxsize=64)
+def _planes_through(typ: AffineType, h: int):
+    """For each window root index, the _plane_table entries holding it."""
+    through: list[list[tuple]] = [[] for _ in range(window_size(typ, h))]
+    for entry in _plane_table(typ, h):
+        for k in entry[0]:
+            through[k].append(entry)
+    return tuple(tuple(es) for es in through)
+
+
 def _still_biclosed(typ, h, mask: int, new_idx: int) -> bool:
     """Whether a biclosed window set stays biclosed after adding one root.
 
-    Any new rank-2 violation must involve the added root, so only its
-    planes need rechecking: a failing plane counts only if new_idx holds
-    one of its slots.
+    Any new rank-2 violation must involve the added root, so only the
+    planes through it are read.  A trace fails iff it is neither a prefix
+    nor a suffix of its plane: for a length-3 plane, iff it is the middle
+    root alone or the two outer roots.
     """
-    slot = _plane_slots(typ, h)[1][new_idx]
-    for (base, length, count, _), bad in _bad_planes(typ, h, mask | 1 << new_idx):
-        g = slot >> base
-        for _ in range(length):
-            if g & bad:
+    mask |= 1 << new_idx
+    for _, plane_mask, fill in _planes_through(typ, h)[new_idx]:
+        t = mask & plane_mask
+        if fill.__class__ is int:
+            if t == fill or t == plane_mask ^ fill:
                 return False
-            g >>= count
+        elif t != fill[c := t.bit_count()] and t != plane_mask ^ fill[len(fill) - 1 - c]:
+            return False
     return True
 
 

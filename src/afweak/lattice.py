@@ -5,9 +5,9 @@ relation: for every ordered residue pair the set of shifts at which the
 pair is inverted, an eventually-periodic integer set.  Joins close the
 union of these relations by a Floyd-Warshall sweep whose loop weights
 are handled with Kleene stars, so no unbounded fixpoint iteration is
-needed; meets are complement-dual joins.  The order check reads the
-least and largest point of every entry first and decides the sums with
-a ray [T, oo) from those; the rest take the general IntSet operations.
+needed; meets are complement-dual joins.  The transitivity and order
+checks decide most sums from each entry's least and largest points and
+ray shape [T, oo); the rest take the general IntSet operations.
 The periodic order model bridges relations and triples both ways: iota
 writes the relation of a triple's order, and pi reads the order that a
 relation encodes and writes its relation back, which certifies it.
@@ -138,8 +138,8 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
     Chains a > b + dM > c + eM compose by Minkowski sums of the shift
     sets; loop entries are absorbed exactly through IntSet.star, so the
     sweep needs no unbounded iteration.  Transitivity of the result is
-    checked on every call (NotAnOrder if it fails); degenerate inputs
-    surface as NotAnOrder from the validity check downstream.
+    checked on every call, from entry shapes (_check_transitive); degenerate
+    inputs surface as NotAnOrder from the validity check downstream.
     """
     m = r.M
     v = [list(row) for row in r.V]
@@ -154,13 +154,32 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
                     continue
                 v[a][b] = v[a][b].union(via.minkowski(v[k][b]))
     out = ThresholdRelation(m, tuple(tuple(row) for row in v))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if not (v[a][b].is_empty() or v[b][c].is_empty()
-                        or v[a][b].minkowski(v[b][c]).issubset(v[a][c])):
-                    raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
+    _check_transitive(out)
     return out
+
+
+def _check_transitive(r: ThresholdRelation) -> None:
+    """Raise NotAnOrder at the first (a, b, c) with V[a][b] + V[b][c] not
+    inside V[a][c], decided from check_order's entry shapes where they
+    can: no sum lies in an empty target, a sum lies in a ray [T, oo) iff
+    its least point is at least T, and a sum with a ray is the ray from
+    the summed least points, outside any target with a largest point."""
+    v = r.V
+    shape = [[_shape(s) for s in row] for row in v]
+    nonempty = [[(c, s) for c, s in enumerate(row) if s] for row in shape]
+    for a, row in enumerate(shape):
+        for b, ab in nonempty[a]:
+            for c, bc in nonempty[b]:
+                if not (ac := row[c]):
+                    ok = False
+                elif ac[2]:
+                    ok = ab[0] + bc[0] >= ac[0]
+                elif ab[2] or bc[2]:
+                    ok = ac[1] == inf and IntSet.from_range(ab[0] + bc[0]).issubset(v[a][c])
+                else:
+                    ok = v[a][b].minkowski(v[b][c]).issubset(v[a][c])
+                if not ok:
+                    raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
 
 
 def check_order(r: ThresholdRelation) -> None:
@@ -317,17 +336,11 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
 def sigma_relation(r: ThresholdRelation) -> ThresholdRelation:
     """The negation conjugate: x new-precedes y iff -y precedes -x."""
     m = r.M
-
-    def p0(x: int) -> int:
-        return (-x - ((-x) % m)) // m
-
     rows = []
     for a in range(m):
         row = []
         for b in range(m):
-            au, bu = (-a) % m, (-b) % m
-            shift = p0(a) - p0(b)
-            row.append(r.entry(bu, au).shift(-shift))
+            row.append(r.entry((-b) % m, (-a) % m).shift((-b) // m - (-a) // m))
         rows.append(tuple(row))
     return ThresholdRelation(m, tuple(rows))
 
@@ -339,6 +352,8 @@ def sigma(t: BiclosedTriple) -> BiclosedTriple:
 
 def _operands(xs, typ: AffineType | None, family: str, name: str):
     xs = list(xs)
+    if not (typ or xs):
+        raise ValueError(f"{name} of no operands needs a type")
     typ = typ or xs[0].type
     if typ.family != family:
         raise TypeMismatch(f"{name} is for family {family}")
@@ -483,7 +498,6 @@ def finite_group(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
             if family == "D" and sum(signs) % 2:
                 continue
             sigma_ = [0] * (2 * n)
-            ok = True
             for x in range(1, n + 1):
                 v = img[x - 1] if not signs[x - 1] else 2 * n + 1 - img[x - 1]
                 sigma_[x - 1] = v
@@ -566,6 +580,8 @@ def try_join(xs, h: int) -> TryJoinResult:
     NotBiclosed carries the witness.
     """
     xs = list(xs)
+    if not xs:
+        raise ValueError("try_join needs at least one operand")
     typ = xs[0].type
     if any(x.type != typ for x in xs):
         raise TypeMismatch("mixed types in try_join")

@@ -72,6 +72,7 @@ from afweak.roots import (
     window_size,
 )
 from afweak.verify import all_triples, random_triple
+from references import _reference_ordered_blocks
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -804,42 +805,6 @@ def test_component_maps_match_the_id_reference():
 # The face reader that counting levels replaced, kept as the reference:
 # a union-find of the equal pairs, a transitive closure of the block
 # order, and a merge of the family-D middle singletons.
-
-
-def _reference_ordered_blocks(ground, equal, after, error):
-    parent = {v: v for v in ground}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in equal:
-        parent[find(a)] = find(b)
-    blocks = {}
-    for v in ground:
-        blocks.setdefault(find(v), set()).add(v)
-    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
-    below = {x: set() for x in fsets.values()}
-    for a, b in after:
-        fa, fb = fsets[find(a)], fsets[find(b)]
-        if fa == fb:
-            raise error("strict comparison inside a block")
-        below[fa].add(fb)
-    changed = True
-    while changed:
-        changed = False
-        for x in below.values():
-            grow = set().union(*(below[y] for y in x))
-            if not grow <= x:
-                x |= grow
-                changed = True
-    blist = sorted(below, key=lambda x: (len(below[x]), sorted(x)))
-    for i, x in enumerate(blist):
-        if any(y in below[x] for y in blist[i + 1:]):
-            raise error("block order is not total")
-    return blist
 
 
 def _reference_face_from_bits(typ, bits):

@@ -62,6 +62,7 @@ from afweak.perms import (
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import random_triple
+from references import _reference_ordered_blocks
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -233,45 +234,100 @@ def test_check_order_matches_the_general_operations():
     assert {None, "inversion", "diagonal"} <= messages
 
 
+def _reference_transitive(r):
+    """The transitivity check of threshold_closure before it read entry
+    shapes: one Minkowski sum and one issubset per triple."""
+    v, m = r.V, r.M
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if not (v[a][b].is_empty() or v[b][c].is_empty()
+                        or v[a][b].minkowski(v[b][c]).issubset(v[a][c])):
+                    raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
+
+
+def _reference_threshold_closure(r):
+    """threshold_closure with the reference transitivity check."""
+    m = r.M
+    v = [list(row) for row in r.V]
+    for k in range(m):
+        star = v[k][k].star()
+        for a in range(m):
+            if v[a][k].is_empty():
+                continue
+            via = v[a][k].minkowski(star)
+            for b in range(m):
+                if v[k][b].is_empty():
+                    continue
+                v[a][b] = v[a][b].union(via.minkowski(v[k][b]))
+    out = ThresholdRelation(m, tuple(tuple(row) for row in v))
+    _reference_transitive(out)
+    return out
+
+
+def _cells(m, cells):
+    """The relation over residues 0..m-1 with the given entries, else empty."""
+    return ThresholdRelation(m, tuple(
+        tuple(cells.get((a, b), IntSet.empty()) for b in range(m)) for a in range(m)))
+
+
+def test_threshold_closure_matches_the_general_operations(monkeypatch):
+    rng = random.Random(SEED + 47)
+    rels = []
+    for typ in (A3, A4, A5, AffineType("A", 6), C2, C3, C4):
+        for _ in range(6):
+            x, y = random_triple(typ, rng, 3), random_triple(typ, rng, 3)
+            rels.append(iota(x).union(iota(y)))
+            rels.append(iota(x).complement().union(iota(y).complement()))
+    rels += [_hand_built(rng, m) for m in (1, 2, 2, 3, 3, 3) for _ in range(20)]
+    rels += [r for _, r in _perturbed_relations(rng, 60)]
+    failures = set()
+    for r in rels:
+        assert _outcome(threshold_closure, r) == _outcome(_reference_threshold_closure, r)
+        # left unclosed, most of these relations are not transitive
+        msg = _outcome(lattice._check_transitive, r)
+        assert msg == _outcome(_reference_transitive, r)
+        failures.add(msg)
+    assert len(failures) > 10
+
+    span, pts = IntSet.from_range, IntSet.points
+    tailed = pts([1, 3]).union(span(6))
+    # (relation, first failing triple or None); the shapes decide these,
+    # so none may reach a Minkowski sum or a general issubset
+    decided = [
+        (_cells(3, {(0, 1): pts([1]), (1, 2): pts([1]), (2, 0): span(1)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): pts([1]), (1, 2): span(2, 4), (0, 2): span(3)}), None),
+        (_cells(3, {(0, 1): pts([1]), (1, 2): span(2, 4), (0, 2): span(4)}), (0, 1, 2)),
+        (_cells(3, {(0, 0): span(2), (0, 2): span(0), (2, 0): pts([2]),
+                    (1, 0): span(0, 5)}), (1, 0, 0)),
+        (_cells(3, {(0, 1): span(0), (1, 2): pts([0]), (0, 2): span(0, 5)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): span(1), (1, 2): pts([2]), (0, 2): span(4)}), (0, 1, 2)),
+    ]
+    # off-shape targets and run sums take the general operations
+    general = [
+        (_cells(3, {(0, 1): span(2), (1, 2): pts([4]), (0, 2): tailed}), None),
+        (_cells(3, {(0, 1): span(2), (1, 2): pts([3]), (0, 2): tailed}), (0, 1, 2)),
+        (_cells(3, {(0, 1): pts([0, 2]), (1, 2): pts([1]), (0, 2): tailed}), None),
+        (_cells(3, {(0, 1): pts([0, 2]), (1, 2): pts([1, 3]), (0, 2): tailed}), (0, 1, 2)),
+    ]
+
+    def general_operation(*_):
+        raise AssertionError("a shape-decided sum took the general operations")
+
+    for cases, patched in ((decided, True), (general, False)):
+        for r, first in cases:
+            want = first and "NotAnOrder: closure is not transitive at (%d,%d,%d)" % first
+            assert _outcome(_reference_transitive, r) == want, r
+            with monkeypatch.context() as mp:
+                if patched:
+                    mp.setattr(IntSet, "minkowski", general_operation)
+                    mp.setattr(IntSet, "issubset", general_operation)
+                assert _outcome(lattice._check_transitive, r) == want, r
+
+
 # pi before it read the periodic order, kept as the reference: a union-find
 # and closure face reader, shape and orientation checks, in-block roots
 # built from the cells and handed to the component read-off.
-
-
-def _reference_ordered_blocks(ground, equal, after, error):
-    parent = {v: v for v in ground}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in equal:
-        parent[find(a)] = find(b)
-    blocks = {}
-    for v in ground:
-        blocks.setdefault(find(v), set()).add(v)
-    fsets = {rep: frozenset(b) for rep, b in blocks.items()}
-    below = {x: set() for x in fsets.values()}
-    for a, b in after:
-        fa, fb = fsets[find(a)], fsets[find(b)]
-        if fa == fb:
-            raise error("strict comparison inside a block")
-        below[fa].add(fb)
-    changed = True
-    while changed:
-        changed = False
-        for x in below.values():
-            grow = set().union(*(below[y] for y in x))
-            if not grow <= x:
-                x |= grow
-                changed = True
-    blist = sorted(below, key=lambda x: (len(below[x]), sorted(x)))
-    for i, x in enumerate(blist):
-        if any(y in below[x] for y in blist[i + 1:]):
-            raise error("block order is not total")
-    return blist
 
 
 def _reference_pi(r, typ):
@@ -837,3 +893,12 @@ def test_try_join_type_guard():
     tv = triple_of_element(reflection(C2, 1, 2))
     with pytest.raises(TypeMismatch):
         try_join([tu, tv], 4)
+
+
+@pytest.mark.parametrize(
+    "op", [join_A, meet_A, join_C, meet_C, lambda xs: try_join(xs, 2)],
+    ids=["join_A", "meet_A", "join_C", "meet_C", "try_join"])
+def test_no_operands_and_no_type_is_a_value_error(op):
+    # the type is read off the first operand, so with none there is no type
+    with pytest.raises(ValueError, match="operand"):
+        op([])
