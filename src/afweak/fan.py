@@ -730,10 +730,17 @@ def _peel(decomp: ParahoricDecomposition, x: set[Root]):
 
 
 def classify(s, h: int | None = None) -> BiclosedTriple:
-    """The unique triple agreeing with the input on its window.
+    """A triple whose height-h window equals the input window.
 
     Accepts a WindowSet (stability-checked through b_infinity) or a
-    PeriodicOrder (delegated to its exact inversion set).
+    PeriodicOrder (delegated to its exact inversion set).  For a window
+    the answer is only checked to round-trip at the input's height; it is
+    not shown to be unique.  Known defect: the asymptotic classes are read
+    off the top half of the window, where a long component element can
+    fill them below the triple's determining height, so another triple
+    with the same window can come back.  The B2 triple with face
+    ({-1},{-2,0,2},{1}), Phi' = {ctr} and w = {ctr: [-5]} classifies as a
+    chamber triple from its windows at h = 1 to 4.
     """
     if not isinstance(s, _closure.WindowSet):
         from .orders import PeriodicOrder, inversion_set

@@ -5,13 +5,13 @@ in residues}, held as Python-int bitmasks.  Union and intersection are |
 and & of windows and of residue masks lifted to lcm(P) by multiplying
 with (2^lcm - 1)/(2^P - 1); complement is ~, shift rotates residues, and
 a Minkowski sum shift-ORs one window over the runs of the other.  The
-shapes that almost every entry of a lattice join takes have closed
-forms: rays [T, oo) add and unite by their starts, a set lies inside a
-ray when its least point does, and the complement of an empty set, a
-ray or a run [lo, hi] is written down directly.  Every other set takes
-the general mask path.  Everything the closure of translation-invariant
-inversion relations consumes stays in the family.  All operations are
-exact; least period, then least threshold, make equality structural.
+closure sweep of lattice holds its entries as intervals and rays and
+calls these operations only for an entry off that shape; here rays
+[T, oo) add and unite by their starts, and the complement of an empty
+set, a ray or a run [lo, hi] is written down directly.  Everything the
+closure of translation-invariant inversion relations consumes stays in
+the family.  All operations are exact; least period, then least
+threshold, make equality structural.
 """
 
 from __future__ import annotations
@@ -88,20 +88,9 @@ class IntSet:
             return self.T if self.res else None
         return self.T + _low(_rot(self.res, self.T, self.P))
 
-    def max_finite(self) -> int | None:
-        """Largest element, for finite sets only."""
-        if self.res:
-            raise ValueError("set has a periodic tail")
-        return self.lo + self.fin.bit_length() - 1 if self.fin else None
-
     def upto(self, hi: int) -> list[int]:
         lo = self.min()
         return [] if lo is None else _points(lo, _bits(self, lo, hi + 1))
-
-    def is_cofinal_from(self) -> int | None:
-        """K when the set equals fin-part plus the full ray [K, oo)."""
-        # canonical: a full tail has period 1 and T - 1 is not a finite point
-        return self.T if self.res == 1 and self.P == 1 else None
 
     def union(self, other: "IntSet") -> "IntSet":
         a, b = self, other
@@ -134,8 +123,6 @@ class IntSet:
         return _canon(lo, ~_bits(self, lo, t), t, self.P, ~self.res & _ones(self.P))
 
     def issubset(self, other: "IntSet") -> bool:
-        if _is_ray(other):
-            return self.is_empty() or self.min() >= other.T
         bits, _, _, res = _merged(self, other, lambda x, y: x & ~y, self.min() or 0)
         return not (bits or res)
 

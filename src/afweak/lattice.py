@@ -5,9 +5,10 @@ relation: for every ordered residue pair the set of shifts at which the
 pair is inverted, an eventually-periodic integer set.  Joins close the
 union of these relations by a Floyd-Warshall sweep whose loop weights
 are handled with Kleene stars, so no unbounded fixpoint iteration is
-needed; meets are complement-dual joins.  The transitivity and order
-checks decide most sums from each entry's least and largest points and
-ray shape [T, oo); the rest take the general IntSet operations.
+needed; meets are complement-dual joins.  The sweep holds entries as
+intervals and rays, whose sums, stars and unions take a few int
+operations, and falls back to IntSet off that shape; the transitivity
+and order checks decide most sums from entries' least and largest points.
 The periodic order model bridges relations and triples both ways: iota
 writes the relation of a triple's order, and pi reads the order that a
 relation encodes and writes its relation back, which certifies it.
@@ -29,25 +30,11 @@ from functools import lru_cache, reduce
 from math import inf
 
 from . import closure as _closure
-from .errors import (
-    InvalidWindow,
-    NotAnOrder,
-    NotBiclosed,
-    SigmaFixednessViolated,
-    TooLarge,
-    TypeMismatch,
-)
-from .fan import (
-    BiclosedTriple,
-    FanFace,
-    build_biclosed,
-    classify,
-    origin_face,
-    parahoric,
-    _from_inversions,
-    _ordered_blocks,
-)
-from .intset import IntSet, _is_ray
+from .errors import (InvalidWindow, NotAnOrder, NotBiclosed, SigmaFixednessViolated,
+                     TooLarge, TypeMismatch)
+from .fan import (BiclosedTriple, FanFace, build_biclosed, classify, origin_face,
+                  parahoric, _from_inversions, _ordered_blocks)
+from .intset import _EMPTY, IntSet, _is_ray
 from .orders import (BlockData, PeriodicOrder, _block_position_fn, inversion_set,
                      order_from_triple)
 from .perms import from_window
@@ -69,9 +56,8 @@ class ThresholdRelation:
 
     Entry (a, b) holds {d : a > b + dM in the order}, restricted to the
     ascending shifts d >= eps(a, b); the descending half of the full
-    relation {d : a comes after b + dM} is forced by totality and is
-    derivable, so the four textbook shapes (Empty, All, AtMost, AtLeast)
-    appear through :meth:`full_shape`.
+    relation {d : a comes after b + dM} is forced by totality, so it is
+    read off entry (b, a) and not stored.
     """
 
     M: int
@@ -93,13 +79,8 @@ class ThresholdRelation:
     def union(self, other: "ThresholdRelation") -> "ThresholdRelation":
         if self.M != other.M:
             raise TypeMismatch("mismatched moduli")
-        return ThresholdRelation(
-            self.M,
-            tuple(
-                tuple(x.union(y) for x, y in zip(ra, rb))
-                for ra, rb in zip(self.V, other.V)
-            ),
-        )
+        return ThresholdRelation(self.M, tuple(
+            tuple(map(IntSet.union, ra, rb)) for ra, rb in zip(self.V, other.V)))
 
     def complement(self) -> "ThresholdRelation":
         """Ascending pairs not inverted: the relation of T minus the set."""
@@ -114,15 +95,6 @@ class ThresholdRelation:
             ),
         )
 
-    def full_shape(self, a: int, b: int) -> str:
-        """Shape of the full-order set {d : a comes after b + dM}."""
-        v, w = self.V[a][b], self.V[b][a]
-        if v.is_finite():
-            empty = v.is_empty() and w.complement_in(_eps(b, a)).is_empty()
-            return "Empty" if empty else "AtMost"
-        full = v.is_cofinal_from() == _eps(a, b) and w.is_empty()
-        return "All" if full else "AtLeast"
-
 
 def _shape(s: IntSet) -> tuple[int, int | float, bool] | None:
     """None when s is empty, else (least point, largest point or inf when
@@ -132,52 +104,93 @@ def _shape(s: IntSet) -> tuple[int, int | float, bool] | None:
     return s.min(), inf if s.res else s.lo + s.fin.bit_length() - 1, _is_ray(s)
 
 
+def _interval(s: IntSet):
+    """The sweep entry of s: None when s is empty, (lo, hi) when s is the
+    run [lo, hi] or, with hi = inf, the ray [lo, oo), else s itself."""
+    e = _shape(s)
+    return e and (e[:2] if e[2] or not (s.res or s.fin & (s.fin + 1)) else s)
+
+
+def _intset(e) -> IntSet:
+    """The IntSet of a sweep entry."""
+    if e.__class__ is tuple:
+        return IntSet.from_range(e[0], None if e[1] == inf else e[1])
+    return e or _EMPTY
+
+
+def _star(e):
+    """Kleene star of a diagonal entry: {0} when it is empty, [0, oo) when
+    it holds 1; else IntSet.star, which rejects a least point below 1."""
+    if e is None or e.__class__ is tuple and e[0] == 1:
+        return (0, 0) if e is None else (0, inf)
+    return _intset(e).star()
+
+
+def _add(x, y):
+    """Minkowski sum of two non-empty sweep entries: intervals add ends."""
+    if x.__class__ is tuple and y.__class__ is tuple:
+        return x[0] + y[0], x[1] + y[1]
+    return _intset(x).minkowski(_intset(y))
+
+
+def _unite(x, y):
+    """x united with a non-empty y; intervals that overlap or touch unite."""
+    if x is None:
+        return y
+    if x.__class__ is tuple and y.__class__ is tuple:
+        if x[0] <= y[0] and y[1] <= x[1]:
+            return x
+        if x[0] <= y[1] + 1 and y[0] <= x[1] + 1:
+            return min(x[0], y[0]), max(x[1], y[1])
+    return _intset(x).union(_intset(y))
+
+
 def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
     """Least transitive superset, by Floyd-Warshall with Kleene stars.
 
     Chains a > b + dM > c + eM compose by Minkowski sums of the shift
-    sets; loop entries are absorbed exactly through IntSet.star, so the
-    sweep needs no unbounded iteration.  Transitivity of the result is
-    checked on every call, from entry shapes (_check_transitive); degenerate
-    inputs surface as NotAnOrder from the validity check downstream.
+    sets, and loop entries are absorbed exactly by their stars.  Entries
+    are held as intervals (_interval): a sum adds the ends, and unions
+    and stars that stay intervals are written down; an entry that leaves
+    the shape takes the general IntSet operations for the rest of the
+    sweep.  Transitivity is checked on every call, from the sweep's
+    entries (_check_transitive); degenerate inputs surface as NotAnOrder
+    from the validity check downstream.
     """
     m = r.M
-    v = [list(row) for row in r.V]
+    v = [[_interval(s) for s in row] for row in r.V]
     for k in range(m):
-        star = v[k][k].star()
-        for a in range(m):
-            if v[a][k].is_empty():
-                continue
-            via = v[a][k].minkowski(star)
-            for b in range(m):
-                if v[k][b].is_empty():
-                    continue
-                v[a][b] = v[a][b].union(via.minkowski(v[k][b]))
-    out = ThresholdRelation(m, tuple(tuple(row) for row in v))
-    _check_transitive(out)
+        star = _star(v[k][k])
+        for row in v:
+            if (ak := row[k]) is not None:
+                via = _add(ak, star)
+                for b, kb in enumerate(v[k]):
+                    if kb is not None:
+                        row[b] = _unite(row[b], _add(via, kb))
+    out = ThresholdRelation(m, tuple(tuple(map(_intset, row)) for row in v))
+    _check_transitive(out, v)
     return out
 
 
-def _check_transitive(r: ThresholdRelation) -> None:
+def _check_transitive(r: ThresholdRelation, entries=None) -> None:
     """Raise NotAnOrder at the first (a, b, c) with V[a][b] + V[b][c] not
-    inside V[a][c], decided from check_order's entry shapes where they
-    can: no sum lies in an empty target, a sum lies in a ray [T, oo) iff
-    its least point is at least T, and a sum with a ray is the ray from
-    the summed least points, outside any target with a largest point."""
+    inside V[a][c], read from the sweep entries (r's when none are given).
+    A sum's least and largest points are its operands' added, so it lies
+    in an interval target [lo, hi] iff they do, and in no empty target;
+    only targets off the interval shape take IntSet operations."""
     v = r.V
-    shape = [[_shape(s) for s in row] for row in v]
-    nonempty = [[(c, s) for c, s in enumerate(row) if s] for row in shape]
-    for a, row in enumerate(shape):
-        for b, ab in nonempty[a]:
-            for c, bc in nonempty[b]:
-                if not (ac := row[c]):
+    entries = entries or [[_interval(s) for s in row] for row in v]
+    ends = [[(c, e if e.__class__ is tuple else _shape(e))
+             for c, e in enumerate(row) if e is not None] for row in entries]
+    for a, row in enumerate(entries):
+        for b, ab in ends[a]:
+            for c, bc in ends[b]:
+                if (ac := row[c]) is None:
                     ok = False
-                elif ac[2]:
-                    ok = ab[0] + bc[0] >= ac[0]
-                elif ab[2] or bc[2]:
-                    ok = ac[1] == inf and IntSet.from_range(ab[0] + bc[0]).issubset(v[a][c])
+                elif ac.__class__ is tuple:
+                    ok = ab[0] + bc[0] >= ac[0] and ab[1] + bc[1] <= ac[1]
                 else:
-                    ok = v[a][b].minkowski(v[b][c]).issubset(v[a][c])
+                    ok = v[a][b].minkowski(v[b][c]).issubset(ac)
                 if not ok:
                     raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
 
@@ -224,7 +237,6 @@ def check_order(r: ThresholdRelation) -> None:
 
 
 # the cross-block entries of iota, shared: empty, [0, oo) and [1, oo)
-_EMPTY = IntSet.empty()
 _RAYS = (IntSet.from_range(0), IntSet.from_range(1))
 
 
@@ -571,13 +583,14 @@ class TryJoinResult:
 def try_join(xs, h: int) -> TryJoinResult:
     """Windowed closure-of-union join attempt for families B and D.
 
-    On success the result really is the join: the closure of the union
-    is below every biclosed upper bound.  On failure the rank-2 witness
-    of non-biclosedness is returned.  The inputs' 2h window masks are
-    unioned; stability is certified by agreeing windows at h and 2h
-    (closure.stable_close), so the cutoff h must be at least 1.  The 2h
-    closure is certified once: classify runs is_biclosed on it, and its
-    NotBiclosed carries the witness.
+    The inputs' 2h window masks are unioned and closed, certified by
+    agreeing windows at h and 2h (closure.stable_close; h >= 1).  On
+    success the result is classify's triple for that biclosed closure, on
+    failure the rank-2 witness that classify's NotBiclosed carries.  That
+    h/2h-certified closure is not shown to be the join: classify can
+    return another triple with the same window (see there), and the B2
+    triple t of its docstring gives try_join([t, t], h) a chamber triple
+    at h = 1 and 2.
     """
     xs = list(xs)
     if not xs:

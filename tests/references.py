@@ -1,5 +1,8 @@
 """Reference implementations that more than one test module compares
-against.  Not a test module: pytest collects only test_*.py."""
+against, and readers of IntSet and ThresholdRelation that only tests use.
+Not a test module: pytest collects only test_*.py."""
+
+from afweak.lattice import _eps
 
 
 def _reference_ordered_blocks(ground, equal, after, error):
@@ -39,3 +42,29 @@ def _reference_ordered_blocks(ground, equal, after, error):
         if any(y in below[x] for y in blist[i + 1:]):
             raise error("block order is not total")
     return blist
+
+
+def max_finite(s):
+    """Largest element of a finite IntSet, None when it is empty."""
+    if s.res:
+        raise ValueError("set has a periodic tail")
+    return s.lo + s.fin.bit_length() - 1 if s.fin else None
+
+
+def cofinal_from(s):
+    """K when the IntSet is a finite part plus the full ray [K, oo), else
+    None (canonical: a full tail has period 1, and T - 1 is not a finite
+    point)."""
+    return s.T if s.res == 1 and s.P == 1 else None
+
+
+def full_shape(r, a, b):
+    """Shape of the full-order set {d : a comes after b + dM} of a
+    ThresholdRelation: the textbook Empty, All, AtMost or AtLeast; the
+    descending half is forced by totality, so V[b][a] decides it."""
+    v, w = r.V[a][b], r.V[b][a]
+    if v.is_finite():
+        empty = v.is_empty() and w.complement_in(_eps(b, a)).is_empty()
+        return "Empty" if empty else "AtMost"
+    full = cofinal_from(v) == _eps(a, b) and w.is_empty()
+    return "All" if full else "AtLeast"

@@ -49,6 +49,7 @@ from afweak.lattice import TryJoinResult, try_join
 from afweak.orders import order_from_triple, precedes, relabel
 from afweak.perms import (
     elements_up_to_length,
+    from_window,
     identity,
     inversions,
     invert,
@@ -271,6 +272,37 @@ def test_triple_of_element():
     assert t.window(6).members == inversions(w)
     e = triple_of_element(identity(D2))
     assert e.window(4).members == frozenset()
+
+
+def _long_central_b2():
+    """B2, face ({-1},{-2,0,2},{1}), Phi' = {ctr}, w = {ctr: [-5]}: a long
+    central element fills the asymptotic classes at low heights."""
+    face = face_from_blocks(AffineType("B", 2), [{-1}, {-2, 0, 2}, {1}])
+    return build_biclosed(face, frozenset({"ctr"}),
+                          {"ctr": from_window(AffineType("B", 1), (-5,))})
+
+
+def test_classify_returns_a_triple_with_the_input_window():
+    t = _long_central_b2()
+    for h in range(1, 8):
+        try:
+            got = classify(t.window(h))
+        except UnstableWindow:
+            continue
+        assert got.window(h) == t.window(h), h
+    assert classify(t.window(6)) == t
+
+
+@pytest.mark.xfail(strict=True, reason="classify can read another triple off a "
+                   "window below the triple's determining height")
+def test_classify_of_a_low_window_is_the_triple_or_refused():
+    t = _long_central_b2()
+    for h in (2, 3, 4):
+        try:
+            got = classify(t.window(h))
+        except UnstableWindow:
+            continue
+        assert got == t, h
 
 
 def test_classify_errors():

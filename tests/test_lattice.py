@@ -62,7 +62,7 @@ from afweak.perms import (
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import random_triple
-from references import _reference_ordered_blocks
+from references import _reference_ordered_blocks, cofinal_from, full_shape, max_finite
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -87,7 +87,7 @@ def test_relation_shapes_of_a_genuine_order():
     f = face_from_blocks(A4, [{1, 3}, {0, 2}])
     t = build_biclosed(f, phi_prime_from_blocks(f, [1]), {})
     rel = iota(t)
-    shapes = {rel.full_shape(a, b) for a in range(4) for b in range(4) if a != b}
+    shapes = {full_shape(rel, a, b) for a in range(4) for b in range(4) if a != b}
     assert shapes <= {"Empty", "All", "AtMost", "AtLeast"}
     # complementarity: exactly one of (a,b,d), (b,a,-d) holds
     rng = random.Random(0)
@@ -325,6 +325,95 @@ def test_threshold_closure_matches_the_general_operations(monkeypatch):
                 assert _outcome(lattice._check_transitive, r) == want, r
 
 
+def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypatch):
+    span, pts = IntSet.from_range, IntSet.points
+    # entries that stay intervals and rays through the whole sweep, which
+    # must reach no IntSet operation: (relation, entry, its closed value)
+    interval = [
+        # exactly adjacent runs [0, 1] and [2, 2] merge into [0, 2]
+        (_cells(3, {(0, 2): span(0, 1), (0, 1): pts([1]), (1, 2): pts([1])}),
+         (0, 2), span(0, 2)),
+        # overlapping runs, and a run inside a ray
+        (_cells(3, {(0, 2): span(0, 3), (0, 1): pts([1]), (1, 2): span(2, 5)}),
+         (0, 2), span(0, 6)),
+        (_cells(3, {(0, 2): span(1), (0, 1): pts([1]), (1, 2): span(2, 5)}),
+         (0, 2), span(1)),
+        # the star of [1, oo) is [0, oo), so the chain through 1 starts at 0
+        (_cells(3, {(1, 1): span(1), (0, 1): pts([0]), (1, 2): pts([0])}),
+         (0, 2), span(0)),
+        # the star of a run from 1 is [0, oo) too; an empty diagonal's is {0}
+        (_cells(3, {(1, 1): span(1, 2), (0, 1): pts([0]), (1, 2): pts([0])}),
+         (0, 2), span(0)),
+        (_cells(3, {(0, 1): span(2, 3), (1, 2): span(1)}), (0, 2), span(3)),
+    ]
+    # entries that leave the shape, and the IntSet operation each must reach
+    off_shape = [
+        # two disjoint runs meet in one entry: {0, 1} u [5, 6]
+        (_cells(3, {(0, 2): span(0, 1), (0, 1): pts([3]), (1, 2): span(2, 3)}),
+         "union"),
+        # stars that are not intervals: {0} u [2, oo) from [2, oo) and [2, 3]
+        (_cells(3, {(0, 0): span(2), (1, 0): pts([0]), (0, 2): pts([1])}), "star"),
+        (_cells(3, {(0, 0): span(2, 3), (1, 0): pts([0]), (0, 2): pts([1])}), "star"),
+        # a diagonal through 0 has no star, on either path
+        (_cells(2, {(0, 0): span(0, 2), (1, 0): pts([0])}), "star"),
+        # a periodic tail {1, 3, 5, ...}
+        (_cells(3, {(0, 1): IntSet.tail(1, 2, [1]), (1, 2): pts([0])}), "minkowski"),
+        (_cells(3, {(0, 1): IntSet.tail(1, 2, [1]), (1, 2): pts([0]),
+                    (0, 2): span(0, 1)}), "union"),
+    ]
+    calls = {}
+
+    def counted(name):
+        original = getattr(IntSet, name)
+
+        def op(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        return op
+
+    for r, cell, value in interval:
+        want = _outcome(_reference_threshold_closure, r)
+        assert want[cell[0]][cell[1]] == value, r
+        calls.clear()
+        with monkeypatch.context() as mp:
+            for name in ("minkowski", "union", "star"):
+                mp.setattr(IntSet, name, counted(name))
+            assert _outcome(threshold_closure, r) == want, r
+        assert calls == {}, r
+    for r, name in off_shape:
+        want = _outcome(_reference_threshold_closure, r)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(IntSet, name, counted(name))
+            assert _outcome(threshold_closure, r) == want, r
+        assert calls.get(name, 0) > 0, (r, name)
+
+    # the check decides every sum into an interval target from the ends,
+    # also for operands off the shape: (relation, first failing triple)
+    tail = IntSet.tail(1, 2, [1])
+    ends = [
+        (_cells(3, {(0, 1): span(1, 2), (1, 2): span(0, 3), (0, 2): span(1, 5)}), None),
+        (_cells(3, {(0, 1): span(1, 2), (1, 2): span(0, 3), (0, 2): span(1, 4)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): span(1, 2), (1, 2): span(0, 3), (0, 2): span(2, 5)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): pts([0, 2]), (1, 2): pts([1]), (0, 2): span(1, 3)}), None),
+        (_cells(3, {(0, 1): pts([0, 2]), (1, 2): pts([1]), (0, 2): span(1, 2)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): tail, (1, 2): pts([0]), (0, 2): span(1)}), None),
+        (_cells(3, {(0, 1): tail, (1, 2): pts([0]), (0, 2): span(2)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): tail, (1, 2): pts([0]), (0, 2): span(1, 9)}), (0, 1, 2)),
+    ]
+
+    def general_operation(*_):
+        raise AssertionError("a sum into an interval target took IntSet operations")
+
+    for r, first in ends:
+        want = first and "NotAnOrder: closure is not transitive at (%d,%d,%d)" % first
+        assert _outcome(_reference_transitive, r) == want, r
+        with monkeypatch.context() as mp:
+            mp.setattr(IntSet, "minkowski", general_operation)
+            mp.setattr(IntSet, "issubset", general_operation)
+            assert _outcome(lattice._check_transitive, r) == want, r
+
+
 # pi before it read the periodic order, kept as the reference: a union-find
 # and closure face reader, shape and orientation checks, in-block roots
 # built from the cells and handed to the component read-off.
@@ -341,7 +430,7 @@ def _reference_pi(r, typ):
             if fa and fb:
                 equal.append((a, b))
             elif not fa and not fb:
-                if va.is_cofinal_from() is None or vb.is_cofinal_from() is None:
+                if cofinal_from(va) is None or cofinal_from(vb) is None:
                     raise NotAnOrder(f"entry ({a},{b}) has a patterned tail")
                 equal.append((a, b))
             elif fa:
@@ -373,7 +462,7 @@ def _reference_pi(r, typ):
                     data = data.complement_in(_eps(a, b))
                 if not data.is_finite():
                     raise NotAnOrder(f"in-block entry ({a},{b}) is infinite")
-                for d in data.upto(data.max_finite() or 0):
+                for d in data.upto(max_finite(data) or 0):
                     x_roots.add(canonical_root(typ, a, b + d * m))
     return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))
 
