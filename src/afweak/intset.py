@@ -5,10 +5,9 @@ in residues}, held as Python-int bitmasks.  Union and intersection are |
 and & of windows and of residue masks lifted to lcm(P) by multiplying
 with (2^lcm - 1)/(2^P - 1); complement is ~, shift rotates residues, and
 a Minkowski sum shift-ORs one window over the runs of the other.  The
-closure sweep of lattice holds its entries as intervals and rays and
-calls these operations only for an entry off that shape; here rays
-[T, oo) add and unite by their starts, and the complement of an empty
-set, a ray or a run [lo, hi] is written down directly.  Everything the
+threshold relations of lattice hold empty sets, runs and rays as plain
+ends and build an IntSet only for a set off those shapes, so these
+operations serve the few entries that leave them.  Everything the
 closure of translation-invariant inversion relations consumes stays in
 the family.  All operations are exact; least period, then least
 threshold, make equality structural.
@@ -50,25 +49,11 @@ class IntSet:
         return hash(self._key())
 
     @staticmethod
-    def empty() -> "IntSet":
-        return _EMPTY
-
-    @staticmethod
-    def points(xs) -> "IntSet":
-        xs = set(xs)
-        lo = min(xs, default=0)
-        return IntSet(lo, sum(1 << (x - lo) for x in xs), 0, 1, 0)
-
-    @staticmethod
     def from_range(lo: int, hi: int | None = None) -> "IntSet":
         """[lo, hi] when hi is given, else [lo, oo)."""
         if hi is None:
             return IntSet(0, 0, lo, 1, 1)
         return IntSet(lo, _ones(hi - lo + 1), 0, 1, 0) if hi >= lo else _EMPTY
-
-    @staticmethod
-    def tail(start: int, period: int, residues) -> "IntSet":
-        return _canon(start, 0, start, period, sum({1 << r % period for r in residues}))
 
     def __contains__(self, x: int) -> bool:
         if self.res and x >= self.T:
@@ -77,9 +62,6 @@ class IntSet:
 
     def is_empty(self) -> bool:
         return not (self.fin or self.res)
-
-    def is_finite(self) -> bool:
-        return not self.res
 
     def min(self) -> int | None:
         if self.fin:
@@ -96,8 +78,6 @@ class IntSet:
         a, b = self, other
         if a.is_empty() or b.is_empty():
             return b if a.is_empty() else a
-        if _is_ray(a) and _is_ray(b):
-            return a if a.T <= b.T else b
         lo = min(a.lo if a.fin else a.T, b.lo if b.fin else b.T)
         return _canon(lo, *_merged(a, b, int.__or__, lo))
 
@@ -108,17 +88,7 @@ class IntSet:
         return _canon(lo, *_merged(self, other, int.__and__, lo))
 
     def complement_in(self, lo: int) -> "IntSet":
-        """[lo, oo) minus this set; closed forms for empty sets, rays and runs."""
-        if not self.fin:
-            if not self.res:
-                return IntSet(0, 0, lo, 1, 1)
-            if self.P == 1:  # the ray [T, oo)
-                return IntSet(lo, _ones(self.T - lo), 0, 1, 0) if self.T > lo else _EMPTY
-        elif not (self.res or self.fin & (self.fin + 1)):  # the run [self.lo, q]
-            q = self.lo + self.fin.bit_length() - 1
-            if self.lo <= lo:
-                return IntSet(0, 0, max(lo, q + 1), 1, 1)
-            return IntSet(lo, _ones(self.lo - lo), q + 1, 1, 1)
+        """[lo, oo) minus this set."""
         t = max(_t_eff(self), lo)
         return _canon(lo, ~_bits(self, lo, t), t, self.P, ~self.res & _ones(self.P))
 
@@ -144,8 +114,6 @@ class IntSet:
         if a.is_empty() or b.is_empty():
             return _EMPTY
         la, lb = a.min(), b.min()
-        if _is_ray(a) or _is_ray(b):
-            return IntSet(0, 0, la + lb, 1, 1)
         L = lcm(a.P, b.P)
         t = _t_eff(a) + _t_eff(b) + 2 * L
         w = _sum_bits(_bits(a, la, t + L - lb), _bits(b, lb, t + L - la))
@@ -216,10 +184,6 @@ def _periodic(res: int, p: int, start: int, n: int) -> int:
         return 0
     k = -(-n // p)
     return _rot(res, start, p) * (_ones(p * k) // _ones(p)) & _ones(n)
-
-
-def _is_ray(s: IntSet) -> bool:
-    return s.P == 1 and s.res == 1 and not s.fin
 
 
 def _t_eff(s: IntSet) -> int:

@@ -5,10 +5,10 @@ relation: for every ordered residue pair the set of shifts at which the
 pair is inverted, an eventually-periodic integer set.  Joins close the
 union of these relations by a Floyd-Warshall sweep whose loop weights
 are handled with Kleene stars, so no unbounded fixpoint iteration is
-needed; meets are complement-dual joins.  The sweep holds entries as
-intervals and rays, whose sums, stars and unions take a few int
-operations, and falls back to IntSet off that shape; the transitivity
-and order checks decide most sums from entries' least and largest points.
+needed; meets are complement-dual joins.  Relations hold their entries
+end to end as runs and rays by their ends, and as IntSets only off that
+shape, so unions, complements, sums, stars and the checks take a few
+int operations on nearly every entry.
 The periodic order model bridges relations and triples both ways: iota
 writes the relation of a triple's order, and pi reads the order that a
 relation encodes and writes its relation back, which certifies it.
@@ -34,7 +34,7 @@ from .errors import (InvalidWindow, NotAnOrder, NotBiclosed, SigmaFixednessViola
                      TooLarge, TypeMismatch)
 from .fan import (BiclosedTriple, FanFace, build_biclosed, classify, origin_face,
                   parahoric, _from_inversions, _ordered_blocks)
-from .intset import _EMPTY, IntSet, _is_ray
+from .intset import _EMPTY, IntSet
 from .orders import (BlockData, PeriodicOrder, _block_position_fn, inversion_set,
                      order_from_triple)
 from .perms import from_window
@@ -50,6 +50,69 @@ def _eps(a: int, b: int) -> int:
     return 0 if a < b else 1
 
 
+def _entry(s: IntSet):
+    """The entry form of an IntSet (see ThresholdRelation)."""
+    if not s.res:
+        if not s.fin:
+            return None
+        if not s.fin & (s.fin + 1):
+            return s.lo, s.lo + s.fin.bit_length() - 1
+    elif s.P == 1 and not s.fin:
+        return s.T, inf
+    return s
+
+
+def _intset(e) -> IntSet:
+    """The IntSet of an entry."""
+    if e.__class__ is tuple:
+        return IntSet.from_range(e[0], None if e[1] == inf else e[1])
+    return e or _EMPTY
+
+
+def _ends(e) -> tuple[int, int | float, bool]:
+    """(least point, largest point or inf, whether it is a run or a ray)
+    of a non-empty entry."""
+    if e.__class__ is tuple:
+        return e[0], e[1], True
+    return e.min(), inf if e.res else e.lo + e.fin.bit_length() - 1, False
+
+
+def _unite(x, y):
+    """The union of two entries; intervals that overlap or touch unite."""
+    if x is None or y is None:
+        return y if x is None else x
+    if x.__class__ is tuple and y.__class__ is tuple:
+        if x[0] <= y[0] and y[1] <= x[1]:
+            return x
+        if x[0] <= y[1] + 1 and y[0] <= x[1] + 1:
+            return min(x[0], y[0]), max(x[1], y[1])
+    return _entry(_intset(x).union(_intset(y)))
+
+
+# the rays [0, oo) and [1, oo): the complement of an empty entry, and the
+# entries of iota across blocks
+_RAYS = ((0, inf), (1, inf))
+
+
+def _complement(e, lo: int):
+    """[lo, oo) minus the entry e: a ray and a run from lo swap."""
+    if e is None:
+        return _RAYS[lo]
+    if e.__class__ is tuple:
+        if e[1] == inf:
+            return (lo, e[0] - 1) if e[0] > lo else None
+        if e[0] <= lo:
+            return max(lo, e[1] + 1), inf
+    return _entry(_intset(e).complement_in(lo))
+
+
+def _shift(e, c: int):
+    """The entry e moved by c."""
+    if e.__class__ is tuple:
+        return e[0] + c, e[1] + c
+    return e and e.shift(c)
+
+
 @dataclass(frozen=True)
 class ThresholdRelation:
     """Translation-invariant inversion data over residues 0..M-1.
@@ -57,14 +120,22 @@ class ThresholdRelation:
     Entry (a, b) holds {d : a > b + dM in the order}, restricted to the
     ascending shifts d >= eps(a, b); the descending half of the full
     relation {d : a comes after b + dM} is forced by totality, so it is
-    read off entry (b, a) and not stored.
+    read off entry (b, a) and not stored.  V holds each entry in one
+    canonical form: None when it is empty, (lo, hi) for the run [lo, hi],
+    (T, inf) for the ray [T, oo), and an IntSet only for a set of no such
+    shape, so == and hash stay structural.  entry(a, b) reads an entry as
+    an IntSet; from_sets builds a relation from IntSet rows.
     """
 
     M: int
-    V: tuple[tuple[IntSet, ...], ...]
+    V: tuple[tuple, ...]
+
+    @classmethod
+    def from_sets(cls, m: int, rows) -> "ThresholdRelation":
+        return cls(m, tuple(tuple(map(_entry, row)) for row in rows))
 
     def entry(self, a: int, b: int) -> IntSet:
-        return self.V[a][b]
+        return _intset(self.V[a][b])
 
     def succeeds(self, x: int, y: int) -> bool:
         """Whether x comes strictly after y in the encoded order."""
@@ -74,91 +145,49 @@ class ThresholdRelation:
             return not self.succeeds(y, x)
         a, b = x % self.M, y % self.M
         d = (y - b) // self.M - (x - a) // self.M
-        return d in self.V[a][b]
+        return d in self.entry(a, b)
 
     def union(self, other: "ThresholdRelation") -> "ThresholdRelation":
         if self.M != other.M:
             raise TypeMismatch("mismatched moduli")
         return ThresholdRelation(self.M, tuple(
-            tuple(map(IntSet.union, ra, rb)) for ra, rb in zip(self.V, other.V)))
+            tuple(map(_unite, ra, rb)) for ra, rb in zip(self.V, other.V)))
 
     def complement(self) -> "ThresholdRelation":
         """Ascending pairs not inverted: the relation of T minus the set."""
-        return ThresholdRelation(
-            self.M,
-            tuple(
-                tuple(
-                    self.V[a][b].complement_in(_eps(a, b))
-                    for b in range(self.M)
-                )
-                for a in range(self.M)
-            ),
-        )
-
-
-def _shape(s: IntSet) -> tuple[int, int | float, bool] | None:
-    """None when s is empty, else (least point, largest point or inf when
-    there is a tail, whether s is a ray [T, oo))."""
-    if not (s.fin or s.res):
-        return None
-    return s.min(), inf if s.res else s.lo + s.fin.bit_length() - 1, _is_ray(s)
-
-
-def _interval(s: IntSet):
-    """The sweep entry of s: None when s is empty, (lo, hi) when s is the
-    run [lo, hi] or, with hi = inf, the ray [lo, oo), else s itself."""
-    e = _shape(s)
-    return e and (e[:2] if e[2] or not (s.res or s.fin & (s.fin + 1)) else s)
-
-
-def _intset(e) -> IntSet:
-    """The IntSet of a sweep entry."""
-    if e.__class__ is tuple:
-        return IntSet.from_range(e[0], None if e[1] == inf else e[1])
-    return e or _EMPTY
+        return ThresholdRelation(self.M, tuple(
+            tuple(_complement(e, _eps(a, b)) for b, e in enumerate(row))
+            for a, row in enumerate(self.V)))
 
 
 def _star(e):
     """Kleene star of a diagonal entry: {0} when it is empty, [0, oo) when
     it holds 1; else IntSet.star, which rejects a least point below 1."""
     if e is None or e.__class__ is tuple and e[0] == 1:
-        return (0, 0) if e is None else (0, inf)
-    return _intset(e).star()
+        return (0, 0) if e is None else _RAYS[0]
+    return _entry(_intset(e).star())
 
 
 def _add(x, y):
-    """Minkowski sum of two non-empty sweep entries: intervals add ends."""
+    """Minkowski sum of two non-empty entries: intervals add ends."""
     if x.__class__ is tuple and y.__class__ is tuple:
         return x[0] + y[0], x[1] + y[1]
-    return _intset(x).minkowski(_intset(y))
-
-
-def _unite(x, y):
-    """x united with a non-empty y; intervals that overlap or touch unite."""
-    if x is None:
-        return y
-    if x.__class__ is tuple and y.__class__ is tuple:
-        if x[0] <= y[0] and y[1] <= x[1]:
-            return x
-        if x[0] <= y[1] + 1 and y[0] <= x[1] + 1:
-            return min(x[0], y[0]), max(x[1], y[1])
-    return _intset(x).union(_intset(y))
+    return _entry(_intset(x).minkowski(_intset(y)))
 
 
 def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
     """Least transitive superset, by Floyd-Warshall with Kleene stars.
 
     Chains a > b + dM > c + eM compose by Minkowski sums of the shift
-    sets, and loop entries are absorbed exactly by their stars.  Entries
-    are held as intervals (_interval): a sum adds the ends, and unions
-    and stars that stay intervals are written down; an entry that leaves
-    the shape takes the general IntSet operations for the rest of the
-    sweep.  Transitivity is checked on every call, from the sweep's
-    entries (_check_transitive); degenerate inputs surface as NotAnOrder
-    from the validity check downstream.
+    sets, and loop entries are absorbed exactly by their stars.  The sweep
+    runs on the relation's entries: a sum of intervals adds the ends, and
+    unions and stars that stay intervals are written down; only an entry
+    off that shape takes the general IntSet operations.  Transitivity is
+    checked on every call (_check_transitive); degenerate inputs surface
+    as NotAnOrder from the validity check downstream.
     """
     m = r.M
-    v = [[_interval(s) for s in row] for row in r.V]
+    v = [list(row) for row in r.V]
     for k in range(m):
         star = _star(v[k][k])
         for row in v:
@@ -167,22 +196,19 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
                 for b, kb in enumerate(v[k]):
                     if kb is not None:
                         row[b] = _unite(row[b], _add(via, kb))
-    out = ThresholdRelation(m, tuple(tuple(map(_intset, row)) for row in v))
-    _check_transitive(out, v)
+    out = ThresholdRelation(m, tuple(map(tuple, v)))
+    _check_transitive(out)
     return out
 
 
-def _check_transitive(r: ThresholdRelation, entries=None) -> None:
+def _check_transitive(r: ThresholdRelation) -> None:
     """Raise NotAnOrder at the first (a, b, c) with V[a][b] + V[b][c] not
-    inside V[a][c], read from the sweep entries (r's when none are given).
-    A sum's least and largest points are its operands' added, so it lies
-    in an interval target [lo, hi] iff they do, and in no empty target;
-    only targets off the interval shape take IntSet operations."""
+    inside V[a][c].  A sum's least and largest points are its operands'
+    added, so it lies in an interval target [lo, hi] iff they do, and in
+    no empty target; only off-shape targets take IntSet operations."""
     v = r.V
-    entries = entries or [[_interval(s) for s in row] for row in v]
-    ends = [[(c, e if e.__class__ is tuple else _shape(e))
-             for c, e in enumerate(row) if e is not None] for row in entries]
-    for a, row in enumerate(entries):
+    ends = [[(c, _ends(e)) for c, e in enumerate(row) if e is not None] for row in v]
+    for a, row in enumerate(v):
         for b, ab in ends[a]:
             for c, bc in ends[b]:
                 if (ac := row[c]) is None:
@@ -190,7 +216,7 @@ def _check_transitive(r: ThresholdRelation, entries=None) -> None:
                 elif ac.__class__ is tuple:
                     ok = ab[0] + bc[0] >= ac[0] and ab[1] + bc[1] <= ac[1]
                 else:
-                    ok = v[a][b].minkowski(v[b][c]).issubset(ac)
+                    ok = _intset(v[a][b]).minkowski(_intset(v[b][c])).issubset(ac)
                 if not ok:
                     raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
 
@@ -199,16 +225,18 @@ def check_order(r: ThresholdRelation) -> None:
     """Raise NotAnOrder unless the relation is a (closed) total order.
 
     Transitivity is assumed from the closure; this checks co-closure:
-    no inverted pair may factor through two non-inverted ones.  A sum
-    with a ray is the ray [x+y, oo) from the least points, which meets an
-    entry iff the entry's largest point is at least x+y; a sum meets a
-    ray [T, oo) iff its largest point is at least T.  Other sums take the
-    general IntSet operations.
+    no inverted pair may factor through two non-inverted ones.  The
+    non-inverted pairs are the complement's entries, and most sums are
+    decided from entry ends: a sum with a ray is the ray [x+y, oo) from
+    the least points, which meets an entry iff the entry's largest point
+    is at least x+y; a sum of runs is a run, which meets a run or a ray
+    iff their ends overlap; any sum meets a ray [T, oo) iff its largest
+    point is at least T.  Other sums take the general IntSet operations.
     """
     m = r.M
     comp = r.complement()
-    left = [[_shape(s) for s in row] for row in comp.V]
-    right = [[_shape(s) for s in row] for row in r.V]
+    left = [[e and _ends(e) for e in row] for row in comp.V]
+    right = [[e and _ends(e) for e in row] for row in r.V]
     for a in range(m):
         for b in range(m):
             if not (ab := left[a][b]):
@@ -216,28 +244,26 @@ def check_order(r: ThresholdRelation) -> None:
             for c in range(m):
                 if not (bc := left[b][c]) or not (ac := right[a][c]):
                     continue
-                if ab[2] or bc[2]:
-                    hit = ac[1] >= ab[0] + bc[0]
-                elif ac[2]:
-                    hit = ab[1] + bc[1] >= ac[0]
+                lo, hi = ab[0] + bc[0], ab[1] + bc[1]
+                if ab[2] and ab[1] == inf or bc[2] and bc[1] == inf:
+                    hit = ac[1] >= lo
+                elif ab[2] and bc[2] and ac[2]:
+                    hit = lo <= ac[1] and ac[0] <= hi
+                elif ac[2] and ac[1] == inf:
+                    hit = hi >= ac[0]
                 else:
-                    hit = comp.V[a][b].minkowski(comp.V[b][c]).intersects(r.V[a][c])
+                    hit = comp.entry(a, b).minkowski(comp.entry(b, c)).intersects(
+                        r.entry(a, c))
                 if hit:
-                    raise NotAnOrder(
-                        f"inversion ({a},{c}) factors through non-inversions"
-                        f" via {b}"
-                    )
+                    raise NotAnOrder(f"inversion ({a},{c}) factors through"
+                                     f" non-inversions via {b}")
     for a in range(m):
-        if r.entry(a, a) not in (IntSet.empty(), IntSet.from_range(1)):
+        if r.V[a][a] not in (None, _RAYS[1]):
             raise NotAnOrder(f"diagonal class {a} is partially reversed")
 
 
 # ---------------------------------------------------------------------------
 # iota and pi
-
-
-# the cross-block entries of iota, shared: empty, [0, oo) and [1, oo)
-_RAYS = (IntSet.from_range(0), IntSet.from_range(1))
 
 
 def _relation(o: PeriodicOrder) -> ThresholdRelation:
@@ -248,6 +274,8 @@ def _relation(o: PeriodicOrder) -> ThresholdRelation:
     negation, pos_k(x) = -pos_{2 mid - k}(-x), and the central block
     places the multiples of M.  A family-C order therefore yields, over
     residues 0..M-1, the relation of its sigma-fixed family-A order.
+    Entries are written in their form: None or the ray from eps across
+    blocks, a run from eps or a ray inside one.
     """
     typ = o.type
     m = typ.modulus
@@ -264,24 +292,19 @@ def _relation(o: PeriodicOrder) -> ThresholdRelation:
             block[a], pos[a] = k, f(a)
         # +-(period size of the block) per shift of M; negative when reversed
         step[k] = f(a + m) - pos[a]
-    rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            lo = _eps(a, b)
-            if block[a] < block[b]:
-                row.append(_EMPTY)
-            elif block[a] > block[b]:
-                row.append(_RAYS[lo])
-            else:
-                diff, s = pos[a] - pos[b], step[block[a]]
-                # a comes after b + dM  iff  diff > d * s
-                if s < 0:
-                    row.append(IntSet.from_range(max(lo, -diff // -s + 1)))
-                else:
-                    row.append(IntSet.from_range(lo, (diff - 1) // s))
-        rows.append(tuple(row))
-    return ThresholdRelation(m, tuple(rows))
+
+    def cell(a: int, b: int, lo: int):
+        if block[a] != block[b]:
+            return None if block[a] < block[b] else _RAYS[lo]
+        diff, s = pos[a] - pos[b], step[block[a]]
+        # a comes after b + dM  iff  diff > d * s
+        if s < 0:
+            return max(lo, -diff // -s + 1), inf
+        hi = (diff - 1) // s
+        return (lo, hi) if hi >= lo else None
+
+    return ThresholdRelation(m, tuple(
+        tuple(cell(a, b, _eps(a, b)) for b in range(m)) for a in range(m)))
 
 
 def iota(t: BiclosedTriple) -> ThresholdRelation:
@@ -297,20 +320,22 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
     """Project a translation-invariant order onto its family-A triple.
 
     pi reads the order that r encodes and writes its relation back: the
-    face from entry finiteness, each block's orientation from a diagonal
-    entry, and its permutation from the in-block inversion counts
-    (``fan._from_inversions``), complemented in a reversed block.  Only
-    the relation of a genuine order equals the relation written back;
-    any other r raises NotAnOrder.
+    face from which entries are finite, each block's orientation from
+    whether a diagonal entry is empty, and its permutation from the
+    in-block inversion counts (``fan._from_inversions``), complemented in
+    a reversed block; all three are read off the entries' ends.  Only the
+    relation of a genuine order equals the relation written back; any
+    other r raises NotAnOrder.
     """
     if typ.family != "A" or typ.modulus != r.M:
         raise TypeMismatch("pi needs the family-A type matching the modulus")
-    m = r.M
+    m, v = r.M, r.V
     check_order(r)
+    fin = [[e is None or _ends(e)[1] < inf for e in row] for row in v]
     equal, after = [], []
     for a in range(m):
         for b in range(a + 1, m):
-            fa, fb = r.entry(a, b).is_finite(), r.entry(b, a).is_finite()
+            fa, fb = fin[a][b], fin[b][a]
             if fa == fb:
                 equal.append((a, b))
             else:
@@ -319,15 +344,15 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
     data = []
     for blk in face.blocks:
         reps = sorted(blk)
-        reversed_ = not r.entry(reps[0], reps[0]).is_empty()
+        reversed_ = v[reps[0]][reps[0]] is not None
         counts = []
         for (p, a), (q, b) in itertools.permutations(enumerate(reps), 2):
-            inv = r.entry(a, b)
+            inv = v[a][b]
             if reversed_:
-                inv = inv.complement_in(_eps(a, b))
-            # the shifts d of the inversions (a, b + dM); an infinite set
-            # fails the certificate below, whatever it counts
-            counts.append((p, q, inv.fin.bit_count()))
+                inv = _complement(inv, _eps(a, b))
+            # the shifts d of the inversions (a, b + dM), below the tail of
+            # an infinite set, which fails the certificate below
+            counts.append((p, q, _finite_count(inv)))
         perm = None
         if len(reps) > 1:
             try:
@@ -341,24 +366,29 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
     return inversion_set(o)
 
 
+def _finite_count(e) -> int:
+    """How many points of the entry lie below its tail, if it has one."""
+    if e.__class__ is tuple:
+        return 0 if e[1] == inf else e[1] - e[0] + 1
+    return e.fin.bit_count() if e else 0
+
+
 # ---------------------------------------------------------------------------
 # sigma and the exact joins
 
 
 def sigma_relation(r: ThresholdRelation) -> ThresholdRelation:
     """The negation conjugate: x new-precedes y iff -y precedes -x."""
-    m = r.M
-    rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            row.append(r.entry((-b) % m, (-a) % m).shift((-b) // m - (-a) // m))
-        rows.append(tuple(row))
-    return ThresholdRelation(m, tuple(rows))
+    m, v = r.M, r.V
+    return ThresholdRelation(m, tuple(
+        tuple(_shift(v[-b % m][-a % m], (-b) // m - (-a) // m) for b in range(m))
+        for a in range(m)))
 
 
 def sigma(t: BiclosedTriple) -> BiclosedTriple:
     """The negation involution on family-A triples."""
+    if t.type.family != "A":
+        raise TypeMismatch("sigma takes family-A triples")
     return pi(sigma_relation(iota(t)), t.type)
 
 

@@ -1,8 +1,16 @@
-"""Reference implementations that more than one test module compares
-against, and readers of IntSet and ThresholdRelation that only tests use.
-Not a test module: pytest collects only test_*.py."""
+"""Reference implementations that tests compare against, the relations
+they are compared on, and readers of IntSet and ThresholdRelation that
+only tests use.  The lattice references hold IntSets alone and read a
+relation through ThresholdRelation.entry.  Not a test module: pytest
+collects only test_*.py."""
 
-from afweak.lattice import _eps
+from afweak.errors import NotAnOrder
+from afweak.fan import FanFace, _recover_w, build_biclosed, parahoric
+from afweak.intset import _EMPTY as EMPTY
+from afweak.intset import IntSet, _canon
+from afweak.lattice import ThresholdRelation, _eps, check_order, iota
+from afweak.roots import AffineType, canonical_root
+from afweak.verify import random_triple
 
 
 def _reference_ordered_blocks(ground, equal, after, error):
@@ -44,6 +52,22 @@ def _reference_ordered_blocks(ground, equal, after, error):
     return blist
 
 
+def points(xs):
+    """The finite IntSet of the given points."""
+    xs = set(xs)
+    lo = min(xs, default=0)
+    return IntSet(lo, sum(1 << (x - lo) for x in xs), 0, 1, 0)
+
+
+def tail(start, period, residues):
+    """{x >= start : x mod period in residues} as an IntSet."""
+    return _canon(start, 0, start, period, sum({1 << r % period for r in residues}))
+
+
+def is_finite(s):
+    return not s.res
+
+
 def max_finite(s):
     """Largest element of a finite IntSet, None when it is empty."""
     if s.res:
@@ -62,9 +86,154 @@ def full_shape(r, a, b):
     """Shape of the full-order set {d : a comes after b + dM} of a
     ThresholdRelation: the textbook Empty, All, AtMost or AtLeast; the
     descending half is forced by totality, so V[b][a] decides it."""
-    v, w = r.V[a][b], r.V[b][a]
-    if v.is_finite():
+    v, w = r.entry(a, b), r.entry(b, a)
+    if is_finite(v):
         empty = v.is_empty() and w.complement_in(_eps(b, a)).is_empty()
         return "Empty" if empty else "AtMost"
     full = cofinal_from(v) == _eps(a, b) and w.is_empty()
     return "All" if full else "AtLeast"
+
+
+def _entries(r):
+    """The entries of a relation as IntSet rows."""
+    return [[r.entry(a, b) for b in range(r.M)] for a in range(r.M)]
+
+
+_A345 = tuple(AffineType("A", n) for n in (3, 4, 5))
+
+
+def _perturbed_relations(rng, count):
+    """(type, relation) pairs: iota of a random triple with one in-block
+    cell perturbed, by an added shift or by losing its least shift."""
+    for _ in range(count):
+        typ = rng.choice(_A345)
+        t = random_triple(typ, rng, 6)
+        r = iota(t)
+        blocks = [b for b in t.face.blocks if len(b) > 1]
+        if not blocks:
+            continue
+        blk = sorted(rng.choice(blocks))
+        a, b = rng.sample(blk, 2)
+        v = _entries(r)
+        e, eps = v[a][b], int(a > b)  # entries hold shifts d >= eps
+        if e.is_empty() or rng.random() < 0.5:
+            v[a][b] = e.union(points([eps + rng.randrange(4)]))
+        else:
+            v[a][b] = e.intersection(IntSet.from_range(e.min() + 1))
+        yield typ, ThresholdRelation.from_sets(r.M, v)
+
+
+def _hand_built(rng, m):
+    """A relation over entries outside the ray shapes too: a diagonal {2}
+    (a period-2 star), {0} u [2, 5], finite parts plus tails."""
+    diag = (EMPTY, points([2]), IntSet.from_range(1),
+            points([2]).union(IntSet.from_range(5)))
+    cells = (EMPTY, IntSet.from_range(0), IntSet.from_range(1),
+             IntSet.from_range(0, 2), points([0]).union(IntSet.from_range(2, 5)),
+             points([1, 3]).union(IntSet.from_range(6)), tail(3, 2, [1]))
+    return ThresholdRelation.from_sets(m, (
+        tuple(rng.choice(diag if a == b else cells) for b in range(m)) for a in range(m)
+    ))
+
+
+def _reference_check_order(r):
+    """check_order on the general IntSet operations alone."""
+    m = r.M
+    comp = [[r.entry(a, b).complement_in(_eps(a, b)) for b in range(m)] for a in range(m)]
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                left, right = comp[a][b], comp[b][c]
+                if left.is_empty() or right.is_empty():
+                    continue
+                if left.minkowski(right).intersects(r.entry(a, c)):
+                    raise NotAnOrder(
+                        f"inversion ({a},{c}) factors through non-inversions via {b}"
+                    )
+    for a in range(m):
+        if r.entry(a, a) not in (EMPTY, IntSet.from_range(1)):
+            raise NotAnOrder(f"diagonal class {a} is partially reversed")
+
+
+def _reference_transitive(r):
+    """The transitivity check of threshold_closure before it read entry
+    shapes: one Minkowski sum and one issubset per triple."""
+    v, m = _entries(r), r.M
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if not (v[a][b].is_empty() or v[b][c].is_empty()
+                        or v[a][b].minkowski(v[b][c]).issubset(v[a][c])):
+                    raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
+
+
+def _reference_threshold_closure(r):
+    """threshold_closure on IntSets, with the reference transitivity check."""
+    m = r.M
+    v = _entries(r)
+    for k in range(m):
+        star = v[k][k].star()
+        for a in range(m):
+            if v[a][k].is_empty():
+                continue
+            via = v[a][k].minkowski(star)
+            for b in range(m):
+                if v[k][b].is_empty():
+                    continue
+                v[a][b] = v[a][b].union(via.minkowski(v[k][b]))
+    out = ThresholdRelation.from_sets(m, v)
+    _reference_transitive(out)
+    return out
+
+
+# pi before it read the periodic order, kept as the reference: a union-find
+# and closure face reader, shape and orientation checks, in-block roots
+# built from the cells and handed to the component read-off.
+
+
+def _reference_pi(r, typ):
+    m = r.M
+    check_order(r)
+    equal, after = [], []
+    for a in range(m):
+        for b in range(a + 1, m):
+            va, vb = r.entry(a, b), r.entry(b, a)
+            fa, fb = is_finite(va), is_finite(vb)
+            if fa and fb:
+                equal.append((a, b))
+            elif not fa and not fb:
+                if cofinal_from(va) is None or cofinal_from(vb) is None:
+                    raise NotAnOrder(f"entry ({a},{b}) has a patterned tail")
+                equal.append((a, b))
+            elif fa:
+                if not va.is_empty() or vb != IntSet.from_range(_eps(b, a)):
+                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
+                after.append((b, a))
+            else:
+                if not vb.is_empty() or va != IntSet.from_range(_eps(a, b)):
+                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
+                after.append((a, b))
+    face = FanFace(typ, tuple(_reference_ordered_blocks(range(m), equal, after,
+                                                        NotAnOrder)))
+    decomp = parahoric(face)
+    phi, x_roots = set(), set()
+    for k, blk in enumerate(face.blocks):
+        if len(blk) == 1:
+            continue
+        reversed_ = not r.entry(next(iter(blk)), next(iter(blk))).is_empty()
+        if any((not r.entry(a, a).is_empty()) != reversed_ for a in blk):
+            raise NotAnOrder("mixed orientations inside a block")
+        if reversed_:
+            phi.add(decomp.by_block[k][0].id)
+        for a in blk:
+            for b in blk:
+                if a == b:
+                    continue
+                data = r.entry(a, b)
+                if reversed_:
+                    data = data.complement_in(_eps(a, b))
+                if not is_finite(data):
+                    raise NotAnOrder(f"in-block entry ({a},{b}) is infinite")
+                for d in data.upto(max_finite(data) or 0):
+                    x_roots.add(canonical_root(typ, a, b + d * m))
+    return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))

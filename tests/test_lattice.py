@@ -3,6 +3,7 @@
 import os
 import random
 from functools import reduce
+from math import inf
 
 import pytest
 
@@ -21,7 +22,6 @@ from afweak.errors import (
 from afweak.fan import (
     BiclosedTriple,
     FanFace,
-    _recover_w,
     build_biclosed,
     classify,
     face_from_blocks,
@@ -62,7 +62,21 @@ from afweak.perms import (
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import random_triple
-from references import _reference_ordered_blocks, cofinal_from, full_shape, max_finite
+from answers import ANSWERS, answer_lines
+from references import (
+    EMPTY,
+    _hand_built,
+    _perturbed_relations,
+    _reference_check_order,
+    _reference_pi,
+    _reference_threshold_closure,
+    _reference_transitive,
+    full_shape,
+    is_finite,
+    max_finite,
+    points,
+    tail,
+)
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -129,31 +143,10 @@ def test_threshold_closure_is_transitive_and_idempotent():
 
 def test_check_order_flags_non_orders():
     # the one inversion (0, 3) factors through two non-inversions
-    e = IntSet.empty()
-    bad = ThresholdRelation(2, ((e, IntSet.points([1])), (e, e)))
+    e = EMPTY
+    bad = ThresholdRelation.from_sets(2, ((e, points([1])), (e, e)))
     with pytest.raises(NotAnOrder):
         check_order(bad)
-
-
-def _perturbed_relations(rng, count):
-    """(type, relation) pairs: iota of a random triple with one in-block
-    cell perturbed, by an added shift or by losing its least shift."""
-    for _ in range(count):
-        typ = rng.choice((A3, A4, A5))
-        t = random_triple(typ, rng, 6)
-        r = iota(t)
-        blocks = [b for b in t.face.blocks if len(b) > 1]
-        if not blocks:
-            continue
-        blk = sorted(rng.choice(blocks))
-        a, b = rng.sample(blk, 2)
-        v = [list(row) for row in r.V]
-        e, eps = v[a][b], int(a > b)  # entries hold shifts d >= eps
-        if e.is_empty() or rng.random() < 0.5:
-            v[a][b] = e.union(IntSet.points([eps + rng.randrange(4)]))
-        else:
-            v[a][b] = e.intersection(IntSet.from_range(e.min() + 1))
-        yield typ, ThresholdRelation(r.M, tuple(tuple(row) for row in v))
 
 
 def test_pi_rejects_or_round_trips_perturbed_blocks():
@@ -173,44 +166,12 @@ def test_pi_rejects_or_round_trips_perturbed_blocks():
     assert seen == {NotAnOrder}
 
 
-def _reference_check_order(r):
-    """check_order on the general IntSet operations alone."""
-    m = r.M
-    comp = r.complement()
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                left, right = comp.entry(a, b), comp.entry(b, c)
-                if left.is_empty() or right.is_empty():
-                    continue
-                if left.minkowski(right).intersects(r.entry(a, c)):
-                    raise NotAnOrder(
-                        f"inversion ({a},{c}) factors through non-inversions via {b}"
-                    )
-    for a in range(m):
-        if r.entry(a, a) not in (IntSet.empty(), IntSet.from_range(1)):
-            raise NotAnOrder(f"diagonal class {a} is partially reversed")
-
-
 def _outcome(f, r):
     try:
         out = f(r)
     except (NotAnOrder, ValueError) as err:  # ValueError: a star through 0
         return f"{type(err).__name__}: {err}"
     return out and out.V
-
-
-def _hand_built(rng, m):
-    """A relation over entries outside the ray shapes too: a diagonal {2}
-    (a period-2 star), {0} u [2, 5], finite parts plus tails."""
-    diag = (IntSet.empty(), IntSet.points([2]), IntSet.from_range(1),
-            IntSet.points([2]).union(IntSet.from_range(5)))
-    cells = (IntSet.empty(), IntSet.from_range(0), IntSet.from_range(1),
-             IntSet.from_range(0, 2), IntSet.points([0]).union(IntSet.from_range(2, 5)),
-             IntSet.points([1, 3]).union(IntSet.from_range(6)), IntSet.tail(3, 2, [1]))
-    return ThresholdRelation(m, tuple(
-        tuple(rng.choice(diag if a == b else cells) for b in range(m)) for a in range(m)
-    ))
 
 
 def test_check_order_matches_the_general_operations():
@@ -234,41 +195,10 @@ def test_check_order_matches_the_general_operations():
     assert {None, "inversion", "diagonal"} <= messages
 
 
-def _reference_transitive(r):
-    """The transitivity check of threshold_closure before it read entry
-    shapes: one Minkowski sum and one issubset per triple."""
-    v, m = r.V, r.M
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if not (v[a][b].is_empty() or v[b][c].is_empty()
-                        or v[a][b].minkowski(v[b][c]).issubset(v[a][c])):
-                    raise NotAnOrder(f"closure is not transitive at ({a},{b},{c})")
-
-
-def _reference_threshold_closure(r):
-    """threshold_closure with the reference transitivity check."""
-    m = r.M
-    v = [list(row) for row in r.V]
-    for k in range(m):
-        star = v[k][k].star()
-        for a in range(m):
-            if v[a][k].is_empty():
-                continue
-            via = v[a][k].minkowski(star)
-            for b in range(m):
-                if v[k][b].is_empty():
-                    continue
-                v[a][b] = v[a][b].union(via.minkowski(v[k][b]))
-    out = ThresholdRelation(m, tuple(tuple(row) for row in v))
-    _reference_transitive(out)
-    return out
-
-
 def _cells(m, cells):
     """The relation over residues 0..m-1 with the given entries, else empty."""
-    return ThresholdRelation(m, tuple(
-        tuple(cells.get((a, b), IntSet.empty()) for b in range(m)) for a in range(m)))
+    return ThresholdRelation.from_sets(m, (
+        tuple(cells.get((a, b), EMPTY) for b in range(m)) for a in range(m)))
 
 
 def test_threshold_closure_matches_the_general_operations(monkeypatch):
@@ -290,7 +220,7 @@ def test_threshold_closure_matches_the_general_operations(monkeypatch):
         failures.add(msg)
     assert len(failures) > 10
 
-    span, pts = IntSet.from_range, IntSet.points
+    span, pts = IntSet.from_range, points
     tailed = pts([1, 3]).union(span(6))
     # (relation, first failing triple or None); the shapes decide these,
     # so none may reach a Minkowski sum or a general issubset
@@ -326,7 +256,7 @@ def test_threshold_closure_matches_the_general_operations(monkeypatch):
 
 
 def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypatch):
-    span, pts = IntSet.from_range, IntSet.points
+    span, pts = IntSet.from_range, points
     # entries that stay intervals and rays through the whole sweep, which
     # must reach no IntSet operation: (relation, entry, its closed value)
     interval = [
@@ -357,8 +287,8 @@ def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypat
         # a diagonal through 0 has no star, on either path
         (_cells(2, {(0, 0): span(0, 2), (1, 0): pts([0])}), "star"),
         # a periodic tail {1, 3, 5, ...}
-        (_cells(3, {(0, 1): IntSet.tail(1, 2, [1]), (1, 2): pts([0])}), "minkowski"),
-        (_cells(3, {(0, 1): IntSet.tail(1, 2, [1]), (1, 2): pts([0]),
+        (_cells(3, {(0, 1): tail(1, 2, [1]), (1, 2): pts([0])}), "minkowski"),
+        (_cells(3, {(0, 1): tail(1, 2, [1]), (1, 2): pts([0]),
                     (0, 2): span(0, 1)}), "union"),
     ]
     calls = {}
@@ -373,7 +303,7 @@ def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypat
 
     for r, cell, value in interval:
         want = _outcome(_reference_threshold_closure, r)
-        assert want[cell[0]][cell[1]] == value, r
+        assert ThresholdRelation(r.M, want).entry(*cell) == value, r
         calls.clear()
         with monkeypatch.context() as mp:
             for name in ("minkowski", "union", "star"):
@@ -390,16 +320,16 @@ def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypat
 
     # the check decides every sum into an interval target from the ends,
     # also for operands off the shape: (relation, first failing triple)
-    tail = IntSet.tail(1, 2, [1])
+    odd = tail(1, 2, [1])
     ends = [
         (_cells(3, {(0, 1): span(1, 2), (1, 2): span(0, 3), (0, 2): span(1, 5)}), None),
         (_cells(3, {(0, 1): span(1, 2), (1, 2): span(0, 3), (0, 2): span(1, 4)}), (0, 1, 2)),
         (_cells(3, {(0, 1): span(1, 2), (1, 2): span(0, 3), (0, 2): span(2, 5)}), (0, 1, 2)),
         (_cells(3, {(0, 1): pts([0, 2]), (1, 2): pts([1]), (0, 2): span(1, 3)}), None),
         (_cells(3, {(0, 1): pts([0, 2]), (1, 2): pts([1]), (0, 2): span(1, 2)}), (0, 1, 2)),
-        (_cells(3, {(0, 1): tail, (1, 2): pts([0]), (0, 2): span(1)}), None),
-        (_cells(3, {(0, 1): tail, (1, 2): pts([0]), (0, 2): span(2)}), (0, 1, 2)),
-        (_cells(3, {(0, 1): tail, (1, 2): pts([0]), (0, 2): span(1, 9)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): odd, (1, 2): pts([0]), (0, 2): span(1)}), None),
+        (_cells(3, {(0, 1): odd, (1, 2): pts([0]), (0, 2): span(2)}), (0, 1, 2)),
+        (_cells(3, {(0, 1): odd, (1, 2): pts([0]), (0, 2): span(1, 9)}), (0, 1, 2)),
     ]
 
     def general_operation(*_):
@@ -414,57 +344,120 @@ def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypat
             assert _outcome(lattice._check_transitive, r) == want, r
 
 
-# pi before it read the periodic order, kept as the reference: a union-find
-# and closure face reader, shape and orientation checks, in-block roots
-# built from the cells and handed to the component read-off.
+def _reference_succeeds(r, x, y):
+    """ThresholdRelation.succeeds read through IntSet entries."""
+    if x > y:
+        return not _reference_succeeds(r, y, x)
+    a, b = x % r.M, y % r.M
+    return (y - b) // r.M - (x - a) // r.M in r.entry(a, b)
 
 
-def _reference_pi(r, typ):
-    m = r.M
-    check_order(r)
-    equal, after = [], []
-    for a in range(m):
-        for b in range(a + 1, m):
-            va, vb = r.entry(a, b), r.entry(b, a)
-            fa, fb = va.is_finite(), vb.is_finite()
-            if fa and fb:
-                equal.append((a, b))
-            elif not fa and not fb:
-                if cofinal_from(va) is None or cofinal_from(vb) is None:
-                    raise NotAnOrder(f"entry ({a},{b}) has a patterned tail")
-                equal.append((a, b))
-            elif fa:
-                if not va.is_empty() or vb != IntSet.from_range(_eps(b, a)):
-                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
-                after.append((b, a))
-            else:
-                if not vb.is_empty() or va != IntSet.from_range(_eps(a, b)):
-                    raise NotAnOrder(f"pair ({a},{b}) mixes block shapes")
-                after.append((a, b))
-    face = FanFace(typ, tuple(_reference_ordered_blocks(range(m), equal, after,
-                                                        NotAnOrder)))
-    decomp = parahoric(face)
-    phi, x_roots = set(), set()
-    for k, blk in enumerate(face.blocks):
-        if len(blk) == 1:
-            continue
-        reversed_ = not r.entry(next(iter(blk)), next(iter(blk))).is_empty()
-        if any((not r.entry(a, a).is_empty()) != reversed_ for a in blk):
-            raise NotAnOrder("mixed orientations inside a block")
-        if reversed_:
-            phi.add(decomp.by_block[k][0].id)
-        for a in blk:
-            for b in blk:
-                if a == b:
-                    continue
-                data = r.entry(a, b)
-                if reversed_:
-                    data = data.complement_in(_eps(a, b))
-                if not data.is_finite():
-                    raise NotAnOrder(f"in-block entry ({a},{b}) is infinite")
-                for d in data.upto(max_finite(data) or 0):
-                    x_roots.add(canonical_root(typ, a, b + d * m))
-    return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))
+def _in_shape(s):
+    """Whether an IntSet is empty, a run [lo, hi] or a ray [T, oo)."""
+    if s.is_empty():
+        return True
+    return s == IntSet.from_range(s.min(), max_finite(s) if is_finite(s) else None)
+
+
+def _assert_canonical(r):
+    for row in r.V:
+        for e in row:
+            if isinstance(e, IntSet):
+                assert not _in_shape(e), e
+            elif e is not None:
+                lo, hi = e
+                assert isinstance(lo, int) and lo <= hi and (isinstance(hi, int) or hi == inf)
+
+
+def test_entry_algebra_matches_the_intset_operations(monkeypatch):
+    rng = random.Random(SEED + 53)
+    span, pts = IntSet.from_range, points
+    rels = []
+    for typ in (A3, A4, A5, AffineType("A", 6), C2, C3, C4):
+        for _ in range(5):
+            x, y = iota(random_triple(typ, rng, 4)), iota(random_triple(typ, rng, 4))
+            u, v = x.union(y), x.complement().union(y.complement())
+            rels += [x, u, v, x.complement(), u.complement(), v.complement()]
+            rels += [threshold_closure(u), threshold_closure(v).complement()]
+    rels += [_hand_built(rng, m) for m in (1, 2, 2, 3, 3, 3) for _ in range(10)]
+    rels += [r for _, r in _perturbed_relations(rng, 40)]
+    # runs above eps (two-piece complements), runs touching or with a gap,
+    # rays to be shifted, points and sets off the shape
+    cells = (EMPTY, span(0, 1), span(1, 2), span(2, 3), span(3, 4), span(2, 4),
+             span(0), span(1), span(2), span(3), span(5), pts([0]), pts([2]), pts([0, 2]),
+             pts([1, 3]).union(span(6)), tail(3, 2, [1]))
+    rels += [ThresholdRelation.from_sets(m, [[rng.choice(cells) for _ in range(m)]
+                                             for _ in range(m)])
+             for m in (1, 2, 2, 3, 3, 4) for _ in range(15)]
+    by_m = {}
+    for r in rels:
+        by_m.setdefault(r.M, []).append(r)
+    kinds = set()
+    for r in rels:
+        m = r.M
+        _assert_canonical(r)
+        rows = [[r.entry(a, b) for b in range(m)] for a in range(m)]
+        assert ThresholdRelation.from_sets(m, rows) == r
+        comp, sig = r.complement(), sigma_relation(r)
+        for c in (comp, sig):
+            _assert_canonical(c)
+        for a in range(m):
+            for b in range(m):
+                e = rows[a][b]
+                kinds.add("set" if not _in_shape(e) else "ray" if not is_finite(e)
+                          else "run" if not e.is_empty() else "empty")
+                assert comp.entry(a, b) == e.complement_in(_eps(a, b)), (r, a, b)
+                shift = (-b) // m - (-a) // m
+                assert sig.entry(a, b) == rows[(-b) % m][(-a) % m].shift(shift), (r, a, b)
+        for s in rng.sample(by_m[m], min(4, len(by_m[m]))):
+            u = r.union(s)
+            _assert_canonical(u)
+            want = [[rows[a][b].union(s.entry(a, b)) for b in range(m)] for a in range(m)]
+            assert u == ThresholdRelation.from_sets(m, want), (r, s)
+            assert hash(u) == hash(ThresholdRelation.from_sets(m, want))
+            same = all(rows[a][b] == s.entry(a, b) for a in range(m) for b in range(m))
+            assert (r == s) == same and (not same or hash(r) == hash(s))
+        for _ in range(40):
+            x, y = rng.sample(range(-3 * m - 4, 3 * m + 4), 2)
+            assert r.succeeds(x, y) == _reference_succeeds(r, x, y), (r, x, y)
+        assert _outcome(check_order, r) == _outcome(_reference_check_order, r)
+    assert kinds == {"empty", "run", "ray", "set"}
+
+    # intervals that overlap or touch unite without IntSet operations, a gap
+    # takes IntSet.union; a run from eps and a ray complement in closed
+    # form, a run above eps takes complement_in; entries shift by their ends
+    unite = [(span(0, 1), span(2, 3)), (span(2, 3), span(0, 1)), (span(1, 2), span(3)),
+             (span(3), span(0, 2)), (span(0, 4), span(1, 2)), (span(2), span(0, 5))]
+    gap = [(span(0, 1), span(3, 4)), (span(3, 4), span(0, 1)), (span(0, 1), span(3)),
+           (span(4), span(1, 2))]
+    closed = [span(0, 2), span(0, 0), span(2), span(0), EMPTY]
+    above = [span(2, 3), span(3, 5)]
+
+    def raising(*_):
+        raise AssertionError("an interval entry took an IntSet operation")
+
+    for (x, y), general in [(p, False) for p in unite] + [(p, True) for p in gap]:
+        want = ThresholdRelation.from_sets(1, [[x.union(y)]])
+        with monkeypatch.context() as mp:
+            if not general:
+                mp.setattr(IntSet, "union", raising)
+            got = ThresholdRelation.from_sets(1, [[x]]).union(
+                ThresholdRelation.from_sets(1, [[y]]))
+            assert got == want
+        assert isinstance(want.V[0][0], IntSet) == general
+    for e in closed + above:
+        # entry (0, 1) complements in [0, oo), the other three in [1, oo)
+        r = ThresholdRelation.from_sets(2, [[e, e], [e, e]])
+        want = [[e.complement_in(_eps(a, b)) for b in range(2)] for a in range(2)]
+        with monkeypatch.context() as mp:
+            if e in closed:
+                mp.setattr(IntSet, "complement_in", raising)
+            assert r.complement() == ThresholdRelation.from_sets(2, want)
+    rays = ThresholdRelation.from_sets(2, [[span(1), span(3)], [span(2, 4), span(5)]])
+    want = ThresholdRelation.from_sets(2, [[span(1), span(1, 3)], [span(4), span(5)]])
+    with monkeypatch.context() as mp:
+        mp.setattr(IntSet, "shift", raising)
+        assert sigma_relation(rays) == want
 
 
 def _pi_or_rejected(f, r, typ):
@@ -601,6 +594,15 @@ def test_sigma_commutes_with_join_and_meet():
         x, y = random_triple(A5, rng, 2), random_triple(A5, rng, 2)
         assert sigma(join_A([x, y])) == join_A([sigma(x), sigma(y)])
         assert sigma(meet_A([x, y])) == meet_A([sigma(x), sigma(y)])
+
+
+def test_sigma_refuses_other_families_before_iota(monkeypatch):
+    rng = random.Random(SEED + 54)
+    ts = [random_triple(typ, rng, 2) for typ in (C2, B3, D3)]
+    monkeypatch.setattr(lattice, "iota", lambda t: pytest.fail("sigma called iota"))
+    for t in ts:
+        with pytest.raises(TypeMismatch, match="^sigma takes family-A triples$"):
+            sigma(t)
 
 
 def test_embed_restrict_c():
@@ -792,6 +794,12 @@ def test_pull_back_raises_when_the_restriction_does_not_embed(monkeypatch):
             with pytest.raises(SigmaFixednessViolated,
                                match="^pull-back does not embed correctly$"):
                 op([x, y])
+
+
+def test_lattice_answers_match_the_committed_file():
+    # join_A, meet_A and sigma at A3-A6, join_C, meet_C and embed_c at
+    # C2-C4 and a few refused operands: answers or errors, as JSON lines
+    assert "".join(answer_lines()).encode() == ANSWERS.read_bytes()
 
 
 # ------------------------------------------------------------ finite joins
