@@ -35,9 +35,8 @@ from .errors import (InvalidWindow, NotAnOrder, NotBiclosed, SigmaFixednessViola
 from .fan import (BiclosedTriple, FanFace, build_biclosed, classify, origin_face,
                   parahoric, _from_inversions, _ordered_blocks)
 from .intset import _EMPTY, IntSet
-from .orders import (BlockData, PeriodicOrder, _block_position_fn, inversion_set,
-                     order_from_triple)
-from .perms import from_window
+from .orders import BlockData, PeriodicOrder, inversion_set, order_from_triple
+from .perms import from_window, invert
 from .roots import AffineType
 
 
@@ -155,8 +154,8 @@ class ThresholdRelation:
 
     def complement(self) -> "ThresholdRelation":
         """Ascending pairs not inverted: the relation of T minus the set."""
-        return ThresholdRelation(self.M, tuple(
-            tuple(_complement(e, _eps(a, b)) for b, e in enumerate(row))
+        return ThresholdRelation(self.M, tuple(  # eps(a, b) is 1 for b <= a, else 0
+            tuple(map(_complement, row, (1,) * (a + 1) + (0,) * (self.M - a - 1)))
             for a, row in enumerate(self.V)))
 
 
@@ -180,11 +179,12 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
 
     Chains a > b + dM > c + eM compose by Minkowski sums of the shift
     sets, and loop entries are absorbed exactly by their stars.  The sweep
-    runs on the relation's entries: a sum of intervals adds the ends, and
-    unions and stars that stay intervals are written down; only an entry
-    off that shape takes the general IntSet operations.  Transitivity is
-    checked on every call (_check_transitive); degenerate inputs surface
-    as NotAnOrder from the validity check downstream.
+    runs on the relation's entries.  Sums of intervals add their ends
+    inline, an empty target takes the sum and an interval target holding
+    it stays; other unions and stars that stay intervals are written down,
+    and only entries off that shape take the general IntSet operations.
+    Transitivity is checked on every call (_check_transitive); degenerate
+    inputs surface as NotAnOrder from the validity check downstream.
     """
     m = r.M
     v = [list(row) for row in r.V]
@@ -193,9 +193,17 @@ def threshold_closure(r: ThresholdRelation) -> ThresholdRelation:
         for row in v:
             if (ak := row[k]) is not None:
                 via = _add(ak, star)
+                lo, hi = via if via.__class__ is tuple else (None, None)
                 for b, kb in enumerate(v[k]):
-                    if kb is not None:
-                        row[b] = _unite(row[b], _add(via, kb))
+                    if kb is None:
+                        continue
+                    x = (lo + kb[0], hi + kb[1]) if lo is not None and kb.__class__ is tuple \
+                        else _add(via, kb)
+                    if (t := row[b]) is None:
+                        row[b] = x
+                    elif not (x.__class__ is t.__class__ is tuple and t[0] <= x[0]
+                              and x[1] <= t[1]):
+                        row[b] = _unite(t, x)
     out = ThresholdRelation(m, tuple(map(tuple, v)))
     _check_transitive(out)
     return out
@@ -269,42 +277,40 @@ def check_order(r: ThresholdRelation) -> None:
 def _relation(o: PeriodicOrder) -> ThresholdRelation:
     """The threshold relation of a family-A or family-C periodic order.
 
-    Positions inside a block come from the block-position function of
-    ``orders.precedes``; a family-C block below the centre mirrors its
-    negation, pos_k(x) = -pos_{2 mid - k}(-x), and the central block
-    places the multiples of M.  A family-C order therefore yields, over
-    residues 0..M-1, the relation of its sigma-fixed family-A order.
-    Entries are written in their form: None or the ray from eps across
-    blocks, a run from eps or a ray inside one.
+    Residue a of a block sits at the integer position that
+    ``orders.precedes`` gives it: its index i among the block's sorted
+    residues, mapped by the inverse block permutation and negated in a
+    reversed block.  A family-C block below the centre mirrors its
+    negation, pos_k(a) = -pos_{2 mid - k}(-a), where -a has the index ~i
+    over the mirror's residues; the central block places the multiples
+    of M.  So a family-C order yields, over residues 0..M-1, the relation
+    of its sigma-fixed family-A order.  A shift by M moves a position by
+    +-len(reps), negative when reversed.  Cells across blocks are None or
+    the ray from eps; in-block cells, a run from eps or a ray, overwrite them.
     """
-    typ = o.type
-    m = typ.modulus
-    face = o.face
-    top = len(face.blocks) - 1
-    block, pos, step = {}, {}, {}
+    face, m, is_c = o.face, o.type.modulus, o.type.family == "C"
+    top, block, pos, steps = len(face.blocks) - 1, [0] * m, [0] * m, []
     for k, blk in enumerate(face.blocks):
-        if typ.family == "C" and 2 * k < top:
-            g = _block_position_fn(o, top - k)
-            f = lambda x, g=g: -g(-x)
-        else:
-            f = _block_position_fn(o, k)
-        for a in (v % m for v in blk):
-            block[a], pos[a] = k, f(a)
-        # +-(period size of the block) per shift of M; negative when reversed
-        step[k] = f(a + m) - pos[a]
-
-    def cell(a: int, b: int, lo: int):
-        if block[a] != block[b]:
-            return None if block[a] < block[b] else _RAYS[lo]
-        diff, s = pos[a] - pos[b], step[block[a]]
-        # a comes after b + dM  iff  diff > d * s
-        if s < 0:
-            return max(lo, -diff // -s + 1), inf
-        hi = (diff - 1) // s
-        return (lo, hi) if hi >= lo else None
-
-    return ThresholdRelation(m, tuple(
-        tuple(cell(a, b, _eps(a, b)) for b in range(m)) for a in range(m)))
+        j = top - k if is_c and 2 * k < top else k
+        data, reps = o.data_at(j), sorted(x % m for x in blk)
+        uinv, sign = data.perm and invert(data.perm), -1 if data.reversed != (j != k) else 1
+        for i, a in enumerate(reps):
+            i = i if j == k else ~i
+            block[a], pos[a] = k, sign * (uinv(i) if uinv else i)
+        steps.append((reps, -len(reps) if data.reversed else len(reps)))
+    v = [[_RAYS[a >= b] if block[b] < ka else None for b in range(m)]
+         for a, ka in enumerate(block)]
+    for reps, s in steps:
+        for a in reps:
+            row, pa = v[a], pos[a]
+            for b in reps:
+                # a comes after b + dM  iff  pa - pos[b] > d * s
+                lo = 0 if a < b else 1
+                if s < 0:
+                    row[b] = max(lo, (pos[b] - pa) // -s + 1), inf
+                elif (hi := (pa - pos[b] - 1) // s) >= lo:
+                    row[b] = lo, hi
+    return ThresholdRelation(m, tuple(map(tuple, v)))
 
 
 def iota(t: BiclosedTriple) -> ThresholdRelation:

@@ -1,6 +1,9 @@
 """Seeded cases of the exact lattice layer and their answers, one JSON line
 each: the operation, its input triples as JSON and the answer triple as
-JSON, or the type and message of the error it raised.
+JSON, or the type and message of the error it raised.  Relation cases
+(threshold_closure, check_order and pi on hand-built and perturbed
+relations) hold the input relation and the closed one as rows of
+ThresholdRelation.entry fields (lo, fin, T, P, res).
 
 tests/test_lattice.py recomputes the lines and compares them with the
 committed file byte for byte.  Not a test module: pytest collects only
@@ -18,6 +21,7 @@ from afweak.cli import triple_to_json
 from afweak.errors import AfweakError
 from afweak.roots import AffineType
 from afweak.verify import random_triple
+from references import _hand_built, _perturbed_relations
 
 ANSWERS = Path(__file__).parent / "data" / "lattice_answers.jsonl"
 SEED = 2022
@@ -45,21 +49,43 @@ def _cases(rng):
     return out
 
 
+def _relations(rng):
+    """(type, relation): hand-built relations at M = 2-5, off the interval
+    shapes too, and iota relations of A3-A5 triples with one in-block cell
+    perturbed."""
+    out = [(AffineType("A", m), _hand_built(rng, m)) for m in (2, 3, 4, 5) for _ in range(15)]
+    return out + list(_perturbed_relations(rng, 90))
+
+
+def _rows(r):
+    return [[list(r.entry(a, b)._key()) for b in range(r.M)] for a in range(r.M)]
+
+
 def _apply(name, xs):
     if name in ("sigma", "embed_c"):
         return getattr(lattice, name)(xs[0])
     return getattr(lattice, name)(xs)
 
 
+def _line(case, compute, to_json) -> str:
+    try:
+        case["out"] = to_json(compute())
+    except (AfweakError, ValueError) as err:  # ValueError: a star through 0
+        case["error"] = f"{type(err).__name__}: {err}"
+    return json.dumps(case, sort_keys=True) + "\n"
+
+
 def answer_lines() -> list[str]:
-    lines = []
-    for name, xs in _cases(random.Random(SEED)):
-        case = {"op": name, "in": [triple_to_json(x) for x in xs]}
-        try:
-            case["out"] = triple_to_json(_apply(name, xs))
-        except AfweakError as err:
-            case["error"] = f"{type(err).__name__}: {err}"
-        lines.append(json.dumps(case, sort_keys=True) + "\n")
+    lines = [_line({"op": name, "in": [triple_to_json(x) for x in xs]},
+                   lambda: _apply(name, xs), triple_to_json)
+             for name, xs in _cases(random.Random(SEED))]
+    for typ, r in _relations(random.Random(SEED + 1)):
+        ops = (("threshold_closure", lambda: lattice.threshold_closure(r), _rows),
+               ("check_order", lambda: lattice.check_order(r), lambda out: out),
+               ("pi", lambda: lattice.pi(r, typ), triple_to_json))
+        for name, compute, to_json in ops:
+            case = {"op": name, "type": f"A{typ.n}", "in": _rows(r)}
+            lines.append(_line(case, compute, to_json))
     return lines
 
 

@@ -4,11 +4,14 @@ only tests use.  The lattice references hold IntSets alone and read a
 relation through ThresholdRelation.entry.  Not a test module: pytest
 collects only test_*.py."""
 
+from math import inf
+
 from afweak.errors import NotAnOrder
 from afweak.fan import FanFace, _recover_w, build_biclosed, parahoric
 from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
-from afweak.lattice import ThresholdRelation, _eps, check_order, iota
+from afweak.lattice import _RAYS, ThresholdRelation, _eps, check_order, iota
+from afweak.orders import _block_position_fn
 from afweak.roots import AffineType, canonical_root
 from afweak.verify import random_triple
 
@@ -237,3 +240,38 @@ def _reference_pi(r, typ):
                 for d in data.upto(max_finite(data) or 0):
                     x_roots.add(canonical_root(typ, a, b + d * m))
     return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))
+
+
+def _reference_relation(o):
+    """The relation writer before it read block positions as integers:
+    each block's position function from orders.precedes, a family-C block
+    below the centre mirrored as pos_k(x) = -pos_{2 mid - k}(-x), and one
+    call per cell."""
+    typ = o.type
+    m = typ.modulus
+    face = o.face
+    top = len(face.blocks) - 1
+    block, pos, step = {}, {}, {}
+    for k, blk in enumerate(face.blocks):
+        if typ.family == "C" and 2 * k < top:
+            g = _block_position_fn(o, top - k)
+            f = lambda x, g=g: -g(-x)
+        else:
+            f = _block_position_fn(o, k)
+        for a in (v % m for v in blk):
+            block[a], pos[a] = k, f(a)
+        # +-(period size of the block) per shift of M; negative when reversed
+        step[k] = f(a + m) - pos[a]
+
+    def cell(a, b, lo):
+        if block[a] != block[b]:
+            return None if block[a] < block[b] else _RAYS[lo]
+        diff, s = pos[a] - pos[b], step[block[a]]
+        # a comes after b + dM  iff  diff > d * s
+        if s < 0:
+            return max(lo, -diff // -s + 1), inf
+        hi = (diff - 1) // s
+        return (lo, hi) if hi >= lo else None
+
+    return ThresholdRelation(m, tuple(
+        tuple(cell(a, b, _eps(a, b)) for b in range(m)) for a in range(m)))

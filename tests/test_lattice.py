@@ -52,7 +52,8 @@ from afweak.lattice import (
     threshold_closure,
     try_join,
 )
-from afweak.orders import order_from_triple, periodic_order, precedes
+from afweak.orders import (BlockData, PeriodicOrder, order_from_triple, periodic_order,
+                           precedes)
 from afweak.perms import (
     from_window,
     multiply,
@@ -61,7 +62,7 @@ from afweak.perms import (
     word,
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
-from afweak.verify import random_triple
+from afweak.verify import all_triples, random_triple
 from answers import ANSWERS, answer_lines
 from references import (
     EMPTY,
@@ -69,6 +70,7 @@ from references import (
     _perturbed_relations,
     _reference_check_order,
     _reference_pi,
+    _reference_relation,
     _reference_threshold_closure,
     _reference_transitive,
     full_shape,
@@ -100,7 +102,7 @@ SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 def test_relation_shapes_of_a_genuine_order():
     f = face_from_blocks(A4, [{1, 3}, {0, 2}])
     t = build_biclosed(f, phi_prime_from_blocks(f, [1]), {})
-    rel = iota(t)
+    rel, o = iota(t), order_from_triple(t)
     shapes = {full_shape(rel, a, b) for a in range(4) for b in range(4) if a != b}
     assert shapes <= {"Empty", "All", "AtMost", "AtLeast"}
     # complementarity: exactly one of (a,b,d), (b,a,-d) holds
@@ -110,9 +112,11 @@ def test_relation_shapes_of_a_genuine_order():
         if x == y:
             continue
         assert rel.succeeds(x, y) != rel.succeeds(y, x)
-    # diagonal never contains zero: succeeds(x, x) is undefined but the
-    # encoded order never relates x to itself through translation
-    assert not rel.succeeds(0, 4) or rel.succeeds(0, 4) in (True, False)
+        assert rel.succeeds(x, y) == precedes(o, y, x)
+    assert rel.succeeds(0, 4) == precedes(o, 4, 0)
+    # an integer is never compared with itself, not even through a shift
+    with pytest.raises(ValueError, match="^comparing equal integers$"):
+        rel.succeeds(3, 3)
 
 
 def test_threshold_closure_reproduces_the_join_order():
@@ -488,6 +492,42 @@ def test_pi_matches_the_reference_projection():
         assert got == _pi_or_rejected(_reference_pi, r, typ), r
         outcomes.add(got == "rejected")
     assert len(cases) >= 2000 and outcomes == {True, False}
+
+
+def _reoriented(o, flip):
+    """o with each block that carries data reversed where flip(block) holds."""
+    return PeriodicOrder(o.face, tuple(d and BlockData(d.reversed != flip(blk), d.perm)
+                                       for d, blk in zip(o.block_data, o.face.blocks)))
+
+
+def test_relation_writer_matches_the_reference():
+    # every order of length <= 2 at A2-A4 and C2-C3, seeded A5, A6 and C4
+    # orders with blocks reversed at random, and every third of these
+    # orders with its singleton blocks reversed, as pi builds a singleton
+    # block whose diagonal entry is not empty
+    orders = [order_from_triple(t) for typ in (A2, A3, A4, C2, C3)
+              for t in all_triples(typ, 2)]
+    rng = random.Random(SEED + 47)
+    for typ in (A5, AffineType("A", 6), C4):
+        for _ in range(120):
+            o = order_from_triple(random_triple(typ, rng, 6))
+            orders.append(_reoriented(o, lambda blk: rng.random() < 0.5))
+    orders += [_reoriented(o, lambda blk: len(blk) == 1) for o in orders[::3]]
+    seen = set()
+    for o in orders:
+        got, want = lattice._relation(o), _reference_relation(o)
+        assert got == want and hash(got) == hash(want), o
+        top = len(o.face.blocks) - 1
+        for k, blk in enumerate(o.face.blocks):
+            mirrored = o.type.family == "C" and 2 * k < top
+            d = o.data_at(top - k if mirrored else k)
+            if d.reversed:
+                seen.add((o.type.family, len(blk) == 1, d.perm is not None, mirrored))
+    # reversed blocks: singletons, with and without a permutation, and
+    # mirrored family-C blocks below the centre
+    assert {("A", True, False, False), ("A", False, True, False),
+            ("A", False, False, False), ("C", True, False, True),
+            ("C", False, True, True), ("C", False, False, False)} <= seen
 
 
 def test_pi_iota_identity():
