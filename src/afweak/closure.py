@@ -39,7 +39,7 @@ from .roots import (
     AffineType,
     Root,
     _angular_sort,
-    _rref_plane_key,
+    _plane_key,
     finite_class,
     guard_window,
     root_window,
@@ -133,7 +133,7 @@ def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
     n = len(roots)
     for p in range(n):
         for q in range(p + 1, n):
-            key = _rref_plane_key(vecs[p], vecs[q])
+            key = _plane_key(vecs[p], vecs[q])
             if key is None:
                 continue
             by_plane.setdefault(key, set()).update((p, q))

@@ -12,16 +12,15 @@ This module alone maps ground residue pairs to the finite root system:
 of e~_b - e~_a, and the class keys, root recognition (``vector_to_root``),
 delta-strings and plane lifts all read it.
 
-All computations are exact: integer arithmetic for pair bookkeeping and
-``fractions.Fraction`` for the little plane geometry that rank-2
-subsystems need, only in ``_rref_plane_key`` and ``_solve_in_plane``.
+All computations are exact and in integers, the plane geometry of rank-2
+subsystems too: a plane key, the in-plane test and the betweenness order
+are read off 2x2 minors (``_plane_key``, ``_lift``, ``_angular_sort``).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -198,9 +197,10 @@ def vector_to_root(typ: AffineType, vec) -> tuple[int, Root] | None:
 
 
 # The largest window a windowed operation may build.  Those operations
-# scan all root pairs of the window, about 5 s at B4 height 8 (252
-# roots) and 8 s at A6 height 8 (270 roots, refused).  The largest window
-# the package, its tests and its benchmark build is D4 at height 6 (168).
+# scan all root pairs of the window: the plane tables take about 0.4 s of
+# CPU at B4 height 8 (252 roots) and 0.5 s at A6 height 8 (270 roots,
+# refused) on a 2-core VM with Python 3.11.  The largest window the
+# package, its tests and its benchmark build is D4 at height 6 (168).
 MAX_WINDOW_ROOTS = 256
 
 
@@ -318,84 +318,80 @@ def positive_class_pairs(typ: AffineType) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # rank-2 subsystems
+#
+# A plane is keyed by the primitive integer rows of the reduced row echelon
+# form of its span.  Row 1 leads at column c1 and vanishes at c2, row 2
+# leads at c2 (the pivots), so a plane vector x is
+# (x[c1] / row1[c1]) row1 + (x[c2] / row2[c2]) row2, and the cross product
+# of the plane coordinates of x and y is x[c1] y[c2] - x[c2] y[c1] divided
+# by the positive row1[c1] row2[c2].
 
 
-def _rref_plane_key(u, v):
-    """Canonical basis of the rational span of u, v (primitive int rows)."""
-    rows = [list(map(Fraction, u)), list(map(Fraction, v))]
-    r = 0
-    for c in range(len(u)):
-        piv = next((k for k in range(r, 2) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for k in range(2):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        r += 1
-        if r == 2:
-            break
-    if r < 2:
+def _plane_key(u, v):
+    """The plane key of the span of the integer vectors u, v, from 2x2
+    minors, or None if they are dependent.
+
+    With c1 the first column where u or v is non-zero, m1 = u[c1] v - v[c1] u
+    vanishes up to its first non-zero column c2, and m2 = u[c2] v - v[c2] u
+    vanishes at c2 and has m2[c1] = -m1[c2]; the rows are -+m2 and +-m1,
+    signed to lead positive and divided by their gcds."""
+    c1 = next((k for k, x in enumerate(u) if x or v[k]), None)
+    if c1 is None:
         return None
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        out.append(tuple(x // g for x in ints))
-    return tuple(out)
+    a, b = u[c1], v[c1]
+    m1 = [a * y - b * x for x, y in zip(u, v)]
+    c2 = next((k for k, x in enumerate(m1) if x), None)
+    if c2 is None:
+        return None
+    a, b = u[c2], v[c2]
+    m2 = [a * y - b * x for x, y in zip(u, v)]
+    sign = 1 if m1[c2] > 0 else -1
+    g1, g2 = sign * gcd(*m1), -sign * gcd(*m2)
+    return tuple(x // g2 for x in m2), tuple(x // g1 for x in m1)
 
 
 def plane_key(a: Root, b: Root):
-    key = _rref_plane_key(a.vector(), b.vector())
+    key = _plane_key(a.vector(), b.vector())
     if key is None:
         raise DependentRoots(f"{a} and {b} span a line")
     return key
 
 
-def _solve_in_plane(basis, vec):
-    """Exact coordinates of vec in the 2-row basis, or None if outside."""
-    b1, b2 = basis
-    n = len(b1)
-    for p in range(n):
-        for q in range(p + 1, n):
-            det = b1[p] * b2[q] - b1[q] * b2[p]
-            if det:
-                x = Fraction(vec[p] * b2[q] - vec[q] * b2[p], det)
-                y = Fraction(b1[p] * vec[q] - b1[q] * vec[p], det)
-                if all(x * b1[k] + y * b2[k] == vec[k] for k in range(n)):
-                    return (x, y)
-                return None
-    return None
+def _pivots(key) -> tuple[int, int]:
+    """The leading columns c1, c2 of the two rows of a plane key."""
+    return tuple(next(k for k, x in enumerate(row) if x) for row in key)
 
 
-def _angular_sort(basis, members, vector=Root.vector) -> list:
+def _lift(key, pivots, vec):
+    """(p, p * w) for p = row1[c1] row2[c2] > 0 and w the plane vector that
+    agrees with vec at the pivots; vec is in the plane iff it equals w."""
+    (r1, r2), (c1, c2) = key, pivots
+    s, t = vec[c1] * r2[c2], vec[c2] * r1[c1]
+    return r1[c1] * r2[c2], [s * x + t * y for x, y in zip(r1, r2)]
+
+
+def _in_plane(key, pivots, vec) -> bool:
+    p, w = _lift(key, pivots, vec)
+    return all(p * x == y for x, y in zip(vec, w))
+
+
+def _angular_sort(key, members, vector=Root.vector) -> list:
     """Sort plane members by angle; betweenness = interval in this order.
 
-    ``vector(m)`` gives the coordinates of a member, by default a Root's."""
-    coords = {m: _solve_in_plane(basis, vector(m)) for m in members}
-    outside = [m for m, c in coords.items() if c is None]
+    ``vector(m)`` gives the coordinates of a member, by default a Root's.
+    Member x comes first iff x[c1] y[c2] - x[c2] y[c1] > 0."""
+    c1, c2 = pivots = _pivots(key)
+    vecs = {m: vector(m) for m in members}
+    outside = [m for m, v in vecs.items() if not _in_plane(key, pivots, v)]
     if outside:
-        raise AfweakError(f"{outside} lie outside the plane {basis}")
-
-    def cross(m1, m2):
-        return coords[m1][0] * coords[m2][1] - coords[m1][1] * coords[m2][0]
+        raise AfweakError(f"{outside} lie outside the plane {key}")
 
     def cmp(m1, m2):
-        if cross(m1, m2) > 0:
-            return -1
-        if cross(m1, m2) < 0:
-            return 1
-        if m1 != m2:
+        x, y = vecs[m1], vecs[m2]
+        cross = x[c1] * y[c2] - x[c2] * y[c1]
+        if not cross and m1 != m2:
             raise AssertionError("proportional positive roots in a plane")
-        return 0
+        return -cross
 
     return sorted(members, key=functools.cmp_to_key(cmp))
 
@@ -436,13 +432,14 @@ def _class_string(typ: AffineType, fin, h: int) -> list[Root]:
     return out
 
 
-def _delta_lift(basis, fin):
-    """The unique k with fin + k*delta in the plane, if it is an integer."""
-    xy = _solve_in_plane(tuple(b[:-1] for b in basis), fin)
-    if xy is None:
+def _delta_lift(key, pivots, fin):
+    """The unique k with fin + k*delta in a plane without delta, if it is
+    an integer (both pivots are then finite columns)."""
+    p, w = _lift(key, pivots, fin)
+    k, r = divmod(w[-1], p)
+    if r or any(p * x != y for x, y in zip(fin, w)):  # zip stops before delta
         return None
-    k = xy[0] * basis[0][-1] + xy[1] * basis[1][-1]
-    return int(k) if k.denominator == 1 else None
+    return k
 
 
 def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
@@ -450,9 +447,9 @@ def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
     if a.type != b.type:
         raise DependentRoots("roots of different types")
     typ = a.type
-    basis = plane_key(a, b)
-    delta = tuple([0] * (typ.dim - 1) + [1])
-    if _solve_in_plane(basis, delta) is not None:
+    key = plane_key(a, b)
+    pivots = _pivots(key)
+    if _in_plane(key, pivots, (0,) * (typ.dim - 1) + (1,)):  # delta
         # the lowest root of each class has height 0 or 1
         fin = a.vector()[:-1]
         bases = {_class_string(typ, f, 1)[0] for f in (fin, negate_class(fin))}
@@ -460,7 +457,7 @@ def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
                                 tuple(sorted(bases, key=Root.sort_key)))
     members = set()
     for fin in _pair_of_finite_root(typ):
-        k = _delta_lift(basis, fin)
+        k = _delta_lift(key, pivots, fin)
         if k is None:
             continue
         got = vector_to_root(typ, fin + (k,))
@@ -472,7 +469,7 @@ def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
             f"the plane of {a} and {b} holds {len(members)} positive "
             f"roots, not 2-4: {members}"
         )
-    ordered = _angular_sort(basis, members)
+    ordered = _angular_sort(key, members)
     if ordered[-1].sort_key() < ordered[0].sort_key():
         ordered.reverse()
     kind = {2: "A1xA1", 3: "A2", 4: "B2"}[len(members)]

@@ -4,15 +4,27 @@ only tests use.  The lattice references hold IntSets alone and read a
 relation through ThresholdRelation.entry.  Not a test module: pytest
 collects only test_*.py."""
 
-from math import inf
+import functools
+from fractions import Fraction
+from math import gcd, inf
 
-from afweak.errors import NotAnOrder
+from afweak.errors import AfweakError, NotAnOrder
 from afweak.fan import FanFace, _recover_w, build_biclosed, parahoric
 from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
 from afweak.lattice import _RAYS, ThresholdRelation, _eps, check_order, iota
 from afweak.orders import _block_position_fn
-from afweak.roots import AffineType, canonical_root
+from afweak.roots import (
+    AffineType,
+    RankTwoSubsystem,
+    Root,
+    _class_string,
+    _pair_of_finite_root,
+    canonical_root,
+    negate_class,
+    root_window,
+    vector_to_root,
+)
 from afweak.verify import random_triple
 
 
@@ -275,3 +287,128 @@ def _reference_relation(o):
 
     return ThresholdRelation(m, tuple(
         tuple(cell(a, b, _eps(a, b)) for b in range(m)) for a in range(m)))
+
+
+# The rational plane geometry that the integer one of afweak.roots
+# replaced, kept as the reference: Fraction RREF plane keys, Fraction
+# coordinates in the key's basis and the angular order of their cross
+# products, and the plane table and rank-2 subsystems built on them.
+
+
+def _rref_plane_key(u, v):
+    """Canonical basis of the rational span of u, v (primitive int rows)."""
+    rows = [list(map(Fraction, u)), list(map(Fraction, v))]
+    r = 0
+    for c in range(len(u)):
+        piv = next((k for k in range(r, 2) if rows[k][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for k in range(2):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        r += 1
+        if r == 2:
+            break
+    if r < 2:
+        return None
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+def _solve_in_plane(basis, vec):
+    """Exact coordinates of vec in the 2-row basis, or None if outside."""
+    b1, b2 = basis
+    n = len(b1)
+    for p in range(n):
+        for q in range(p + 1, n):
+            det = b1[p] * b2[q] - b1[q] * b2[p]
+            if det:
+                x = Fraction(vec[p] * b2[q] - vec[q] * b2[p], det)
+                y = Fraction(b1[p] * vec[q] - b1[q] * vec[p], det)
+                if all(x * b1[k] + y * b2[k] == vec[k] for k in range(n)):
+                    return (x, y)
+                return None
+    return None
+
+
+def _reference_angular_sort(basis, members, vector=Root.vector):
+    """Plane members in the angular order of their rational coordinates."""
+    coords = {m: _solve_in_plane(basis, vector(m)) for m in members}
+    outside = [m for m, c in coords.items() if c is None]
+    if outside:
+        raise AfweakError(f"{outside} lie outside the plane {basis}")
+
+    def cross(m1, m2):
+        return coords[m1][0] * coords[m2][1] - coords[m1][1] * coords[m2][0]
+
+    def cmp(m1, m2):
+        if cross(m1, m2) > 0:
+            return -1
+        if cross(m1, m2) < 0:
+            return 1
+        if m1 != m2:
+            raise AssertionError("proportional positive roots in a plane")
+        return 0
+
+    return sorted(members, key=functools.cmp_to_key(cmp))
+
+
+def _reference_window_planes(typ, h):
+    """closure._window_planes on the rational geometry."""
+    roots = root_window(typ, h)
+    vecs = [r.vector() for r in roots]
+    by_plane = {}
+    n = len(roots)
+    for p in range(n):
+        for q in range(p + 1, n):
+            key = _rref_plane_key(vecs[p], vecs[q])
+            if key is None:
+                continue
+            by_plane.setdefault(key, set()).update((p, q))
+    return tuple(tuple(_reference_angular_sort(key, sorted(ids), vecs.__getitem__))
+                 for key, ids in sorted(by_plane.items()))
+
+
+def _reference_rank2_subsystem(a, b):
+    """roots.rank2_subsystem on the rational geometry; None for a dependent
+    pair."""
+    typ = a.type
+    basis = _rref_plane_key(a.vector(), b.vector())
+    if basis is None:
+        return None
+    delta = tuple([0] * (typ.dim - 1) + [1])
+    if _solve_in_plane(basis, delta) is not None:
+        fin = a.vector()[:-1]
+        bases = {_class_string(typ, f, 1)[0] for f in (fin, negate_class(fin))}
+        return RankTwoSubsystem("Atilde1", typ,
+                                tuple(sorted(bases, key=Root.sort_key)))
+    members = set()
+    for fin in _pair_of_finite_root(typ):
+        # the unique k with fin + k*delta in the plane, if it is an integer
+        xy = _solve_in_plane(tuple(b[:-1] for b in basis), fin)
+        if xy is None:
+            continue
+        k = xy[0] * basis[0][-1] + xy[1] * basis[1][-1]
+        if k.denominator != 1:
+            continue
+        got = vector_to_root(typ, fin + (int(k),))
+        if got is not None and got[0] == 1:
+            members.add(got[1])
+    ordered = _reference_angular_sort(basis, sorted(members, key=Root.sort_key))
+    if ordered[-1].sort_key() < ordered[0].sort_key():
+        ordered.reverse()
+    kind = {2: "A1xA1", 3: "A2", 4: "B2"}[len(members)]
+    return RankTwoSubsystem(kind, typ, tuple(ordered))

@@ -36,20 +36,34 @@ def _capture(capsys):
     return json.loads(out)
 
 
-def _child(*args, flags=(), stdout=subprocess.PIPE):
-    """Run ``python [flags] -m afweak.cli args`` in a fresh interpreter."""
+def _child_env():
+    """The environment with this checkout's afweak first on the path."""
     src = os.path.dirname(os.path.dirname(afweak.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _child(*args, flags=(), stdout=subprocess.PIPE):
+    """Run ``python [flags] -m afweak.cli args`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, *flags, "-m", "afweak.cli", *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
         timeout=600,
     )
+
+
+def test_the_cli_imports_no_rational_arithmetic():
+    # the plane geometry is in integers; fractions (and decimal, which it
+    # imports) would add to every cold command's start-up
+    code = "import sys, afweak.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env(), timeout=600, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_close_and_check(tmp_path, capsys):

@@ -37,13 +37,12 @@ from afweak.perms import (
 from afweak.roots import (
     MAX_WINDOW_ROOTS,
     AffineType,
-    _rref_plane_key,
-    _solve_in_plane,
     canonical_root,
     root_window,
     window_size,
 )
 from afweak.verify import random_triple
+from references import _rref_plane_key, _solve_in_plane
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -593,7 +592,7 @@ def test_stable_close_matches_the_list_reference():
 
 def test_window_plane_counts_are_pinned():
     # all planes / planes with three or more window roots, as ROADMAP
-    # item 2 quotes them; a change to the enumeration shows here first
+    # item 3 quotes them; a change to the enumeration shows here first
     for typ, h, planes, kept in (
         (AffineType("A", 5), 5, 4330, 1090), (AffineType("A", 5), 6, 5890, 1480),
         (AffineType("D", 4), 6, 8244, 2364), (AffineType("B", 3), 6, 2655, 891),

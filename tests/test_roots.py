@@ -1,11 +1,12 @@
 """Root canonicalization, windows and rank-2 subsystems."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from afweak.closure import WindowSet
+from afweak.closure import WindowSet, _window_planes
 from afweak.errors import AfweakError, DependentRoots, NotARoot, TooLarge
 from afweak.roots import (
     MAX_WINDOW_ROOTS,
@@ -26,8 +27,13 @@ from afweak.roots import (
     vector_to_root,
     window_size,
     _angular_sort,
-    _solve_in_plane,
+    _plane_key,
+)
+from references import (
+    _reference_rank2_subsystem,
+    _reference_window_planes,
     _rref_plane_key,
+    _solve_in_plane,
 )
 
 A4 = AffineType("A", 4)
@@ -185,6 +191,40 @@ def test_angular_sort_rejects_roots_outside_the_plane():
     a, b = canonical_root(A4, 0, 1), canonical_root(A4, 1, 2)
     with pytest.raises(AfweakError, match="outside the plane"):
         _angular_sort(plane_key(a, b), [a, canonical_root(A4, 2, 3)])
+
+
+def test_integer_plane_geometry_matches_the_rational_reference():
+    # plane keys on every pair of the height-1 windows, dependent pairs
+    # (a root with itself) included; whole plane tables, order and
+    # two-root planes included, at h <= 1 and at the largest windows the
+    # benchmark builds
+    for typ in [AffineType(fam, n)
+                for fam, lo, hi in (("A", 2, 6), ("B", 2, 4), ("C", 2, 4), ("D", 3, 5))
+                for n in range(lo, hi + 1)]:
+        vecs = [r.vector() for r in root_window(typ, 1)]
+        for u, v in itertools.combinations_with_replacement(vecs, 2):
+            assert _plane_key(u, v) == _rref_plane_key(u, v), (u, v)
+        for h in (0, 1):
+            assert _window_planes(typ, h) == _reference_window_planes(typ, h), (typ, h)
+    for typ in (AffineType("A", 5), AffineType("D", 4)):
+        assert _window_planes(typ, 6) == _reference_window_planes(typ, 6), typ
+
+
+def test_rank2_subsystems_match_the_rational_reference():
+    kinds = set()
+    for typ in (A4, AffineType("B", 3), AffineType("C", 3), AffineType("D", 4)):
+        for a, b in itertools.combinations_with_replacement(root_window(typ, 2), 2):
+            want = _reference_rank2_subsystem(a, b)
+            if want is None:
+                with pytest.raises(DependentRoots):
+                    rank2_subsystem(a, b)
+                continue
+            got = rank2_subsystem(a, b)
+            assert (got.kind, got.positive_roots) == (want.kind, want.positive_roots)
+            for h in range(5):
+                assert got.ordered_window(h) == want.ordered_window(h), (a, b, h)
+            kinds.add(got.kind)
+    assert kinds == {"A1xA1", "A2", "B2", "Atilde1"}
 
 
 def _in_open_cone(basis, ends, mid):
