@@ -113,16 +113,16 @@ def perm_from_json(d) -> _perms.AffinePermutation:
 
 def word_element(typ, text: str) -> _perms.AffinePermutation:
     """Parse a word in simple generators, written like "s0 s1 s2"."""
-    gens = _perms.simple_reflections(typ)
-    w = _perms.identity(typ)
+    count = len(_perms.simple_reflections(typ))
+    letters = []
     for tok in text.split():
         if not tok.startswith("s") or not tok[1:].isdigit():
             raise AfweakError(f"bad generator token {tok!r}")
         k = int(tok[1:])
-        if k >= len(gens):
+        if k >= count:
             raise AfweakError(f"no generator {tok} in this type")
-        w = _perms.multiply(w, gens[k])
-    return w
+        letters.append(k)
+    return _perms.word(typ, letters)
 
 
 def face_to_json_blocks(face: _fan.FanFace) -> list:

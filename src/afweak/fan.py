@@ -48,6 +48,7 @@ from .perms import (
     _simple_pairs,
     elements_up_to_length,
     from_window,
+    word,
 )
 from .roots import (
     AffineType,
@@ -713,16 +714,8 @@ def _peel(decomp: ParahoricDecomposition, x: set[Root]):
             nxt.add(img)
         x = nxt
         words.setdefault(comp.id, []).append(k)
-    out = {}
-    for comp in decomp.components:
-        if comp.id not in words:
-            continue
-        gens = simple_reflections(comp.ctype)
-        u = identity(comp.ctype)
-        for s in words[comp.id]:
-            u = multiply(u, gens[s])
-        out[comp.id] = u
-    return out
+    return {comp.id: word(comp.ctype, words[comp.id])
+            for comp in decomp.components if comp.id in words}
 
 
 # ---------------------------------------------------------------------------

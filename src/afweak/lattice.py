@@ -35,8 +35,9 @@ from .errors import (InvalidWindow, NotAnOrder, NotBiclosed, SigmaFixednessViola
 from .fan import (BiclosedTriple, FanFace, build_biclosed, classify, origin_face,
                   parahoric, _from_inversions, _ordered_blocks)
 from .intset import _EMPTY, IntSet
-from .orders import BlockData, PeriodicOrder, inversion_set, order_from_triple
-from .perms import from_window, invert
+from .orders import (BlockData, PeriodicOrder, _positions, inversion_set,
+                     order_from_triple)
+from .perms import from_window
 from .roots import AffineType
 
 
@@ -277,27 +278,15 @@ def check_order(r: ThresholdRelation) -> None:
 def _relation(o: PeriodicOrder) -> ThresholdRelation:
     """The threshold relation of a family-A or family-C periodic order.
 
-    Residue a of a block sits at the integer position that
-    ``orders.precedes`` gives it: its index i among the block's sorted
-    residues, mapped by the inverse block permutation and negated in a
-    reversed block.  A family-C block below the centre mirrors its
-    negation, pos_k(a) = -pos_{2 mid - k}(-a), where -a has the index ~i
-    over the mirror's residues; the central block places the multiples
-    of M.  So a family-C order yields, over residues 0..M-1, the relation
-    of its sigma-fixed family-A order.  A shift by M moves a position by
-    +-len(reps), negative when reversed.  Cells across blocks are None or
-    the ray from eps; in-block cells, a run from eps or a ray, overwrite them.
+    It reads the block positions of ``orders._positions``.  In family C
+    the central block places the multiples of M and a block below the
+    centre mirrors its negation, so a family-C order yields, over
+    residues 0..M-1, the relation of its sigma-fixed family-A order.
+    Cells across blocks are None or the ray from eps; in-block cells, a
+    run from eps or a ray, overwrite them.
     """
-    face, m, is_c = o.face, o.type.modulus, o.type.family == "C"
-    top, block, pos, steps = len(face.blocks) - 1, [0] * m, [0] * m, []
-    for k, blk in enumerate(face.blocks):
-        j = top - k if is_c and 2 * k < top else k
-        data, reps = o.data_at(j), sorted(x % m for x in blk)
-        uinv, sign = data.perm and invert(data.perm), -1 if data.reversed != (j != k) else 1
-        for i, a in enumerate(reps):
-            i = i if j == k else ~i
-            block[a], pos[a] = k, sign * (uinv(i) if uinv else i)
-        steps.append((reps, -len(reps) if data.reversed else len(reps)))
+    m = o.type.modulus
+    block, pos, steps = _positions(o)
     v = [[_RAYS[a >= b] if block[b] < ka else None for b in range(m)]
          for a, ka in enumerate(block)]
     for reps, s in steps:

@@ -7,7 +7,10 @@ recoverable from any bounded rendering.  Block k precedes block k+1;
 inside a block the classes are arranged by the permutation, reversed
 when the flag is set.  For the signed families the data is stored on the
 central-and-positive positions only; the negative side is forced by the
-negation symmetry.
+negation symmetry.  One position table (``_positions``) places every
+integer in all four families: its block and its position there, the
+negative side mirrored.  ``precedes`` and ``render`` compare those keys,
+and ``lattice._relation`` writes its cells from the same table.
 
 Conversions to and from biclosed triples realize the combinatorial order
 models, including the type-D twist sets that no single total order can
@@ -17,7 +20,6 @@ W-action on biclosed sets.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -133,21 +135,43 @@ def standard_order(typ: AffineType) -> PeriodicOrder:
 # comparison
 
 
-def _block_position_fn(o: PeriodicOrder, k: int):
-    """Position of a ground integer inside block k (larger = later)."""
-    rho = functools.partial(_rho, _block_reps(o.face, k), o.type.modulus)
-    data = o.data_at(k)
-    if data.perm is None:
-        pos = rho
-    else:
-        uinv = invert(data.perm)
+def _positions(o: PeriodicOrder):
+    """block[a] and pos[a] for each residue a in 0..M-1, and per block
+    its sorted residues and step: a + qM sits at pos[a] + q * step.
 
-        def pos(x: int) -> int:
-            return uinv(rho(x))
+    Residue a sits at its index i among its block's sorted residues, mapped
+    by the inverse block permutation and negated in a reversed block; step
+    is +-len(reps), negative when reversed.  A signed family's block below
+    the centre mirrors its negation, pos_k(a) = -pos_{2 mid - k}(-a), where
+    -a has the index ~i over the mirror's residues.  The central block
+    places the multiples of M, in family D too, where 0 is not listed.
+    """
+    face, m = o.face, o.type.modulus
+    signed, top = o.type.family != "A", len(face.blocks) - 1
+    block, pos, steps = [0] * m, [0] * m, []
+    for k, blk in enumerate(face.blocks):
+        j = top - k if signed and 2 * k < top else k
+        data, reps = o.data_at(j), sorted(x % m for x in blk)
+        if signed and 2 * k == top and 0 not in blk:
+            reps.insert(0, 0)
+        uinv, sign = data.perm and invert(data.perm), -1 if data.reversed != (j != k) else 1
+        for i, a in enumerate(reps):
+            i = i if j == k else ~i
+            block[a], pos[a] = k, sign * (uinv(i) if uinv else i)
+        steps.append((reps, -len(reps) if data.reversed else len(reps)))
+    return block, pos, steps
 
-    if data.reversed:
-        return lambda x: -pos(x)
-    return pos
+
+def _order_key(o: PeriodicOrder):
+    """x -> (block, position) of x; the order compares these keys."""
+    block, pos, steps = _positions(o)
+    m = o.type.modulus
+
+    def key(x: int) -> tuple[int, int]:
+        q, a = divmod(x, m)
+        return block[a], pos[a] + q * steps[block[a]][1]
+
+    return key
 
 
 def precedes(o: PeriodicOrder, a: int, b: int) -> bool:
@@ -158,16 +182,8 @@ def precedes(o: PeriodicOrder, a: int, b: int) -> bool:
         raise OutOfDomain("multiples of the modulus are outside the order")
     if a == b:
         raise OutOfDomain("comparing an integer with itself")
-    face = o.face
-    ka = face.block_of[face.residue(a)]
-    kb = face.block_of[face.residue(b)]
-    if ka != kb:
-        return ka < kb
-    mid = len(face.blocks) // 2
-    if typ.family != "A" and ka < mid:
-        return precedes(o, -b, -a)
-    pos = _block_position_fn(o, ka)
-    return pos(a) < pos(b)
+    key = _order_key(o)
+    return key(a) < key(b)
 
 
 def compare(o: PeriodicOrder, a: int, b: int) -> str:
@@ -182,9 +198,7 @@ def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
         for x in range(lo, hi + 1)
         if o.type.family == "A" or x % m != 0
     ]
-    return sorted(
-        pts, key=functools.cmp_to_key(lambda x, y: -1 if precedes(o, x, y) else 1)
-    )
+    return sorted(pts, key=_order_key(o))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +330,11 @@ def normalize(o: PeriodicOrder) -> PeriodicOrder:
         moves = [reflection(ptype, c, c + 1)]
         if typ.family == "D":
             moves.append(reflection(ptype, -1, 1))
+        # the moves are commuting involutions (a D centre with a
+        # permutation has c >= 2), so the orbit is u times their products
         variants = {u}
-        frontier = [u]
-        while frontier:
-            cur = frontier.pop()
-            for t_ in moves:
-                nxt = multiply(cur, t_)
-                if nxt not in variants:
-                    variants.add(nxt)
-                    frontier.append(nxt)
+        for t_ in moves:
+            variants |= {multiply(x, t_) for x in variants}
         best = min(variants, key=lambda v: v.window)
         out.append(
             BlockData(data.reversed, None if best.is_identity() else best)

@@ -128,32 +128,22 @@ def reflection(typ: AffineType, i: int, j: int) -> AffinePermutation:
     """The reflection t_{ij} (family A) or its signed product for B/C/D."""
     canonical_root(typ, i, j)  # admissibility gate; raises NotARoot
     m = typ.modulus
+    # a signed reflection also swaps -i and -j, unless the two A-factors
+    # coincide (i + j = 0 mod M)
+    pair_swap = typ.family != "A" and (i + j) % m != 0
 
-    if typ.family == "A":
+    def image(x: int) -> int:
+        if (x - i) % m == 0:
+            return x + (j - i)
+        if (x - j) % m == 0:
+            return x - (j - i)
+        if pair_swap and (x + i) % m == 0:
+            return x - (j - i)
+        if pair_swap and (x + j) % m == 0:
+            return x + (j - i)
+        return x
 
-        def image(x: int) -> int:
-            if (x - i) % m == 0:
-                return x + (j - i)
-            if (x - j) % m == 0:
-                return x - (j - i)
-            return x
-
-        size = m
-    else:
-        pair_swap = (i + j) % m != 0  # otherwise the two A-factors coincide
-
-        def image(x: int) -> int:
-            if (x - i) % m == 0:
-                return x + (j - i)
-            if (x - j) % m == 0:
-                return x - (j - i)
-            if pair_swap and (x + i) % m == 0:
-                return x - (j - i)
-            if pair_swap and (x + j) % m == 0:
-                return x + (j - i)
-            return x
-
-        size = typ.n
+    size = m if typ.family == "A" else typ.n
     return from_window(typ, tuple(image(x) for x in range(1, size + 1)))
 
 

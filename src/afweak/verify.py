@@ -21,11 +21,9 @@ A = _roots.AffineType
 
 
 def _rand_element(typ, rng, max_len=4):
-    gens = _perms.simple_reflections(typ)
-    w = _perms.identity(typ)
-    for _ in range(rng.randrange(max_len + 1)):
-        w = _perms.multiply(w, gens[rng.randrange(len(gens))])
-    return w
+    count = len(_perms.simple_reflections(typ))
+    return _perms.word(typ, [rng.randrange(count)
+                             for _ in range(rng.randrange(max_len + 1))])
 
 
 def random_triple(typ, rng, max_len=3):

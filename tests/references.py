@@ -8,12 +8,12 @@ import functools
 from fractions import Fraction
 from math import gcd, inf
 
-from afweak.errors import AfweakError, NotAnOrder
-from afweak.fan import FanFace, _recover_w, build_biclosed, parahoric
+from afweak.errors import AfweakError, NotAnOrder, OutOfDomain
+from afweak.fan import FanFace, _block_reps, _recover_w, _rho, build_biclosed, parahoric
 from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
 from afweak.lattice import _RAYS, ThresholdRelation, _eps, check_order, iota
-from afweak.orders import _block_position_fn
+from afweak.perms import invert
 from afweak.roots import (
     AffineType,
     RankTwoSubsystem,
@@ -254,11 +254,59 @@ def _reference_pi(r, typ):
     return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))
 
 
+def _block_position_fn(o, k):
+    """Position of a ground integer inside block k (larger = later): rho
+    over the block's residues, then the inverse block permutation, negated
+    in a reversed block."""
+    rho = functools.partial(_rho, _block_reps(o.face, k), o.type.modulus)
+    data = o.data_at(k)
+    if data.perm is None:
+        pos = rho
+    else:
+        uinv = invert(data.perm)
+
+        def pos(x):
+            return uinv(rho(x))
+
+    if data.reversed:
+        return lambda x: -pos(x)
+    return pos
+
+
+def _reference_precedes(o, a, b):
+    """orders.precedes before the position table: blocks compare by index,
+    a block below a signed family's centre by the negation symmetry
+    (a before b iff -b before -a), and a block at or above it by
+    _block_position_fn."""
+    typ = o.type
+    m = typ.modulus
+    if typ.family != "A" and (a % m == 0 or b % m == 0):
+        raise OutOfDomain("multiples of the modulus are outside the order")
+    if a == b:
+        raise OutOfDomain("comparing an integer with itself")
+    face = o.face
+    ka = face.block_of[face.residue(a)]
+    kb = face.block_of[face.residue(b)]
+    if ka != kb:
+        return ka < kb
+    if typ.family != "A" and ka < len(face.blocks) // 2:
+        return _reference_precedes(o, -b, -a)
+    pos = _block_position_fn(o, ka)
+    return pos(a) < pos(b)
+
+
+def _reference_render(o, lo, hi):
+    """orders.render as a comparison sort over _reference_precedes."""
+    m = o.type.modulus
+    pts = [x for x in range(lo, hi + 1) if o.type.family == "A" or x % m]
+    return sorted(pts, key=functools.cmp_to_key(
+        lambda x, y: -1 if _reference_precedes(o, x, y) else 1))
+
+
 def _reference_relation(o):
     """The relation writer before it read block positions as integers:
-    each block's position function from orders.precedes, a family-C block
-    below the centre mirrored as pos_k(x) = -pos_{2 mid - k}(-x), and one
-    call per cell."""
+    each block's _block_position_fn, a family-C block below the centre
+    mirrored as pos_k(x) = -pos_{2 mid - k}(-x), and one call per cell."""
     typ = o.type
     m = typ.modulus
     face = o.face

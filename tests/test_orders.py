@@ -30,7 +30,6 @@ from afweak.orders import (
     DTwist,
     PeriodicOrder,
     _block_perm_type,
-    _block_position_fn,
     _central_inversion_roots,
     _central_order_perm,
     compare,
@@ -54,6 +53,7 @@ from afweak.perms import (
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import all_triples
+from references import _block_position_fn, _reference_precedes, _reference_render
 
 A2 = AffineType("A", 2)
 A4 = AffineType("A", 4)
@@ -132,6 +132,39 @@ def test_compare_axioms():
         precedes(standard_order(C2), 5, 1)
     with pytest.raises(OutOfDomain):
         precedes(standard_order(A4), 3, 3)
+
+
+def test_precedes_and_render_match_the_reference():
+    # every face of A3, A4, B2, C2, C3, D2 and D3 three times, with random
+    # block permutations and orientations: blocks below a signed centre, the
+    # empty D centre and the split D2 centre {+-1, +-2} among them
+    rng = random.Random(12)
+    seen = {"perm": 0, "below": 0, "empty": 0, "split": 0}
+    for typ in (AffineType("A", 3), A4, B2, C2, AffineType("C", 3), D2, D3):
+        m = typ.modulus
+        pts = [x for x in range(-2 * m, 2 * m + 1) if typ.family == "A" or x % m]
+        for face in enumerate_faces(typ) * 3:
+            mid = len(face.blocks) // 2
+            first = 0 if typ.family == "A" else mid
+            rev, perms = [], {}
+            for k in range(first, len(face.blocks)):
+                if rng.random() < 0.5:
+                    rev.append(k)
+                ptype = _block_perm_type(face, k)
+                if ptype is not None:
+                    u = word(ptype, [rng.randrange(len(simple_reflections(ptype)))
+                                     for _ in range(rng.randrange(6))])
+                    perms[k] = None if u.is_identity() else u
+            o = periodic_order(face, rev, perms)
+            seen["perm"] += any(perms.values())
+            seen["below"] += first > 0 and any(perms.get(k) for k in range(mid + 1, len(face.blocks)))
+            seen["empty"] += typ.family == "D" and not face.blocks[mid]
+            seen["split"] += typ == D2 and len(face.blocks[mid]) == 4 and perms.get(mid) is not None
+            for _ in range(40):
+                a, b = rng.sample(pts, 2)
+                assert precedes(o, a, b) == _reference_precedes(o, a, b), (o, a, b)
+            assert render(o, -2 * m, 2 * m) == _reference_render(o, -2 * m, 2 * m), o
+    assert min(seen.values()) > 0, seen
 
 
 def test_inversion_set_round_trip_exhaustive():
