@@ -9,8 +9,11 @@ larger one, so cutting a set to height h is one AND.
 Biclosedness is a rank-2 condition: a root strictly between two roots
 of a rank-2 plane is forced in when both are in and out when both are
 out.  A plane with only two window roots has no root between them and
-imposes nothing, so the plane tests read _plane_table, the planes with
-three or more window roots in betweenness order.  A trace (a set cut to
+imposes nothing, so _window_planes builds, from structure and not by a
+scan of root pairs, only the planes with three or more window roots:
+the delta-strings of +-Phi_0 classes (affine A~1) and the lifts of the
+finite A2 and B2 spans of Phi_0.  The plane tests read them as
+_plane_table, in betweenness order.  A trace (a set cut to
 one plane) is biclosed iff it is a prefix or a suffix, that is iff it
 changes at most once along the plane.  _plane_slots holds the same
 planes bit-sliced, one slot per (plane, position) and one int per root,
@@ -39,9 +42,11 @@ from .roots import (
     AffineType,
     Root,
     _angular_sort,
+    _finite_spans,
     _plane_key,
     finite_class,
     guard_window,
+    negate_class,
     root_window,
     window_size,
 )
@@ -125,35 +130,51 @@ def _window_index(typ: AffineType, h: int):
 
 @lru_cache(maxsize=64)
 def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
-    """All rank-2 planes meeting the window, as betweenness-ordered tuples
-    of indices into root_window(typ, h).  Cached: independent of the set."""
-    roots = root_window(typ, h)
-    vecs = [r.vector() for r in roots]
-    by_plane: dict[tuple, set[int]] = {}
-    n = len(roots)
-    for p in range(n):
-        for q in range(p + 1, n):
-            key = _plane_key(vecs[p], vecs[q])
-            if key is None:
-                continue
-            by_plane.setdefault(key, set()).update((p, q))
-    return tuple(tuple(_angular_sort(key, sorted(ids), vecs.__getitem__))
-                 for key, ids in sorted(by_plane.items()))
+    """The rank-2 planes with three or more window roots, as betweenness-
+    ordered tuples of indices into root_window(typ, h), in plane-key
+    order.  Cached: independent of the set.
+
+    A two-root plane has no root between its roots and imposes nothing, so
+    none is built, and no root pair is scanned: a plane holding delta holds
+    the roots of one +-Phi_0 class; any other lifts a finite span, one root
+    per class at most, and holds three or more roots only if its span is
+    in roots._finite_spans and it holds both classes of a base, whose two
+    lifts fix it."""
+    vecs = [r.vector() for r in root_window(typ, h)]
+    index, lifts = {}, {}  # +-root vector -> index, finite part -> deltas
+    for k, v in enumerate(vecs):
+        neg = tuple(-x for x in v)
+        index[v] = index[neg] = k
+        lifts.setdefault(v[:-1], []).append(v[-1])
+        lifts.setdefault(neg[:-1], []).append(neg[-1])
+    planes = {tuple(index[f + (d,)] for d in ds)
+              for f, ds in lifts.items() if len(ds) > 2 and f > negate_class(f)}
+    for ws, bases in _finite_spans(typ):
+        for i, j, coeffs in bases:
+            for x in lifts.get(ws[i], ()):
+                for y in lifts.get(ws[j], ()):
+                    plane = tuple(index[v] for w, (p, q) in zip(ws, coeffs)
+                                  if (v := w + (p * x + q * y,)) in index)
+                    if len(plane) > 2:
+                        planes.add(plane)
+    keys = {plane: _plane_key(vecs[plane[0]], vecs[plane[1]]) for plane in planes}
+    return tuple(tuple(_angular_sort(keys[p], p, vecs.__getitem__, check=False))
+                 for p in sorted(planes, key=keys.__getitem__))
 
 
 @lru_cache(maxsize=64)
 def _plane_table(typ: AffineType, h: int):
-    """The planes of _window_planes with three or more window roots, in
-    that order, each as (plane, mask, fill): a length-3 plane's fill is
-    the bit of its middle root, a longer plane's the tuple of its prefix
-    masks (fill[c] is the mask of its first c roots in betweenness order)."""
+    """The planes of _window_planes, in that order, each as (plane, mask,
+    fill): a length-3 plane's fill is the bit of its middle root, a longer
+    plane's the tuple of its prefix masks (fill[c] is the mask of its
+    first c roots in betweenness order)."""
     bit = [1 << k for k in range(window_size(typ, h))]  # shared middle bits
     table = []
     for plane in _window_planes(typ, h):
         if len(plane) == 3:
             a, b, c = plane
             table.append((plane, bit[a] | bit[b] | bit[c], bit[b]))
-        elif len(plane) > 3:
+        else:
             prefix = [0]
             for k in plane:
                 prefix.append(prefix[-1] | bit[k])

@@ -20,6 +20,7 @@ are read off 2x2 minors (``_plane_key``, ``_lift``, ``_angular_sort``).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -197,10 +198,10 @@ def vector_to_root(typ: AffineType, vec) -> tuple[int, Root] | None:
 
 
 # The largest window a windowed operation may build.  Those operations
-# scan all root pairs of the window: the plane tables take about 0.4 s of
-# CPU at B4 height 8 (252 roots) and 0.5 s at A6 height 8 (270 roots,
-# refused) on a 2-core VM with Python 3.11.  The largest window the
-# package, its tests and its benchmark build is D4 at height 6 (168).
+# build the window's plane tables from the finite rank-2 spans: about
+# 0.09 s of CPU at B4 height 8 (252 roots) and at A6 height 8 (270 roots,
+# refused), best of three on a 2-core VM with Python 3.11.  The largest
+# window the package, its tests and its benchmark build is D4 at height 6.
 MAX_WINDOW_ROOTS = 256
 
 
@@ -375,14 +376,15 @@ def _in_plane(key, pivots, vec) -> bool:
     return all(p * x == y for x, y in zip(vec, w))
 
 
-def _angular_sort(key, members, vector=Root.vector) -> list:
+def _angular_sort(key, members, vector=Root.vector, check=True) -> list:
     """Sort plane members by angle; betweenness = interval in this order.
 
     ``vector(m)`` gives the coordinates of a member, by default a Root's.
-    Member x comes first iff x[c1] y[c2] - x[c2] y[c1] > 0."""
+    Member x comes first iff x[c1] y[c2] - x[c2] y[c1] > 0.  With check,
+    members outside the plane are refused."""
     c1, c2 = pivots = _pivots(key)
     vecs = {m: vector(m) for m in members}
-    outside = [m for m, v in vecs.items() if not _in_plane(key, pivots, v)]
+    outside = [m for m, v in vecs.items() if check and not _in_plane(key, pivots, v)]
     if outside:
         raise AfweakError(f"{outside} lie outside the plane {key}")
 
@@ -394,6 +396,36 @@ def _angular_sort(key, members, vector=Root.vector) -> list:
         return -cross
 
     return sorted(members, key=functools.cmp_to_key(cmp))
+
+
+@lru_cache(maxsize=None)
+def _finite_spans(typ: AffineType):
+    """The rank-2 spans of Phi_0 with three or more roots up to sign (A2
+    and B2), found as triangles fin[a, b] + fin[b, c] = fin[a, c] of ground
+    residues, each as (classes, bases).  classes are its roots f up to
+    sign, f > -f; a base (i, j, coeffs) has classes[w] = p classes[i] +
+    q classes[j] for (p, q) = coeffs[w], all integers.  An A2 span has one
+    base, a B2 span two disjoint ones: any three classes hold one."""
+    fin = finite_roots(typ)
+    spans: dict[tuple, set] = {}
+    for a, b, c in itertools.combinations(sorted({a for a, _ in fin}), 3):
+        if (a, b) in fin and (b, c) in fin and (a, c) in fin:
+            spans.setdefault(_plane_key(fin[a, b], fin[b, c]), set()).update(
+                max(f, negate_class(f)) for f in (fin[a, b], fin[b, c], fin[a, c]))
+    out = []
+    for key, classes in sorted(spans.items()):
+        (c1, c2), ws, good = _pivots(key), tuple(sorted(classes)), []
+        for i, j in itertools.combinations(range(len(ws)), 2):
+            x, y = ws[i], ws[j]
+            det = x[c1] * y[c2] - x[c2] * y[c1]
+            num = [(w[c1] * y[c2] - w[c2] * y[c1], x[c1] * w[c2] - x[c2] * w[c1])
+                   for w in ws]
+            if all(p % det == q % det == 0 for p, q in num):
+                good.append((i, j, tuple((p // det, q // det) for p, q in num)))
+        bases = good[:1] if len(ws) == 3 else next(
+            (u, v) for u, v in itertools.combinations(good, 2) if not {*u[:2]} & {*v[:2]})
+        out.append((ws, tuple(bases)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -432,43 +464,30 @@ def _class_string(typ: AffineType, fin, h: int) -> list[Root]:
     return out
 
 
-def _delta_lift(key, pivots, fin):
-    """The unique k with fin + k*delta in a plane without delta, if it is
-    an integer (both pivots are then finite columns)."""
-    p, w = _lift(key, pivots, fin)
-    k, r = divmod(w[-1], p)
-    if r or any(p * x != y for x, y in zip(fin, w)):  # zip stops before delta
-        return None
-    return k
-
-
 def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
     """The full rank-2 subsystem of the plane spanned by two roots."""
     if a.type != b.type:
         raise DependentRoots("roots of different types")
     typ = a.type
     key = plane_key(a, b)
-    pivots = _pivots(key)
+    c1, c2 = pivots = _pivots(key)
     if _in_plane(key, pivots, (0,) * (typ.dim - 1) + (1,)):  # delta
         # the lowest root of each class has height 0 or 1
         fin = a.vector()[:-1]
         bases = {_class_string(typ, f, 1)[0] for f in (fin, negate_class(fin))}
         return RankTwoSubsystem("Atilde1", typ,
                                 tuple(sorted(bases, key=Root.sort_key)))
-    members = set()
-    for fin in _pair_of_finite_root(typ):
-        k = _delta_lift(key, pivots, fin)
-        if k is None:
-            continue
-        got = vector_to_root(typ, fin + (k,))
-        if got is not None and got[0] == 1:
+    # one root per class of the span at most: w + k delta = x a + y b, with
+    # x det = cross(w, b), y det = cross(a, w) at the (finite) pivots
+    u, v = a.vector(), b.vector()
+    det = u[c1] * v[c2] - u[c2] * v[c1]
+    fu, fv = (max(f, negate_class(f)) for f in (u[:-1], v[:-1]))
+    members = {a, b}
+    for w in next((ws for ws, _ in _finite_spans(typ) if fu in ws and fv in ws), ()):
+        k, r = divmod((w[c1] * v[c2] - w[c2] * v[c1]) * u[-1]
+                      + (u[c1] * w[c2] - u[c2] * w[c1]) * v[-1], det)
+        if not r and (got := vector_to_root(typ, w + (k,))):
             members.add(got[1])
-    members = sorted(members, key=Root.sort_key)
-    if not 2 <= len(members) <= 4:
-        raise AfweakError(
-            f"the plane of {a} and {b} holds {len(members)} positive "
-            f"roots, not 2-4: {members}"
-        )
     ordered = _angular_sort(key, members)
     if ordered[-1].sort_key() < ordered[0].sort_key():
         ordered.reverse()

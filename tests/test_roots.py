@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from afweak.closure import WindowSet, _window_planes
+from afweak.closure import WindowSet, _plane_table, _window_planes
 from afweak.errors import AfweakError, DependentRoots, NotARoot, TooLarge
 from afweak.roots import (
     MAX_WINDOW_ROOTS,
@@ -187,6 +187,20 @@ def test_rank2_dependent():
         rank2_subsystem(r, r)
 
 
+def test_plane_tables_are_the_window_parts_of_rank2_subsystems():
+    # both read roots._finite_spans: each table plane, first to last, is
+    # the height-h part of the subsystem of its two end roots
+    for typ in (A4, AffineType("C", 3)):
+        roots = root_window(typ, 3)
+        kinds = set()
+        for plane, *_ in _plane_table(typ, 3):
+            sub = rank2_subsystem(roots[plane[0]], roots[plane[-1]])
+            got = [roots[k] for k in plane]
+            assert sub.ordered_window(3) in (tuple(got), tuple(got[::-1])), (typ, plane)
+            kinds.add(sub.kind)
+        assert kinds == ({"A2", "Atilde1"} if typ == A4 else {"A2", "B2", "Atilde1"})
+
+
 def test_angular_sort_rejects_roots_outside_the_plane():
     a, b = canonical_root(A4, 0, 1), canonical_root(A4, 1, 2)
     with pytest.raises(AfweakError, match="outside the plane"):
@@ -195,9 +209,11 @@ def test_angular_sort_rejects_roots_outside_the_plane():
 
 def test_integer_plane_geometry_matches_the_rational_reference():
     # plane keys on every pair of the height-1 windows, dependent pairs
-    # (a root with itself) included; whole plane tables, order and
-    # two-root planes included, at h <= 1 and at the largest windows the
-    # benchmark builds
+    # (a root with itself) included; whole plane tables, order included,
+    # against the planes of the rational pairwise scan with three or more
+    # window roots, at h <= 1 and at the largest windows the benchmark
+    # builds (B3 h=6 and C3 h=5 hold four-root B2 planes and B's short
+    # delta-strings, which skip every other height)
     for typ in [AffineType(fam, n)
                 for fam, lo, hi in (("A", 2, 6), ("B", 2, 4), ("C", 2, 4), ("D", 3, 5))
                 for n in range(lo, hi + 1)]:
@@ -205,9 +221,21 @@ def test_integer_plane_geometry_matches_the_rational_reference():
         for u, v in itertools.combinations_with_replacement(vecs, 2):
             assert _plane_key(u, v) == _rref_plane_key(u, v), (u, v)
         for h in (0, 1):
-            assert _window_planes(typ, h) == _reference_window_planes(typ, h), (typ, h)
-    for typ in (AffineType("A", 5), AffineType("D", 4)):
-        assert _window_planes(typ, 6) == _reference_window_planes(typ, 6), typ
+            want = tuple(p for p in _reference_window_planes(typ, h) if len(p) >= 3)
+            assert _window_planes(typ, h) == want, (typ, h)
+    # the scan's plane counts, two-root planes included, pinned as ROADMAP
+    # item 3 quoted them: an A5 h=5 plane is an h=6 one with two or more
+    # roots of height <= 5 (that window is a prefix of the h=6 one)
+    for typ, h, totals in (
+        (AffineType("A", 5), 6, {5: 4330, 6: 5890}), (AffineType("D", 4), 6, {6: 8244}),
+        (AffineType("B", 3), 6, {6: 2655}), (AffineType("C", 3), 5, {5: 2817}),
+    ):
+        reference = _reference_window_planes(typ, h)
+        want = tuple(p for p in reference if len(p) >= 3)
+        assert _window_planes(typ, h) == want, (typ, h)
+        for g, total in totals.items():
+            size = window_size(typ, g)
+            assert sum(sum(k < size for k in p) >= 2 for p in reference) == total, (typ, g)
 
 
 def test_rank2_subsystems_match_the_rational_reference():
