@@ -376,38 +376,10 @@ def doubling_check(s: WindowSet) -> bool:
     return next(_bad_planes(s.type, s.H, s.mask), None) is None
 
 
-@lru_cache(maxsize=64)
-def _planes_through(typ: AffineType, h: int):
-    """For each window root index, the _plane_table entries holding it."""
-    through: list[list[tuple]] = [[] for _ in range(window_size(typ, h))]
-    for entry in _plane_table(typ, h):
-        for k in entry[0]:
-            through[k].append(entry)
-    return tuple(tuple(es) for es in through)
-
-
-def _still_biclosed(typ, h, mask: int, new_idx: int) -> bool:
-    """Whether a biclosed window set stays biclosed after adding one root.
-
-    Any new rank-2 violation must involve the added root, so only the
-    planes through it are read.  A trace fails iff it is neither a prefix
-    nor a suffix of its plane: for a length-3 plane, iff it is the middle
-    root alone or the two outer roots.
-    """
-    mask |= 1 << new_idx
-    for _, plane_mask, fill in _planes_through(typ, h)[new_idx]:
-        t = mask & plane_mask
-        if fill.__class__ is int:
-            if t == fill or t == plane_mask ^ fill:
-                return False
-        elif t != fill[c := t.bit_count()] and t != plane_mask ^ fill[len(fill) - 1 - c]:
-            return False
-    return True
-
-
 def finite_biclosed_bfs(typ: AffineType, h: int, max_size: int):
     """All finite biclosed window sets of size <= max_size, found from the
-    empty set by single-root steps (covers in the weak order).
+    empty set by single-root steps (covers in the weak order), each step
+    decided by the bit-sliced plane-trace test of ``is_biclosed``.
 
     Returns a dict frozenset-of-roots -> size.
     """
@@ -421,7 +393,7 @@ def finite_biclosed_bfs(typ: AffineType, h: int, max_size: int):
                 cand = mask | 1 << k
                 if cand == mask or cand in found:
                     continue
-                if _still_biclosed(typ, h, mask, k):
+                if next(_bad_planes(typ, h, cand), None) is None:
                     found[cand] = size
                     nxt.append(cand)
         frontier = nxt

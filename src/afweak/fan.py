@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     ComponentMismatch,
@@ -70,6 +71,14 @@ from . import closure as _closure
 
 # ---------------------------------------------------------------------------
 # faces
+
+
+class Relabeling(NamedTuple):
+    """A face's block relabeling (``FanFace.relabeling``)."""
+
+    block: tuple[int, ...]  # residue a in 0..M-1 -> its block position
+    index: tuple[int, ...]  # residue a -> its index in reps[block[a]]
+    reps: tuple[tuple[int, ...], ...]  # block -> its sorted residues
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,25 @@ class FanFace:
         """The block position of each residue, computed on first use and
         kept on the face (``==`` and ``hash`` read only the fields)."""
         return {v: k for k, b in enumerate(self.blocks) for v in b}
+
+    @cached_property
+    def relabeling(self) -> Relabeling:
+        """The block relabeling table, computed on first use and kept on
+        the face: each block's sorted residues mod M, and each residue's
+        block and index there.  A signed family's central block also
+        holds the multiples of M (residue 0), in family D too, where 0 is
+        not listed in the block.  ``_rho``, ``_rho_inv`` and
+        ``orders._positions`` read it."""
+        m, signed = self.type.modulus, self.type.family != "A"
+        reps, block, index = [], [0] * m, [0] * m
+        for k, b in enumerate(self.blocks):
+            rs = {v % m for v in b}
+            if signed and 2 * k + 1 == len(self.blocks):
+                rs.add(0)
+            reps.append(tuple(sorted(rs)))
+            for i, a in enumerate(reps[-1]):
+                block[a], index[a] = k, i
+        return Relabeling(tuple(block), tuple(index), tuple(reps))
 
     def pairing_sign(self, r: Root) -> int:
         """Sign of <f, r> for f in the relative interior of the face."""
@@ -236,26 +264,17 @@ class Component:
     factors over the integers whose residue lies in one block; "central"
     components sit over the self-negated central block; a "splitA1" is one
     of the two A~1 factors of a split central D~2.  The first two are
-    relabeled onto their own group by ``_rho`` over ``reps``.  ``block``
-    is the position of the block the component sits over (the middle one
-    for "central" and "splitA1").
+    relabeled onto their own group by ``_rho`` over the face's
+    relabeling table.  ``block`` is the position of the block the
+    component sits over (the middle one for "central" and "splitA1").
     """
 
     id: str
     ctype: AffineType
     kind: str
     block: int
-    reps: tuple[int, ...]  # ablock/central: see _block_reps
+    face: FanFace
     gamma: tuple[int, ...] = ()  # splitA1: positive finite direction
-    parent: AffineType = None
-
-    # -- the order isomorphism rho between the global and local ground sets
-
-    def rho(self, x: int) -> int:
-        return _rho(self.reps, self.parent.modulus, x)
-
-    def rho_inv(self, y: int) -> int:
-        return _rho_inv(self.reps, self.parent.modulus, y)
 
     def to_global(self, r: Root) -> Root:
         if self.kind == "splitA1":
@@ -265,14 +284,15 @@ class Component:
             else:
                 k = (r.j - 1) // 2
                 vec = negate_class(self.gamma) + (k + 1,)
-            got = vector_to_root(self.parent, vec)
+            got = vector_to_root(self.face.type, vec)
             if got is None or got[0] != 1:
                 raise ComponentMismatch(
                     f"{r} of component {self.id} maps to {vec}, "
                     "which is not a positive root"
                 )
             return got[1]
-        return canonical_root(self.parent, self.rho_inv(r.i), self.rho_inv(r.j))
+        face, k = self.face, self.block
+        return canonical_root(face.type, _rho_inv(face, k, r.i), _rho_inv(face, k, r.j))
 
     def global_simple_roots(self) -> tuple[Root, ...]:
         out = []
@@ -351,28 +371,20 @@ class ParahoricDecomposition:
         return self.component_of_pair(face.residue(r.i), face.residue(r.j))
 
 
-def _block_reps(face: FanFace, k: int) -> tuple[int, ...]:
-    """Sorted residues mod M of the ground integers of block k.
-
-    The central block of a signed family also holds the multiples of M
-    (residue 0), in family D too, where 0 is not listed in the block.
-    """
+def _rho(face: FanFace, x: int) -> int:
+    """The relabeling of x's block: the increasing bijection of its
+    integers onto Z, where one period of M advances by the block's size."""
+    block, index, reps = face.relabeling
     m = face.type.modulus
-    reps = {v % m for v in face.blocks[k]}
-    if face.type.family != "A" and 2 * k + 1 == len(face.blocks):
-        reps.add(0)
-    return tuple(sorted(reps))
+    a = x % m
+    return index[a] + x // m * len(reps[block[a]])
 
 
-def _rho(reps: tuple[int, ...], m: int, x: int) -> int:
-    """The increasing bijection onto Z from the integers whose residues mod
-    m lie in the sorted ``reps``: one period of m advances by len(reps)."""
-    return reps.index(x % m) + (x // m) * len(reps)
-
-
-def _rho_inv(reps: tuple[int, ...], m: int, y: int) -> int:
+def _rho_inv(face: FanFace, k: int, y: int) -> int:
+    """The integer of block k that ``_rho`` maps to y."""
+    reps = face.relabeling.reps[k]
     size = len(reps)
-    return reps[y % size] + (y // size) * m
+    return reps[y % size] + y // size * face.type.modulus
 
 
 @lru_cache(maxsize=4096)
@@ -391,8 +403,7 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
             ctype=AffineType("A", len(b)),
             kind="ablock",
             block=k,
-            reps=_block_reps(face, k),
-            parent=typ,
+            face=face,
         )
         for k, b in enumerate(face.blocks)
         if len(b) >= 2 and (typ.family == "A" or k > mid)
@@ -416,9 +427,8 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
                     ctype=AffineType("A", 2),
                     kind="splitA1",
                     block=mid,
-                    reps=(),
+                    face=face,
                     gamma=fin,
-                    parent=typ,
                 )
             )
     elif c >= (3 if typ.family == "D" else 1):
@@ -428,8 +438,7 @@ def parahoric(face: FanFace) -> ParahoricDecomposition:
                 ctype=AffineType(typ.family, c),
                 kind="central",
                 block=mid,
-                reps=_block_reps(face, mid),
-                parent=typ,
+                face=face,
             )
         )
     return ParahoricDecomposition(face, tuple(comps))
@@ -645,13 +654,14 @@ def _recover_w(decomp: ParahoricDecomposition, x: set[Root]):
 
 
 def _recover_w_a(decomp: ParahoricDecomposition, x: set[Root]):
+    face = decomp.face
     local: dict[str, set[Root]] = {}
     for r in x:
         comp = decomp.component_of_root(r)
         if comp is None:
             raise NotBiclosed("the zero part is not a parahoric inversion set")
         local.setdefault(comp.id, set()).add(
-            canonical_root(comp.ctype, comp.rho(r.i), comp.rho(r.j)))
+            canonical_root(comp.ctype, _rho(face, r.i), _rho(face, r.j)))
     out = {}
     for comp in decomp.components:
         inv = local.get(comp.id)
@@ -722,8 +732,8 @@ def _peel(decomp: ParahoricDecomposition, x: set[Root]):
 # classification
 
 
-def classify(s, h: int | None = None) -> BiclosedTriple:
-    """A triple whose height-h window equals the input window.
+def classify(s) -> BiclosedTriple:
+    """A triple whose window at the input's height equals the input window.
 
     Accepts a WindowSet (stability-checked through b_infinity) or a
     PeriodicOrder (delegated to its exact inversion set).  For a window

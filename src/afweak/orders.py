@@ -7,10 +7,13 @@ recoverable from any bounded rendering.  Block k precedes block k+1;
 inside a block the classes are arranged by the permutation, reversed
 when the flag is set.  For the signed families the data is stored on the
 central-and-positive positions only; the negative side is forced by the
-negation symmetry.  One position table (``_positions``) places every
-integer in all four families: its block and its position there, the
-negative side mirrored.  ``precedes`` and ``render`` compare those keys,
-and ``lattice._relation`` writes its cells from the same table.
+negation symmetry.  Every integer is placed through its face's block
+relabeling (``FanFace.relabeling``, read by ``fan._rho``/``_rho_inv``).
+One position table (``_positions``) built from it places every integer
+in all four families: its block and its position there, the negative
+side mirrored.  ``precedes`` and ``render`` compare those keys, and
+``lattice._relation`` writes its cells from the same table; ``relabel``
+and the central block conversions map integers through the same rho.
 
 Conversions to and from biclosed triples realize the combinatorial order
 models, including the type-D twist sets that no single total order can
@@ -35,7 +38,6 @@ from .fan import (
     build_biclosed,
     global_element,
     parahoric,
-    _block_reps,
     _recover_w,
     _rho,
     _rho_inv,
@@ -139,26 +141,26 @@ def _positions(o: PeriodicOrder):
     """block[a] and pos[a] for each residue a in 0..M-1, and per block
     its sorted residues and step: a + qM sits at pos[a] + q * step.
 
-    Residue a sits at its index i among its block's sorted residues, mapped
-    by the inverse block permutation and negated in a reversed block; step
-    is +-len(reps), negative when reversed.  A signed family's block below
-    the centre mirrors its negation, pos_k(a) = -pos_{2 mid - k}(-a), where
-    -a has the index ~i over the mirror's residues.  The central block
-    places the multiples of M, in family D too, where 0 is not listed.
+    The blocks and their residues are the face's relabeling table
+    (``FanFace.relabeling``, where a signed centre also holds residue 0).
+    Residue a sits at its index i there, mapped by the inverse block
+    permutation and negated in a reversed block; step is +-len(reps),
+    negative when reversed.  A signed family's block below the centre
+    mirrors its negation, pos_k(a) = -pos_{2 mid - k}(-a), where -a has
+    the index ~i over the mirror's residues.
     """
-    face, m = o.face, o.type.modulus
+    face = o.face
+    block, _, reps = face.relabeling
     signed, top = o.type.family != "A", len(face.blocks) - 1
-    block, pos, steps = [0] * m, [0] * m, []
-    for k, blk in enumerate(face.blocks):
+    pos, steps = [0] * o.type.modulus, []
+    for k, rs in enumerate(reps):
         j = top - k if signed and 2 * k < top else k
-        data, reps = o.data_at(j), sorted(x % m for x in blk)
-        if signed and 2 * k == top and 0 not in blk:
-            reps.insert(0, 0)
+        data = o.data_at(j)
         uinv, sign = data.perm and invert(data.perm), -1 if data.reversed != (j != k) else 1
-        for i, a in enumerate(reps):
+        for i, a in enumerate(rs):
             i = i if j == k else ~i
-            block[a], pos[a] = k, sign * (uinv(i) if uinv else i)
-        steps.append((reps, -len(reps) if data.reversed else len(reps)))
+            pos[a] = sign * (uinv(i) if uinv else i)
+        steps.append((rs, -len(rs) if data.reversed else len(rs)))
     return block, pos, steps
 
 
@@ -236,13 +238,12 @@ def _central_inversion_roots(o: PeriodicOrder, k: int) -> set[Root]:
     u = o.data_at(k).perm
     if u is None:
         return set()
-    typ = o.type
-    reps = _block_reps(o.face, k)
+    face = o.face
     out = set()
     for p in inversions(u):
         try:
-            out.add(canonical_root(typ, _rho_inv(reps, typ.modulus, p.i),
-                                   _rho_inv(reps, typ.modulus, p.j)))
+            out.add(canonical_root(face.type, _rho_inv(face, k, p.i),
+                                   _rho_inv(face, k, p.j)))
         except NotARoot:
             continue
     return out
@@ -280,17 +281,15 @@ def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
 
 def _central_order_perm(face: FanFace, wmap) -> AffinePermutation:
     """Realize central component elements as one C-type block permutation."""
-    m = face.type.modulus
     mid = len(face.blocks) // 2
-    reps = _block_reps(face, mid)
-    c = len(reps) // 2
+    c = len(face.relabeling.reps[mid]) // 2
     if len(parahoric(face).by_block[mid]) == 1:
-        # the lone central component is relabeled over the same reps, so
-        # its element already is the block permutation
+        # the lone central component is relabeled by the same rho, so its
+        # element already is the block permutation
         (u,) = wmap.values()
         return from_window(AffineType("C", c), u.window)
     g = global_element(face, wmap)
-    window = tuple(_rho(reps, m, g(_rho_inv(reps, m, k))) for k in range(1, c + 1))
+    window = tuple(_rho(face, g(_rho_inv(face, mid, k))) for k in range(1, c + 1))
     return from_window(AffineType("C", c), window)
 
 
@@ -354,7 +353,7 @@ def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
     """
     if v.type != o.type:
         raise TypeMismatch("relabel type mismatch")
-    face, m = o.face, o.type.modulus
+    face = o.face
     new = FanFace(o.type, tuple(frozenset(face.residue(v(a)) for a in blk)
                                 for blk in face.blocks))
     data = list(o.block_data)
@@ -362,12 +361,11 @@ def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
         ptype = _block_perm_type(face, k)
         if d is None or ptype is None:
             continue
-        old_reps, new_reps = _block_reps(face, k), _block_reps(new, k)
         u = d.perm or identity(ptype)
         size = len(u.window)
 
         def image(x):
-            return _rho(new_reps, m, v(_rho_inv(old_reps, m, u(x))))
+            return _rho(new, v(_rho_inv(face, k, u(x))))
 
         win = [image(x) for x in range(1, size + 1)]
         if ptype.family == "A":

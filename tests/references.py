@@ -8,12 +8,13 @@ import functools
 from fractions import Fraction
 from math import gcd, inf
 
-from afweak.errors import AfweakError, NotAnOrder, OutOfDomain
-from afweak.fan import FanFace, _block_reps, _recover_w, _rho, build_biclosed, parahoric
+from afweak.errors import AfweakError, NotAnOrder, NotARoot, OutOfDomain
+from afweak.fan import FanFace, _recover_w, _rho, build_biclosed, parahoric
 from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
 from afweak.lattice import _RAYS, ThresholdRelation, _eps, check_order, iota
-from afweak.perms import invert
+from afweak.orders import BlockData, PeriodicOrder
+from afweak.perms import invert, max_displacement
 from afweak.roots import (
     AffineType,
     RankTwoSubsystem,
@@ -258,7 +259,7 @@ def _block_position_fn(o, k):
     """Position of a ground integer inside block k (larger = later): rho
     over the block's residues, then the inverse block permutation, negated
     in a reversed block."""
-    rho = functools.partial(_rho, _block_reps(o.face, k), o.type.modulus)
+    rho = functools.partial(_rho, o.face)
     data = o.data_at(k)
     if data.perm is None:
         pos = rho
@@ -271,6 +272,33 @@ def _block_position_fn(o, k):
     if data.reversed:
         return lambda x: -pos(x)
     return pos
+
+
+def _reference_central_inversion_roots(o, k):
+    """orders._central_inversion_roots before it read the block
+    permutation: every admissible root up to twice the displacement of
+    the central block, kept where the forward order inverts it."""
+    face = o.face
+    typ = face.type
+    m = typ.modulus
+    data = o.data_at(k)
+    reps = sorted(v % m for v in face.blocks[k] if v % m != 0)
+    forward = PeriodicOrder(
+        face, o.block_data[:k] + (BlockData(False, data.perm),) + o.block_data[k + 1:])
+    pos = _block_position_fn(forward, k)
+    disp = 0 if data.perm is None else max_displacement(data.perm)
+    out = set()
+    for i in reps:
+        for j in range(i + 1, i + (2 * disp + 3) * m):
+            if j % m not in reps:
+                continue
+            try:
+                r = canonical_root(typ, i, j)
+            except NotARoot:
+                continue
+            if (r.i, r.j) == (i, j) and pos(i) > pos(j):
+                out.add(r)
+    return out
 
 
 def _reference_precedes(o, a, b):

@@ -8,11 +8,9 @@ import pytest
 from afweak.errors import (
     DRepresentationRequired,
     InvalidTwist,
-    NotARoot,
     OutOfDomain,
 )
 from afweak.fan import (
-    _block_reps,
     _rho,
     _rho_inv,
     build_biclosed,
@@ -26,12 +24,11 @@ from afweak.fan import (
     phi_prime_from_blocks,
 )
 from afweak.orders import (
-    BlockData,
     DTwist,
-    PeriodicOrder,
     _block_perm_type,
     _central_inversion_roots,
     _central_order_perm,
+    _order_key,
     compare,
     d_twist_set,
     inversion_set,
@@ -45,7 +42,6 @@ from afweak.orders import (
 from afweak.perms import (
     from_window,
     identity,
-    max_displacement,
     multiply,
     reflection,
     simple_reflections,
@@ -53,7 +49,12 @@ from afweak.perms import (
 )
 from afweak.roots import AffineType, canonical_root, finite_class, negate_class, root_window
 from afweak.verify import all_triples
-from references import _block_position_fn, _reference_precedes, _reference_render
+from references import (
+    _block_position_fn,
+    _reference_central_inversion_roots,
+    _reference_precedes,
+    _reference_render,
+)
 
 A2 = AffineType("A", 2)
 A4 = AffineType("A", 4)
@@ -180,11 +181,13 @@ def test_inversion_set_round_trip_exhaustive():
             assert inversion_set(o) == t
 
 
-def test_central_order_perm_of_one_component():
+def test_block_relabeling_numbers_each_block_onto_z():
     # every block's relabeling is an increasing bijection of its ground
     # integers onto Z that advances by len(reps) per period; the central
     # block of a signed family owns the multiples of M, in family D too
-    # (including the split D~2 centre that _central_order_perm relabels)
+    # (including the split D~2 centre that _central_order_perm relabels).
+    # The order of a face places each block's integers in rho's order,
+    # a block below a signed centre shifted by one through its mirror.
     for fam, ns in (("A", (2, 3, 4)), ("B", (2, 3)), ("C", (1, 2, 3)),
                     ("D", (2, 3, 4))):
         for n in ns:
@@ -193,21 +196,31 @@ def test_central_order_perm_of_one_component():
             for face in enumerate_faces(typ):
                 mid = len(face.blocks) // 2
                 o = periodic_order(face)
+                key = _order_key(o)
                 comps = {c.id: c for c in parahoric(face).components}
-                for k in range(0 if fam == "A" else mid, len(face.blocks)):
-                    reps = _block_reps(face, k)
+                for k, blk in enumerate(face.blocks):
+                    central = fam != "A" and k == mid
+                    reps = face.relabeling.reps[k]
+                    zero = {0} if central else set()
+                    assert reps == tuple(sorted({v % m for v in blk} | zero))
                     ground = [x for x in range(-3 * m, 3 * m)
                               if face.block_of.get(face.residue(x), mid) == k]
-                    images = [_rho(reps, m, x) for x in ground]
+                    images = [_rho(face, x) for x in ground]
                     assert images == list(range(images[0], images[0] + len(ground)))
                     for x in ground:
-                        assert _rho(reps, m, x + m) == _rho(reps, m, x) + len(reps)
-                        assert _rho_inv(reps, m, _rho(reps, m, x)) == x
+                        assert _rho(face, x + m) == _rho(face, x) + len(reps)
+                        assert _rho_inv(face, k, _rho(face, x)) == x
+                    shift = 1 if fam != "A" and k < mid else 0
+                    assert [key(x) for x in ground] == [(k, y + shift) for y in images]
+                    if shift:
+                        continue
                     assert list(map(_block_position_fn(o, k), ground)) == images
-                    comp = comps.get("ctr" if fam != "A" and k == mid else f"blk{k}")
+                    comp = comps.get("ctr" if central else f"blk{k}")
                     if comp is not None:
-                        assert comp.reps == reps and comp.ctype.modulus == len(reps)
-                        assert list(map(comp.rho, ground)) == images
+                        assert comp.block == k and comp.ctype.modulus == len(reps)
+
+
+def test_central_order_perm_of_one_component():
     # a lone central component is relabeled by rho, so the block
     # permutation is its element; compare with the global realization
     rng = random.Random(5)
@@ -228,7 +241,7 @@ def test_central_order_perm_of_one_component():
             g = global_element(f, {comp.id: u})
             c = len(reps) // 2
             want = from_window(AffineType("C", c), [
-                comp.rho(g(comp.rho_inv(k))) for k in range(1, c + 1)])
+                _rho(f, g(_rho_inv(f, comp.block, k))) for k in range(1, c + 1)])
             assert _central_order_perm(f, {comp.id: u}) == want
 
 
@@ -316,33 +329,6 @@ def test_d_twist_in_bigger_rank():
     base = periodic_order(face)
     t = d_twist_set(DTwist(base, (1, 2)))
     assert classify(t.window(4)) == t
-
-
-def _reference_central_inversion_roots(o, k):
-    """The height scan that reading the block permutation replaced: every
-    admissible root up to twice the displacement of the central block,
-    kept where the forward order inverts it."""
-    face = o.face
-    typ = face.type
-    m = typ.modulus
-    data = o.data_at(k)
-    reps = sorted(v % m for v in face.blocks[k] if v % m != 0)
-    forward = PeriodicOrder(
-        face, o.block_data[:k] + (BlockData(False, data.perm),) + o.block_data[k + 1:])
-    pos = _block_position_fn(forward, k)
-    disp = 0 if data.perm is None else max_displacement(data.perm)
-    out = set()
-    for i in reps:
-        for j in range(i + 1, i + (2 * disp + 3) * m):
-            if j % m not in reps:
-                continue
-            try:
-                r = canonical_root(typ, i, j)
-            except NotARoot:
-                continue
-            if (r.i, r.j) == (i, j) and pos(i) > pos(j):
-                out.add(r)
-    return out
 
 
 def test_central_inversion_roots_match_the_height_scan():
