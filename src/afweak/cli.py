@@ -5,6 +5,11 @@ accepted back by the matching --in flag.  DOT output is write-only.
 Exit codes: 0 success, 1 domain errors (the error name and witness go to
 stderr), 2 usage errors, malformed input files included (one line on
 stderr).
+
+The layer modules load on first use: each handler and (de)serializer
+imports the layers it calls, so ``--help`` loads none, ``check`` and
+``close`` load ``roots`` and ``closure``, and only ``verify`` loads every
+layer.
 """
 
 from __future__ import annotations
@@ -13,17 +18,22 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 
-from . import closure as _closure
-from . import fan as _fan
-from . import lattice as _lattice
-from . import orders as _orders
-from . import perms as _perms
-from . import roots as _roots
-from . import verify as _verify
 from .errors import AfweakError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:  # the annotations' modules; each function imports what it calls
+    from . import closure as _closure
+    from . import fan as _fan
+    from . import orders as _orders
+    from . import perms as _perms
+    from . import roots as _roots
+
+# the names of verify.SUITES, in its order, so that parsing the command
+# line does not load the layers the suites run
+SUITE_NAMES = ("paper-examples", "roundtrip", "lattice-axioms",
+               "oracle-equivalence", "finite-enumeration")
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -80,6 +90,8 @@ def _list_of(values, kind, what: str) -> list:
 
 @_input_parser
 def type_from_json(d) -> _roots.AffineType:
+    from . import roots as _roots
+
     return _roots.AffineType(d["family"], _typed(d["n"], int, "n"))
 
 
@@ -97,6 +109,9 @@ def windowset_to_json(s: _closure.WindowSet) -> dict:
 
 @_input_parser
 def windowset_from_json(d) -> _closure.WindowSet:
+    from . import closure as _closure
+    from . import roots as _roots
+
     typ = type_from_json(d)
     pairs = (_list_of(p, int, "roots") for p in _typed(d["roots"], list, "roots"))
     roots = frozenset(_roots.canonical_root(typ, i, j) for i, j in pairs)
@@ -105,6 +120,8 @@ def windowset_from_json(d) -> _closure.WindowSet:
 
 @_input_parser
 def perm_from_json(d) -> _perms.AffinePermutation:
+    from . import perms as _perms
+
     typ = type_from_json(d)
     if "word" in d:
         return word_element(typ, _typed(d["word"], str, "word"))
@@ -113,6 +130,8 @@ def perm_from_json(d) -> _perms.AffinePermutation:
 
 def word_element(typ, text: str) -> _perms.AffinePermutation:
     """Parse a word in simple generators, written like "s0 s1 s2"."""
+    from . import perms as _perms
+
     count = len(_perms.simple_reflections(typ))
     letters = []
     for tok in text.split():
@@ -131,6 +150,8 @@ def face_to_json_blocks(face: _fan.FanFace) -> list:
 
 @_input_parser
 def face_from_json(typ, blocks) -> _fan.FanFace:
+    from . import fan as _fan
+
     return _fan.face_from_blocks(
         typ, [frozenset(_list_of(b, int, "block"))
               for b in _typed(blocks, list, "blocks")])
@@ -147,6 +168,9 @@ def triple_to_json(t: _fan.BiclosedTriple) -> dict:
 
 @_input_parser
 def triple_from_json(d) -> _fan.BiclosedTriple:
+    from . import fan as _fan
+    from . import perms as _perms
+
     typ = type_from_json(d)
     face = face_from_json(typ, d["face"])
     decomp = _fan.parahoric(face)
@@ -176,6 +200,9 @@ def order_to_json(o: _orders.PeriodicOrder) -> dict:
 
 @_input_parser
 def order_from_json(d) -> _orders.PeriodicOrder:
+    from . import orders as _orders
+    from . import perms as _perms
+
     typ = type_from_json(d)
     face = face_from_json(typ, d["blocks"])
     orient = _list_of(d.get("orient", []), (bool, type(None)), "orient")
@@ -194,11 +221,17 @@ def load_any_triple(d) -> _fan.BiclosedTriple:
     if "face" in d:
         return triple_from_json(d)
     if "window" in d or "word" in d:
-        return _fan.triple_of_element(perm_from_json(d))
+        from .fan import triple_of_element
+
+        return triple_of_element(perm_from_json(d))
     if "blocks" in d:
-        return _orders.inversion_set(order_from_json(d))
+        from .orders import inversion_set
+
+        return inversion_set(order_from_json(d))
     if "roots" in d:
-        return _fan.classify(windowset_from_json(d))
+        from .fan import classify
+
+        return classify(windowset_from_json(d))
     raise AfweakError("unrecognized input object")
 
 
@@ -245,8 +278,10 @@ def _one_line(option: str, text: str) -> tuple[int, ...]:
 def _type_option(family: str, n: int) -> _roots.AffineType:
     """The type named by --family (or --type) and --n; an n out of range
     for the family is an InputError."""
+    from .roots import AffineType
+
     try:
-        return _roots.AffineType(family, n)
+        return AffineType(family, n)
     except ValueError as e:
         raise InputError(f"--n: {e}") from e
 
@@ -260,12 +295,14 @@ def _witness_json(cert) -> dict:
 def _face_and_phi(typ, args):
     """The face and Phi' given to build or hasse by --face, --phi-blocks
     or --phi."""
+    from .fan import phi_prime_from_blocks
+
     face = _option("--face", args.face, lambda v: face_from_json(typ, v))
     if args.phi_blocks is None:
         return face, frozenset(args.phi or ())
     return face, _option(
         "--phi-blocks", args.phi_blocks,
-        lambda v: _fan.phi_prime_from_blocks(
+        lambda v: phi_prime_from_blocks(
             face, _list_of(v, int, "--phi-blocks")),
     )
 
@@ -295,23 +332,29 @@ def export_dot(labels, covers, name="poset") -> str:
 
 
 def _cmd_close(args):
+    from .closure import close
+
     s = windowset_from_json(_load(args.infile))
-    _emit(windowset_to_json(_closure.close(s)), args.out)
+    _emit(windowset_to_json(close(s)), args.out)
     return 0
 
 
 def _cmd_interior(args):
+    from .closure import interior
+
     s = windowset_from_json(_load(args.infile))
-    _emit(windowset_to_json(_closure.interior(s)), args.out)
+    _emit(windowset_to_json(interior(s)), args.out)
     return 0
 
 
 def _cmd_check(args):
+    from .closure import doubling_check, is_biclosed
+
     s = windowset_from_json(_load(args.infile))
-    cert = _closure.is_biclosed(s)
+    cert = is_biclosed(s)
     result = {
         "biclosed": cert.ok,
-        "doubling": _closure.doubling_check(s),
+        "doubling": doubling_check(s),
     }
     if not cert.ok:
         result.update(_witness_json(cert))
@@ -329,6 +372,9 @@ def _cmd_classify(args):
 
 
 def _cmd_build(args):
+    from . import fan as _fan
+    from . import perms as _perms
+
     _at_least("--height", args.height, 0)
     face, phi = _face_and_phi(_type_option(args.family, args.n), args)
     wmap = {}
@@ -353,6 +399,8 @@ def _cmd_build(args):
 
 
 def _cmd_order(args):
+    from . import orders as _orders
+
     o = order_from_json(_load(args.infile))
     if args.normalize:
         o = _orders.normalize(o)
@@ -366,6 +414,8 @@ def _cmd_order(args):
 
 
 def _cmd_join(args, mode: str):
+    from . import lattice as _lattice
+
     ts = [load_any_triple(_load(p)) for p in args.infile]
     if args.type and args.n is not None:
         typ = _type_option(args.type, args.n)
@@ -385,11 +435,13 @@ def _cmd_join(args, mode: str):
 
 
 def _cmd_try_join(args):
+    from .lattice import try_join
+
     _at_least("--height", args.height, 1)
     ts = [load_any_triple(_load(p)) for p in args.infile]
     if args.type and ts[0].type.family != args.type:
         raise AfweakError(f"inputs are type {ts[0].type.family}, not {args.type}")
-    res = _lattice.try_join(ts, args.height)
+    res = try_join(ts, args.height)
     if res.ok:
         _emit({"ok": True, "join": triple_to_json(res.triple)}, args.out)
         return 0
@@ -398,10 +450,12 @@ def _cmd_try_join(args):
 
 
 def _cmd_join_finite(args):
+    from .lattice import join_finite
+
     _at_least("--rank", args.rank, 0)
     u, w = _one_line("--u", args.u), _one_line("--w", args.w)
     try:
-        out = _lattice.join_finite(args.family, args.rank, u, w)
+        out = join_finite(args.family, args.rank, u, w)
     except ValueError as e:  # a well-formed --u or --w outside the group
         raise AfweakError(str(e)) from e
     _emit({"join": "".join(map(str, out)), "one_line": list(out)}, args.out)
@@ -409,6 +463,8 @@ def _cmd_join_finite(args):
 
 
 def _cmd_faces(args):
+    from . import fan as _fan
+
     typ = _type_option(args.family, args.n)
     faces = _fan.enumerate_faces(typ)
     if args.dot:
@@ -442,8 +498,10 @@ def _cmd_faces(args):
 
 
 def _cmd_hasse(args):
+    from .fan import path_component_poset
+
     face, phi = _face_and_phi(_type_option(args.family, args.n), args)
-    frag = _fan.path_component_poset(face, phi, args.bound)
+    frag = path_component_poset(face, phi, args.bound)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(export_dot(frag.labels, frag.covers, "hasse"))
@@ -458,14 +516,18 @@ def _cmd_hasse(args):
 
 
 def _cmd_verify(args):
+    import random
+
+    from .verify import SUITES
+
     try:
         rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
     except ValueError as e:
         raise InputError(f"AFWEAK_SEED: {e}") from e
-    names = _verify.SUITES.keys() if args.suite == "all" else [args.suite]
+    names = SUITES.keys() if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
-        for case, ok in _verify.SUITES[name](rng):
+        for case, ok in SUITES[name](rng):
             print(f"{'PASS' if ok else 'FAIL'}  {name}: {case}")
             failures += 0 if ok else 1
     print(f"{'OK' if not failures else 'FAILED'} ({failures} failures)")
@@ -554,7 +616,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("suite", choices=[*_verify.SUITES, "all"])
+    sp.add_argument("suite", choices=[*SUITE_NAMES, "all"])
     return p
 
 

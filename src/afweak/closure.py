@@ -12,7 +12,8 @@ out.  A plane with only two window roots has no root between them and
 imposes nothing, so _window_planes builds, from structure and not by a
 scan of root pairs, only the planes with three or more window roots:
 the delta-strings of +-Phi_0 classes (affine A~1) and the lifts of the
-finite A2 and B2 spans of Phi_0.  The plane tests read them as
+finite A2 and B2 spans of Phi_0, each lift keyed and ordered from its
+span, with no root vector compared.  The plane tests read them as
 _plane_table, in betweenness order.  A trace (a set cut to
 one plane) is biclosed iff it is a prefix or a suffix, that is iff it
 changes at most once along the plane.  _plane_slots holds the same
@@ -36,14 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import UnstableCutoff, UnstableWindow
 from .roots import (
     AffineType,
     Root,
-    _angular_sort,
     _finite_spans,
-    _plane_key,
     finite_class,
     guard_window,
     negate_class,
@@ -136,30 +136,56 @@ def _window_planes(typ: AffineType, h: int) -> tuple[tuple[int, ...], ...]:
 
     A two-root plane has no root between its roots and imposes nothing, so
     none is built, and no root pair is scanned: a plane holding delta holds
-    the roots of one +-Phi_0 class; any other lifts a finite span, one root
-    per class at most, and holds three or more roots only if its span is
-    in roots._finite_spans and it holds both classes of a base, whose two
-    lifts fix it."""
-    vecs = [r.vector() for r in root_window(typ, h)]
-    index, lifts = {}, {}  # +-root vector -> index, finite part -> deltas
-    for k, v in enumerate(vecs):
-        neg = tuple(-x for x in v)
-        index[v] = index[neg] = k
-        lifts.setdefault(v[:-1], []).append(v[-1])
-        lifts.setdefault(neg[:-1], []).append(neg[-1])
-    planes = {tuple(index[f + (d,)] for d in ds)
-              for f, ds in lifts.items() if len(ds) > 2 and f > negate_class(f)}
-    for ws, bases in _finite_spans(typ):
-        for i, j, coeffs in bases:
+    the roots of one +-Phi_0 class f > -f, has the key rows f / gcd(f) and
+    delta, and lists the roots of +f upward, then those of -f downward.
+    Any other plane lifts a finite span, one root per class at most, and
+    holds three or more roots only if its span is in roots._finite_spans
+    and it holds both classes of a base, whose two lifts fix it.  Such a
+    lift keeps the span's pivots, so its key is the span's key with each
+    row lifted to its delta coordinate, and its betweenness order, read
+    off the pivots, is the span's angular order of its roots' signed
+    classes, which depends on their finite parts alone."""
+    # lifts[f][d] is 2k if root k is (f, d) and 2k + 1 if it is -(f, d)
+    lifts: dict[tuple, dict] = {}
+    for k, r in enumerate(root_window(typ, h)):
+        v = r.vector()
+        lifts.setdefault(v[:-1], {})[v[-1]] = 2 * k
+        lifts.setdefault(tuple(-x for x in v[:-1]), {})[-v[-1]] = 2 * k + 1
+    planes = {}  # plane key -> plane
+    delta = (0,) * (typ.dim - 1) + (1,)
+    for f, deltas in lifts.items():
+        if len(deltas) > 2 and f > negate_class(f):
+            g = gcd(*f)
+            order = sorted((s & 1, d, s >> 1) for d, s in deltas.items())
+            planes[tuple(x // g for x in f) + (0,), delta] = tuple(k for *_, k in order)
+    for (r1, r2), ws, bases, arcs in _finite_spans(typ):
+        count = len(ws)  # signed class c + count is -ws[c]
+        for i, j, coeffs, ((s1, t1, det), (s2, t2, _)) in bases:
+            terms = [(lifts.get(w, {}), p, q, c)
+                     for c, (w, (p, q)) in enumerate(zip(ws, coeffs))]
             for x in lifts.get(ws[i], ()):
                 for y in lifts.get(ws[j], ()):
-                    plane = tuple(index[v] for w, (p, q) in zip(ws, coeffs)
-                                  if (v := w + (p * x + q * y,)) in index)
-                    if len(plane) > 2:
-                        planes.add(plane)
-    keys = {plane: _plane_key(vecs[plane[0]], vecs[plane[1]]) for plane in planes}
-    return tuple(tuple(_angular_sort(keys[p], p, vecs.__getitem__, check=False))
-                 for p in sorted(planes, key=keys.__getitem__))
+                    at, bits = {}, 0  # signed class -> root index
+                    for deltas, p, q, c in terms:
+                        got = deltas.get(p * x + q * y)
+                        if got is not None:
+                            c += count * (got & 1)
+                            at[c] = got >> 1
+                            bits |= 1 << c
+                    if len(at) > 2:
+                        key = (_lift_row(r1, s1 * x + t1 * y, det),
+                               _lift_row(r2, s2 * x + t2 * y, det))
+                        planes[key] = arcs[bits](at)
+    return tuple(planes[key] for key in sorted(planes))
+
+
+def _lift_row(row, num: int, det: int) -> tuple[int, ...]:
+    """The primitive integer row through row + (num / det,), for a
+    primitive row with a positive lead and det > 0."""
+    g = gcd(num, det)
+    if g == det:
+        return row + (num // det,)
+    return tuple(x * (det // g) for x in row) + (num // g,)
 
 
 @lru_cache(maxsize=64)

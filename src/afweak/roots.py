@@ -15,13 +15,17 @@ delta-strings and plane lifts all read it.
 All computations are exact and in integers, the plane geometry of rank-2
 subsystems too: a plane key, the in-plane test and the betweenness order
 are read off 2x2 minors (``_plane_key``, ``_lift``, ``_angular_sort``).
+The finite A2 and B2 spans carry what a lift of them needs
+(``_finite_spans``): their key rows as combinations of a base, and the
+circular order of their signed classes.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -41,6 +45,8 @@ class AffineType:
 
     family: str
     n: int
+    # M, stored once: n for A, 2n + 1 for B, C, D (read on every root)
+    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.n) is not int:
@@ -50,10 +56,8 @@ class AffineType:
         least = 2 if self.family == "D" else 1
         if self.n < least:
             raise ValueError(f"family {self.family} needs n >= {least}")
-
-    @property
-    def modulus(self) -> int:
-        return self.n if self.family == "A" else 2 * self.n + 1
+        object.__setattr__(self, "modulus",
+                           self.n if self.family == "A" else 2 * self.n + 1)
 
     @property
     def dim(self) -> int:
@@ -376,15 +380,15 @@ def _in_plane(key, pivots, vec) -> bool:
     return all(p * x == y for x, y in zip(vec, w))
 
 
-def _angular_sort(key, members, vector=Root.vector, check=True) -> list:
+def _angular_sort(key, members, vector=Root.vector) -> list:
     """Sort plane members by angle; betweenness = interval in this order.
 
     ``vector(m)`` gives the coordinates of a member, by default a Root's.
-    Member x comes first iff x[c1] y[c2] - x[c2] y[c1] > 0.  With check,
-    members outside the plane are refused."""
+    Member x comes first iff x[c1] y[c2] - x[c2] y[c1] > 0.  Members
+    outside the plane are refused."""
     c1, c2 = pivots = _pivots(key)
     vecs = {m: vector(m) for m in members}
-    outside = [m for m, v in vecs.items() if check and not _in_plane(key, pivots, v)]
+    outside = [m for m, v in vecs.items() if not _in_plane(key, pivots, v)]
     if outside:
         raise AfweakError(f"{outside} lie outside the plane {key}")
 
@@ -402,10 +406,19 @@ def _angular_sort(key, members, vector=Root.vector, check=True) -> list:
 def _finite_spans(typ: AffineType):
     """The rank-2 spans of Phi_0 with three or more roots up to sign (A2
     and B2), found as triangles fin[a, b] + fin[b, c] = fin[a, c] of ground
-    residues, each as (classes, bases).  classes are its roots f up to
-    sign, f > -f; a base (i, j, coeffs) has classes[w] = p classes[i] +
-    q classes[j] for (p, q) = coeffs[w], all integers.  An A2 span has one
-    base, a B2 span two disjoint ones: any three classes hold one."""
+    residues, each as (key, classes, bases, arcs).
+
+    key is the span's plane key and classes are its roots f up to sign,
+    f > -f.  A base (i, j, coeffs, rows) has classes[w] = p classes[i] +
+    q classes[j] for (p, q) = coeffs[w], all integers; an A2 span has one
+    base, a B2 span two disjoint ones: any three classes hold one.  rows
+    holds, per key row r, (s, t, det) with det r = s classes[i] +
+    t classes[j] and det > 0.  A signed class is numbered w for
+    +classes[w] and w + len(classes) for -classes[w]; arcs maps the bits
+    of three or more signed classes in an open half-plane to the getter of
+    their numbers in angular order (x before y iff x[c1] y[c2] >
+    x[c2] y[c1] at the key's pivots): the circular order of the signed
+    classes, cut open."""
     fin = finite_roots(typ)
     spans: dict[tuple, set] = {}
     for a, b, c in itertools.combinations(sorted({a for a, _ in fin}), 3):
@@ -415,16 +428,34 @@ def _finite_spans(typ: AffineType):
     out = []
     for key, classes in sorted(spans.items()):
         (c1, c2), ws, good = _pivots(key), tuple(sorted(classes)), []
+
+        def cross(x, y):
+            return x[c1] * y[c2] - x[c2] * y[c1]
+
         for i, j in itertools.combinations(range(len(ws)), 2):
             x, y = ws[i], ws[j]
-            det = x[c1] * y[c2] - x[c2] * y[c1]
-            num = [(w[c1] * y[c2] - w[c2] * y[c1], x[c1] * w[c2] - x[c2] * w[c1])
-                   for w in ws]
+            det = cross(x, y)
+            num = [(cross(w, y), cross(x, w)) for w in ws]
             if all(p % det == q % det == 0 for p, q in num):
-                good.append((i, j, tuple((p // det, q // det) for p, q in num)))
+                sign = 1 if det > 0 else -1
+                rows = tuple((sign * cross(r, y), sign * cross(x, r), sign * det)
+                             for r in key)
+                good.append((i, j, tuple((p // det, q // det) for p, q in num), rows))
         bases = good[:1] if len(ws) == 3 else next(
             (u, v) for u, v in itertools.combinations(good, 2) if not {*u[:2]} & {*v[:2]})
-        out.append((ws, tuple(bases)))
+        k = len(ws)
+        signed = ws + tuple(negate_class(w) for w in ws)
+        upper = _angular_sort(key, [w for w in range(2 * k)
+                                    if (signed[w][c1], signed[w][c2]) > (0, 0)],
+                              signed.__getitem__)
+        ring = upper + [(w + k) % (2 * k) for w in upper]
+        arcs = {}
+        for start in range(2 * k):
+            arc = [ring[(start + d) % (2 * k)] for d in range(k)]
+            for size in range(3, k + 1):
+                for part in itertools.combinations(arc, size):
+                    arcs[sum(1 << w for w in part)] = operator.itemgetter(*part)
+        out.append((key, ws, tuple(bases), arcs))
     return tuple(out)
 
 
@@ -483,7 +514,7 @@ def rank2_subsystem(a: Root, b: Root) -> RankTwoSubsystem:
     det = u[c1] * v[c2] - u[c2] * v[c1]
     fu, fv = (max(f, negate_class(f)) for f in (u[:-1], v[:-1]))
     members = {a, b}
-    for w in next((ws for ws, _ in _finite_spans(typ) if fu in ws and fv in ws), ()):
+    for w in next((ws for _, ws, *_ in _finite_spans(typ) if fu in ws and fv in ws), ()):
         k, r = divmod((w[c1] * v[c2] - w[c2] * v[c1]) * u[-1]
                       + (u[c1] * w[c2] - u[c2] * w[c1]) * v[-1], det)
         if not r and (got := vector_to_root(typ, w + (k,))):

@@ -5,9 +5,11 @@ relation through ThresholdRelation.entry.  Not a test module: pytest
 collects only test_*.py."""
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd, inf
 
+from afweak.closure import FiniteBiclosedCertificate, WindowSet, _window_index, _window_planes
 from afweak.errors import AfweakError, NotAnOrder, NotARoot, OutOfDomain
 from afweak.fan import FanFace, _recover_w, _rho, build_biclosed, parahoric
 from afweak.intset import _EMPTY as EMPTY
@@ -20,7 +22,10 @@ from afweak.roots import (
     RankTwoSubsystem,
     Root,
     _class_string,
+    _finite_spans,
     _pair_of_finite_root,
+    _pivots,
+    _plane_key,
     canonical_root,
     negate_class,
     root_window,
@@ -488,3 +493,161 @@ def _reference_rank2_subsystem(a, b):
         ordered.reverse()
     kind = {2: "A1xA1", 3: "A2", 4: "B2"}[len(members)]
     return RankTwoSubsystem(kind, typ, tuple(ordered))
+
+# The window-layer references: the first build of the plane table from
+# the finite spans, the rational cone search that the doubling criterion
+# replaced, and the list-walking plane scans that the bitmask layer
+# replaced; each scan walks every plane of _window_planes as a list of
+# 0/1 flags in betweenness order.
+
+
+def _reference_span_window_planes(typ, h):
+    """closure._window_planes as it was first built from the finite spans:
+    keys from 2x2 minors of the full root vectors and a comparison sort
+    per plane."""
+    vecs = [r.vector() for r in root_window(typ, h)]
+    index, lifts = {}, {}  # +-root vector -> index, finite part -> deltas
+    for k, v in enumerate(vecs):
+        neg = tuple(-x for x in v)
+        index[v] = index[neg] = k
+        lifts.setdefault(v[:-1], []).append(v[-1])
+        lifts.setdefault(neg[:-1], []).append(neg[-1])
+    planes = {tuple(index[f + (d,)] for d in ds)
+              for f, ds in lifts.items() if len(ds) > 2 and f > negate_class(f)}
+    for _, ws, bases, _ in _finite_spans(typ):
+        for i, j, coeffs, _ in bases:
+            for x in lifts.get(ws[i], ()):
+                for y in lifts.get(ws[j], ()):
+                    plane = tuple(index[v] for w, (p, q) in zip(ws, coeffs)
+                                  if (v := w + (p * x + q * y,)) in index)
+                    if len(plane) > 2:
+                        planes.add(plane)
+    keys = {plane: _plane_key(vecs[plane[0]], vecs[plane[1]]) for plane in planes}
+
+    def angular(plane):  # x first iff x[c1] y[c2] - x[c2] y[c1] > 0
+        c1, c2 = _pivots(keys[plane])
+        return tuple(sorted(plane, key=functools.cmp_to_key(
+            lambda a, b: vecs[a][c2] * vecs[b][c1] - vecs[a][c1] * vecs[b][c2])))
+
+    return tuple(angular(p) for p in sorted(planes, key=keys.__getitem__))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_planes(typ, h):
+    """The planes of _window_planes with three or more window roots (a
+    vanishing combination needs three vectors), each with the rational
+    coordinates of its roots in the plane's RREF basis."""
+    roots, _ = _window_index(typ, h)
+    planes = []
+    for plane in _window_planes(typ, h):
+        if len(plane) >= 3:
+            basis = _rref_plane_key(roots[plane[0]].vector(), roots[plane[-1]].vector())
+            planes.append((plane, [_solve_in_plane(basis, roots[k].vector())
+                                   for k in plane]))
+    return planes
+
+
+def _reference_doubling(s):
+    """The doubling criterion by a cone search over the rationals: in
+    plane coordinates, does some triple of D(S) have a vanishing positive
+    combination (Fraction Cramer quotients)?"""
+    roots, members = root_window(s.type, s.H), s.members
+    for plane, coords in _reference_planes(s.type, s.H):
+        dvecs = [(x, y) if roots[k] in members else (-x, -y)
+                 for k, (x, y) in zip(plane, coords)]
+        for (xa, ya), (xb, yb), (xc, yc) in itertools.combinations(dvecs, 3):
+            det = xa * yb - ya * xb
+            if (det and Fraction(yc * xb - xc * yb, det) > 0
+                    and Fraction(xc * ya - yc * xa, det) > 0):
+                return False
+    return True
+
+
+def _reference_inset(s):
+    roots, index = _window_index(s.type, s.H)
+    inset = bytearray(len(roots))
+    for r in s.members:
+        inset[index[r]] = 1
+    return roots, inset
+
+
+def _reference_close(s):
+    roots, inset = _reference_inset(s)
+    changed = True
+    while changed:
+        changed = False
+        for plane in _window_planes(s.type, s.H):
+            first = last = -1
+            for pos, k in enumerate(plane):
+                if inset[k]:
+                    if first < 0:
+                        first = pos
+                    last = pos
+            if first < 0:
+                continue
+            for pos in range(first + 1, last):
+                k = plane[pos]
+                if not inset[k]:
+                    inset[k] = 1
+                    changed = True
+    return frozenset(r for k, r in enumerate(roots) if inset[k])
+
+
+def _reference_interior(s):
+    window = frozenset(root_window(s.type, s.H))
+    return window - _reference_close(WindowSet(s.type, s.H, window - s.members))
+
+
+def _reference_is_biclosed(s):
+    roots, inset = _reference_inset(s)
+    for plane in _window_planes(s.type, s.H):
+        trace = [inset[k] for k in plane]
+        ones = [p for p, t in enumerate(trace) if t]
+        if not ones:
+            continue
+        gap = next(
+            (p for p in range(ones[0] + 1, ones[-1]) if not trace[p]), None
+        )
+        if gap is not None:
+            return FiniteBiclosedCertificate(
+                False,
+                (roots[plane[ones[0]]], roots[plane[gap]], roots[plane[ones[-1]]]),
+                "closed",
+            )
+        zeros = [p for p, t in enumerate(trace) if not t]
+        if zeros:
+            mid = next(
+                (p for p in range(zeros[0] + 1, zeros[-1]) if trace[p]), None
+            )
+            if mid is not None:
+                return FiniteBiclosedCertificate(
+                    False,
+                    (roots[plane[zeros[0]]], roots[plane[mid]], roots[plane[zeros[-1]]]),
+                    "coclosed",
+                )
+    return FiniteBiclosedCertificate(True)
+
+
+def _reference_still_biclosed(typ, h, inset, new_idx):
+    for plane in _window_planes(typ, h):
+        if new_idx not in plane:
+            continue
+        trace = [inset[k] or k == new_idx for k in plane]
+        ones = [p for p, t in enumerate(trace) if t]
+        if any(not trace[p] for p in range(ones[0] + 1, ones[-1])):
+            return False
+        zeros = [p for p, t in enumerate(trace) if not t]
+        if zeros and any(trace[p] for p in range(zeros[0] + 1, zeros[-1])):
+            return False
+    return True
+
+
+def _reference_failing_lengths(s):
+    """The lengths of the planes, in _window_planes order, whose trace of
+    s is neither ascending nor descending in betweenness order."""
+    lengths = []
+    for plane in _window_planes(s.type, s.H):
+        trace = [s.mask >> k & 1 for k in plane]
+        if trace != sorted(trace) and trace != sorted(trace, reverse=True):
+            lengths.append(len(plane))
+    return lengths

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: JSON round-trips, determinism, exit codes."""
 
+import importlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import afweak
 from afweak.cli import (
+    SUITE_NAMES,
     _parser,
     run,
     triple_to_json,
@@ -64,6 +66,58 @@ def test_the_cli_imports_no_rational_arithmetic():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_child_env(), timeout=600, check=True).stdout
     assert out == "[]\n"
+
+
+# runs one command in a fresh interpreter and prints its exit code and
+# the afweak modules it loaded (the command's own stdout is dropped)
+_LOADED = """
+import contextlib, io, json, sys
+import afweak.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = afweak.cli.run(sys.argv[1:])
+    except SystemExit as e:  # --help
+        code = e.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("afweak."))]))
+"""
+
+
+def test_a_command_loads_only_the_layers_it_runs(tmp_path):
+    a4 = AffineType("A", 4)
+    window = _write(tmp_path, "w.json", windowset_to_json(
+        random_triple(a4, random.Random(1)).window(3)))
+    order = _write(tmp_path, "o.json", {"family": "A", "n": 2, "blocks": [[1], [0]],
+                                         "orient": [False, True], "perms": {}})
+    a = _write(tmp_path, "a.json", {"family": "A", "n": 4, "word": "s0 s1"})
+    b = _write(tmp_path, "b.json", {"family": "A", "n": 4, "word": "s2 s3"})
+    heavy = {"fan", "perms", "orders", "intset", "lattice", "verify"}
+    for args, absent in (
+        (["--help"], heavy | {"roots", "closure"}),
+        (["check", "--in", window], heavy),
+        (["close", "--in", window], heavy),
+        (["faces", "--family", "B", "--n", "2"], {"lattice", "intset", "verify"}),
+        (["order", "--in", order, "--render"], {"lattice", "intset", "verify"}),
+        (["classify", "--in", window], {"lattice", "intset", "verify"}),
+        (["join", "--in", a, b], {"verify"}),
+    ):
+        out = subprocess.run([sys.executable, "-c", _LOADED, *args], capture_output=True,
+                             text=True, env=_child_env(), timeout=600, check=True).stdout
+        code, modules = json.loads(out)
+        loaded = {m.removeprefix("afweak.") for m in modules}
+        assert code == 0 and not loaded & absent, (args, code, sorted(loaded & absent))
+        assert args == ["--help"] or {"errors", "roots", "closure"} <= loaded, (args, loaded)
+
+
+def test_the_package_names_load_on_first_use():
+    for name in afweak.__all__:
+        module = importlib.import_module(f"afweak.{afweak._MODULE_OF[name]}")
+        assert getattr(afweak, name) is getattr(module, name), name
+    assert set(afweak.__all__) <= set(dir(afweak))
+    assert len(afweak.__all__) == len(set(afweak.__all__)) == 57
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        afweak.frobnicate
+    # the CLI's suite names are verify's, in verify's order
+    assert SUITE_NAMES == tuple(SUITES)
 
 
 def test_close_and_check(tmp_path, capsys):

@@ -1,12 +1,10 @@
 """The windowed oracle layer: closure, interior, certificates, B_infinity."""
 
 import dataclasses
-import functools
 import itertools
 import os
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -42,7 +40,15 @@ from afweak.roots import (
     window_size,
 )
 from afweak.verify import random_triple
-from references import _rref_plane_key, _solve_in_plane
+from references import (
+    _reference_close,
+    _reference_doubling,
+    _reference_failing_lengths,
+    _reference_inset,
+    _reference_interior,
+    _reference_is_biclosed,
+    _reference_still_biclosed,
+)
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -211,37 +217,6 @@ def test_doubling_agrees_with_the_cone_search_on_stable_sets():
         for _ in range(20):
             s = window_set(typ, 4, rng.sample(low, rng.randrange(1, 5)))
             assert doubling_check(s) == _reference_doubling(s), s
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_planes(typ, h):
-    """The planes of _window_planes with three or more window roots (a
-    vanishing combination needs three vectors), each with the rational
-    coordinates of its roots in the plane's RREF basis."""
-    roots, _ = _window_index(typ, h)
-    planes = []
-    for plane in _window_planes(typ, h):
-        if len(plane) >= 3:
-            basis = _rref_plane_key(roots[plane[0]].vector(), roots[plane[-1]].vector())
-            planes.append((plane, [_solve_in_plane(basis, roots[k].vector())
-                                   for k in plane]))
-    return planes
-
-
-def _reference_doubling(s):
-    """The doubling criterion by a cone search over the rationals: in
-    plane coordinates, does some triple of D(S) have a vanishing positive
-    combination (Fraction Cramer quotients)?"""
-    roots, members = root_window(s.type, s.H), s.members
-    for plane, coords in _reference_planes(s.type, s.H):
-        dvecs = [(x, y) if roots[k] in members else (-x, -y)
-                 for k, (x, y) in zip(plane, coords)]
-        for (xa, ya), (xb, yb), (xc, yc) in itertools.combinations(dvecs, 3):
-            det = xa * yb - ya * xb
-            if (det and Fraction(yc * xb - xc * yb, det) > 0
-                    and Fraction(xc * ya - yc * xa, det) > 0):
-                return False
-    return True
 
 
 def test_doubling_matches_rational_reference():
@@ -414,90 +389,6 @@ def test_finite_bfs_small():
         assert finite_biclosed_bfs(typ, 6, 4) == target
 
 
-# The list-walking plane scans that the bitmask layer replaced, kept as
-# the reference: each walks every plane of _window_planes as a list of 0/1
-# flags in betweenness order.
-
-
-def _reference_inset(s):
-    roots, index = _window_index(s.type, s.H)
-    inset = bytearray(len(roots))
-    for r in s.members:
-        inset[index[r]] = 1
-    return roots, inset
-
-
-def _reference_close(s):
-    roots, inset = _reference_inset(s)
-    changed = True
-    while changed:
-        changed = False
-        for plane in _window_planes(s.type, s.H):
-            first = last = -1
-            for pos, k in enumerate(plane):
-                if inset[k]:
-                    if first < 0:
-                        first = pos
-                    last = pos
-            if first < 0:
-                continue
-            for pos in range(first + 1, last):
-                k = plane[pos]
-                if not inset[k]:
-                    inset[k] = 1
-                    changed = True
-    return frozenset(r for k, r in enumerate(roots) if inset[k])
-
-
-def _reference_interior(s):
-    window = frozenset(root_window(s.type, s.H))
-    return window - _reference_close(WindowSet(s.type, s.H, window - s.members))
-
-
-def _reference_is_biclosed(s):
-    roots, inset = _reference_inset(s)
-    for plane in _window_planes(s.type, s.H):
-        trace = [inset[k] for k in plane]
-        ones = [p for p, t in enumerate(trace) if t]
-        if not ones:
-            continue
-        gap = next(
-            (p for p in range(ones[0] + 1, ones[-1]) if not trace[p]), None
-        )
-        if gap is not None:
-            return FiniteBiclosedCertificate(
-                False,
-                (roots[plane[ones[0]]], roots[plane[gap]], roots[plane[ones[-1]]]),
-                "closed",
-            )
-        zeros = [p for p, t in enumerate(trace) if not t]
-        if zeros:
-            mid = next(
-                (p for p in range(zeros[0] + 1, zeros[-1]) if trace[p]), None
-            )
-            if mid is not None:
-                return FiniteBiclosedCertificate(
-                    False,
-                    (roots[plane[zeros[0]]], roots[plane[mid]], roots[plane[zeros[-1]]]),
-                    "coclosed",
-                )
-    return FiniteBiclosedCertificate(True)
-
-
-def _reference_still_biclosed(typ, h, inset, new_idx):
-    for plane in _window_planes(typ, h):
-        if new_idx not in plane:
-            continue
-        trace = [inset[k] or k == new_idx for k in plane]
-        ones = [p for p, t in enumerate(trace) if t]
-        if any(not trace[p] for p in range(ones[0] + 1, ones[-1])):
-            return False
-        zeros = [p for p, t in enumerate(trace) if not t]
-        if zeros and any(trace[p] for p in range(zeros[0] + 1, zeros[-1])):
-            return False
-    return True
-
-
 def _sample_sets(typ, h, rng):
     """Windows of random triples, their one-root flips, unions of two of
     them, random subsets, and the complements of all of these."""
@@ -535,17 +426,6 @@ def test_bitmask_layer_matches_the_list_reference():
                 assert got == _reference_still_biclosed(typ, h, inset, k), (where, k)
                 still.add(got)
     assert violated == {None, "closed", "coclosed"} and still == {True, False}
-
-
-def _reference_failing_lengths(s):
-    """The lengths of the planes, in _window_planes order, whose trace of
-    s is neither ascending nor descending in betweenness order."""
-    lengths = []
-    for plane in _window_planes(s.type, s.H):
-        trace = [s.mask >> k & 1 for k in plane]
-        if trace != sorted(trace) and trace != sorted(trace, reverse=True):
-            lengths.append(len(plane))
-    return lengths
 
 
 def test_the_witness_plane_is_chosen_across_length_groups():

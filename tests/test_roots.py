@@ -1,5 +1,6 @@
 """Root canonicalization, windows and rank-2 subsystems."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -31,6 +32,7 @@ from afweak.roots import (
 )
 from references import (
     _reference_rank2_subsystem,
+    _reference_span_window_planes,
     _reference_window_planes,
     _rref_plane_key,
     _solve_in_plane,
@@ -61,6 +63,18 @@ def test_rank_and_height_must_be_ints():
         with pytest.raises(TypeError, match="window height must be an int"):
             WindowSet(a3, h, [])
     guard_window(a3, 1)
+
+
+def test_the_modulus_is_stored_once_and_ignored_by_equality():
+    for typ, m in ((AffineType("A", 4), 4), (AffineType("B", 3), 7),
+                   (AffineType("C", 2), 5), (AffineType("D", 5), 11)):
+        assert typ.modulus == m
+        odd = AffineType(typ.family, typ.n)
+        object.__setattr__(odd, "modulus", -1)
+        assert odd == typ and hash(odd) == hash(typ) and repr(odd) == repr(typ)
+    assert [(f.name, f.init, f.compare, f.repr) for f in dataclasses.fields(AffineType)] == [
+        ("family", True, True, True), ("n", True, True, True),
+        ("modulus", False, False, False)]
 
 
 def test_root_indices_and_window_heights_must_be_ints():
@@ -236,6 +250,23 @@ def test_integer_plane_geometry_matches_the_rational_reference():
         for g, total in totals.items():
             size = window_size(typ, g)
             assert sum(sum(k < size for k in p) >= 2 for p in reference) == total, (typ, g)
+
+
+def test_plane_tables_match_the_first_span_build():
+    # keys and betweenness orders read off the finite spans equal those of
+    # 2x2 minors of the full root vectors and a comparison sort, tuples
+    # and order, at every guarded height up to 6
+    pairs = 0
+    for typ in [AffineType(fam, n)
+                for fam, lo, hi in (("A", 2, 6), ("B", 2, 4), ("C", 2, 4), ("D", 3, 5))
+                for n in range(lo, hi + 1)]:
+        for h in range(7):
+            if window_size(typ, h) > MAX_WINDOW_ROOTS:
+                break
+            got = _window_planes.__wrapped__(typ, h)
+            assert got == _reference_span_window_planes(typ, h), (typ, h)
+            pairs += 1
+    assert pairs == 97
 
 
 def test_rank2_subsystems_match_the_rational_reference():
