@@ -209,7 +209,7 @@ def order_from_json(d) -> _orders.PeriodicOrder:
     reversed_blocks = [k for k, flag in enumerate(orient) if flag]
     perms = {}
     for k, win in _typed(d.get("perms", {}), dict, "perms").items():
-        ptype = _orders._block_perm_type(face, int(k))
+        ptype = face.block_types[int(k)]
         if ptype is None:
             raise AfweakError(f"block {k} takes no permutation")
         perms[int(k)] = _perms.from_window(ptype, _list_of(win, int, "perms"))

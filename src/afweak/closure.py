@@ -35,7 +35,6 @@ height h to equal the closure of the height-h window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -43,7 +42,9 @@ from .errors import UnstableCutoff, UnstableWindow
 from .roots import (
     AffineType,
     Root,
+    _Record,
     _finite_spans,
+    _slot_setters,
     finite_class,
     guard_window,
     negate_class,
@@ -52,15 +53,12 @@ from .roots import (
 )
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class WindowSet:
+class WindowSet(_Record):
     """A finite set of canonical roots of height <= H, held as a bitmask
     over the indices of root_window(type, H); ``members`` builds the
     frozenset of roots on each access."""
 
-    type: AffineType
-    H: int
-    mask: int
+    __slots__ = _fields = ("type", "H", "mask")
 
     def __init__(self, type: AffineType, H: int, members):
         guard_window(type, H)
@@ -104,9 +102,12 @@ class WindowSet:
 
 
 def _set_fields(s: WindowSet, typ: AffineType, h: int, mask: int) -> None:
-    object.__setattr__(s, "type", typ)
-    object.__setattr__(s, "H", h)
-    object.__setattr__(s, "mask", mask)
+    _set_type(s, typ)
+    _set_H(s, h)
+    _set_mask(s, mask)
+
+
+_set_type, _set_H, _set_mask = _slot_setters(WindowSet)
 
 
 def _bits(mask: int) -> list[int]:
@@ -247,6 +248,11 @@ def _bad_planes(typ: AffineType, h: int, mask: int):
     t = 0
     for k in _bits(mask):
         t |= slots[k]
+    return _bad_groups(groups, t)
+
+
+def _bad_groups(groups, t: int):
+    """_bad_planes over the given groups, for the slot OR t of a set."""
     for group in groups:
         base, length, count, _ = group
         low = (1 << count) - 1
@@ -332,19 +338,23 @@ def interior(s: WindowSet) -> WindowSet:
     return WindowSet.from_mask(s.type, s.H, full ^ closed)
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteBiclosedCertificate:
+class FiniteBiclosedCertificate(_Record):
     """Pass, or a rank-2 witness (alpha, gamma, beta) with gamma strictly
     between alpha and beta; ``violated`` says which half failed."""
 
-    ok: bool
-    witness: tuple[Root, Root, Root] | None = None
-    violated: str | None = None  # "closed" | "coclosed"
+    __slots__ = _fields = ("ok", "witness", "violated")
+
+    def __init__(self, ok: bool, witness: tuple[Root, Root, Root] | None = None,
+                 violated: str | None = None):
+        _set_ok(self, ok)
+        _set_witness(self, witness)
+        _set_violated(self, violated)  # "closed" | "coclosed"
 
     def __bool__(self):
         return self.ok
 
 
+_set_ok, _set_witness, _set_violated = _slot_setters(FiniteBiclosedCertificate)
 _PASS = FiniteBiclosedCertificate(True)  # one shared pass certificate
 
 
@@ -407,21 +417,29 @@ def finite_biclosed_bfs(typ: AffineType, h: int, max_size: int):
     empty set by single-root steps (covers in the weak order), each step
     decided by the bit-sliced plane-trace test of ``is_biclosed``.
 
+    Each frontier set keeps the OR of its members' slots.  It is
+    biclosed, so adding root k can break only a plane through k, and
+    only the length groups where k has a slot are read.
+
     Returns a dict frozenset-of-roots -> size.
     """
     roots = root_window(typ, h)
+    groups, slots = _plane_slots(typ, h)
+    touched = [tuple(g for g in groups if slot >> g[0] & (1 << g[1] * g[2]) - 1)
+               for slot in slots]
     found = {0: 0}
-    frontier = [0]
+    frontier = [(0, 0)]  # (mask, OR of its members' slots)
     for size in range(1, max_size + 1):
         nxt = []
-        for mask in frontier:
+        for mask, t in frontier:
             for k in range(len(roots)):
                 cand = mask | 1 << k
                 if cand == mask or cand in found:
                     continue
-                if next(_bad_planes(typ, h, cand), None) is None:
+                grown = t | slots[k]
+                if next(_bad_groups(touched[k], grown), None) is None:
                     found[cand] = size
-                    nxt.append(cand)
+                    nxt.append((cand, grown))
         frontier = nxt
     return {frozenset(roots[k] for k in _bits(m)): size for m, size in found.items()}
 

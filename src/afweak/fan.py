@@ -24,7 +24,6 @@ decomposition for the component over a block, a residue pair or a root.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -54,6 +53,7 @@ from .perms import (
 from .roots import (
     AffineType,
     Root,
+    _Record,
     all_class_keys,
     canonical_root,
     finite_roots,
@@ -81,8 +81,7 @@ class Relabeling(NamedTuple):
     reps: tuple[tuple[int, ...], ...]  # block -> its sorted residues
 
 
-@dataclass(frozen=True)
-class FanFace:
+class FanFace(_Record):
     """An ordered set partition naming a face of the finite Coxeter fan.
 
     Family A partitions the residues {0, ..., M-1}; the signed families
@@ -91,19 +90,17 @@ class FanFace:
     Blocks are listed in increasing order of the face functional.
     """
 
-    type: AffineType
-    blocks: tuple[frozenset[int], ...]
+    _fields = ("type", "blocks")
 
-    def __post_init__(self):
-        typ = self.type
-        blocks = self.blocks
-        if typ.family == "A":
-            ground = set(range(typ.modulus))
+    def __init__(self, type: AffineType, blocks: tuple[frozenset[int], ...]):
+        self.__dict__.update(type=type, blocks=blocks)
+        if type.family == "A":
+            ground = set(range(type.modulus))
             if any(not b for b in blocks):
                 raise ValueError("empty block")
         else:
-            ground = set(range(-typ.n, typ.n + 1))
-            if typ.family == "D":
+            ground = set(range(-type.n, type.n + 1))
+            if type.family == "D":
                 ground.discard(0)
             if len(blocks) % 2 == 0:
                 raise ValueError("signed faces need an odd block sequence")
@@ -113,9 +110,9 @@ class FanFace:
                     raise ValueError("blocks are not negation-symmetric")
                 if not b and k != mid:
                     raise ValueError("empty non-central block")
-            if typ.family in ("B", "C") and 0 not in blocks[mid]:
+            if type.family in ("B", "C") and 0 not in blocks[mid]:
                 raise ValueError("central block must contain 0")
-            if typ.family == "D" and not blocks[mid]:
+            if type.family == "D" and not blocks[mid]:
                 if len(blocks) < 3 or len(blocks[mid + 1]) < 2:
                     raise ValueError(
                         "an empty central block needs an adjacent block of size >= 2"
@@ -157,6 +154,24 @@ class FanFace:
             for i, a in enumerate(reps[-1]):
                 block[a], index[a] = k, i
         return Relabeling(tuple(block), tuple(index), tuple(reps))
+
+    @cached_property
+    def block_types(self) -> tuple[AffineType | None, ...]:
+        """The type of the permutation a periodic order attaches to each
+        block, or None where it attaches none, computed on first use and
+        kept on the face: A with the block's size for a block of two or
+        more residues off a signed centre, C with its number of +-pairs
+        for a signed centre that has one.  ``orders`` reads it."""
+        blocks, family = self.blocks, self.type.family
+        mid = len(blocks) // 2 if family != "A" else None
+        out = []
+        for k, b in enumerate(blocks):
+            if k != mid:
+                out.append(AffineType("A", len(b)) if len(b) >= 2 else None)
+            else:
+                c = (len(b) - 1) // 2 if family in ("B", "C") else len(b) // 2
+                out.append(AffineType("C", c) if c >= 1 else None)
+        return tuple(out)
 
     def pairing_sign(self, r: Root) -> int:
         """Sign of <f, r> for f in the relative interior of the face."""
@@ -256,8 +271,7 @@ def enumerate_faces(typ: AffineType) -> tuple[FanFace, ...]:
 # parahoric components
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """One indecomposable factor of a parahoric subgroup.
 
     ``kind`` names the factor:  "ablock" components are the A-family
@@ -269,12 +283,13 @@ class Component:
     component sits over (the middle one for "central" and "splitA1").
     """
 
-    id: str
-    ctype: AffineType
-    kind: str
-    block: int
-    face: FanFace
-    gamma: tuple[int, ...] = ()  # splitA1: positive finite direction
+    _fields = ("id", "ctype", "kind", "block", "face", "gamma")
+
+    def __init__(self, id: str, ctype: AffineType, kind: str, block: int,
+                 face: FanFace, gamma: tuple[int, ...] = ()):
+        # gamma: a splitA1's positive finite direction
+        self.__dict__.update(id=id, ctype=ctype, kind=kind, block=block, face=face,
+                             gamma=gamma)
 
     def to_global(self, r: Root) -> Root:
         if self.kind == "splitA1":
@@ -301,15 +316,16 @@ class Component:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParahoricDecomposition:
+class ParahoricDecomposition(_Record):
     """The components of Phi_F.  Three maps, each built once on first
     use, answer every question about them: components by id, the
     components over each block position, and the split A~1 factors by
     Phi_0-class."""
 
-    face: FanFace
-    components: tuple[Component, ...]
+    _fields = ("face", "components")
+
+    def __init__(self, face: FanFace, components: tuple[Component, ...]):
+        self.__dict__.update(face=face, components=components)
 
     @cached_property
     def _by_id(self) -> dict[str, Component]:
@@ -469,13 +485,15 @@ def phi_prime_from_blocks(face: FanFace, positions) -> frozenset[str]:
 # biclosed triples
 
 
-@dataclass(frozen=True)
-class BiclosedTriple:
+class BiclosedTriple(_Record):
     """The canonical description (F, Phi', w) of a biclosed set."""
 
-    face: FanFace
-    phi_prime: frozenset[str]
-    w: tuple[tuple[str, AffinePermutation], ...]  # sorted by component id
+    _fields = ("face", "phi_prime", "w")
+
+    def __init__(self, face: FanFace, phi_prime: frozenset[str],
+                 w: tuple[tuple[str, AffinePermutation], ...]):
+        # w sorted by component id
+        self.__dict__.update(face=face, phi_prime=phi_prime, w=w)
 
     @property
     def type(self) -> AffineType:
@@ -909,13 +927,15 @@ def act(v: AffinePermutation, t: BiclosedTriple) -> BiclosedTriple:
 # path components / poset fragments
 
 
-@dataclass(frozen=True)
-class PosetFragment:
+class PosetFragment(_Record):
     """A finite chunk of the extended weak order with its cover relation."""
 
-    labels: tuple[str, ...]
-    covers: tuple[tuple[int, int], ...]  # (lower, upper) index pairs
-    node_sizes: tuple[int, ...]
+    _fields = ("labels", "covers", "node_sizes")
+
+    def __init__(self, labels: tuple[str, ...], covers: tuple[tuple[int, int], ...],
+                 node_sizes: tuple[int, ...]):
+        # covers: (lower, upper) index pairs
+        self.__dict__.update(labels=labels, covers=covers, node_sizes=node_sizes)
 
 
 def path_component_poset(face: FanFace, phi_prime, bound: int,

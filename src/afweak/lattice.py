@@ -25,7 +25,6 @@ counterexample.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import inf
 
@@ -38,7 +37,7 @@ from .intset import _EMPTY, IntSet
 from .orders import (BlockData, PeriodicOrder, _positions, inversion_set,
                      order_from_triple)
 from .perms import from_window
-from .roots import AffineType
+from .roots import AffineType, _Record, _slot_setters
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +112,7 @@ def _shift(e, c: int):
     return e and e.shift(c)
 
 
-@dataclass(frozen=True)
-class ThresholdRelation:
+class ThresholdRelation(_Record):
     """Translation-invariant inversion data over residues 0..M-1.
 
     Entry (a, b) holds {d : a > b + dM in the order}, restricted to the
@@ -127,8 +125,10 @@ class ThresholdRelation:
     an IntSet; from_sets builds a relation from IntSet rows.
     """
 
-    M: int
-    V: tuple[tuple, ...]
+    _fields = ("M", "V")
+
+    def __init__(self, M: int, V: tuple[tuple, ...]):
+        self.__dict__.update(M=M, V=V)
 
     @classmethod
     def from_sets(cls, m: int, rows) -> "ThresholdRelation":
@@ -598,11 +598,17 @@ def join_finite(family: str, rank: int, u, w) -> tuple[int, ...]:
 # experimental joins for B/D
 
 
-@dataclass(frozen=True, slots=True)
-class TryJoinResult:
-    ok: bool
-    triple: BiclosedTriple | None = None
-    witness: _closure.FiniteBiclosedCertificate | None = None
+class TryJoinResult(_Record):
+    __slots__ = _fields = ("ok", "triple", "witness")
+
+    def __init__(self, ok: bool, triple: BiclosedTriple | None = None,
+                 witness: _closure.FiniteBiclosedCertificate | None = None):
+        _set_ok(self, ok)
+        _set_triple(self, triple)
+        _set_witness(self, witness)
+
+
+_set_ok, _set_triple, _set_witness = _slot_setters(TryJoinResult)
 
 
 def try_join(xs, h: int) -> TryJoinResult:

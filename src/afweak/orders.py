@@ -23,8 +23,6 @@ W-action on biclosed sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DRepresentationRequired,
     InvalidTwist,
@@ -51,37 +49,37 @@ from .perms import (
     multiply,
     reflection,
 )
-from .roots import AffineType, Root, canonical_root
+from .roots import AffineType, Root, _Record, canonical_root
 
 
-@dataclass(frozen=True)
-class BlockData:
+class BlockData(_Record):
     """Orientation and arrangement of one block's residue classes."""
 
-    reversed: bool = False
-    perm: AffinePermutation | None = None  # None means the identity
+    _fields = ("reversed", "perm")
+
+    def __init__(self, reversed: bool = False, perm: AffinePermutation | None = None):
+        self.__dict__.update(reversed=reversed, perm=perm)  # None means the identity
 
 
-@dataclass(frozen=True)
-class PeriodicOrder:
+class PeriodicOrder(_Record):
     """A translation-invariant total order of Z (minus MZ for B/C/D)."""
 
-    face: FanFace
-    block_data: tuple[BlockData | None, ...]
+    _fields = ("face", "block_data")
 
-    def __post_init__(self):
-        face = self.face
-        if len(self.block_data) != len(face.blocks):
+    def __init__(self, face: FanFace, block_data: tuple[BlockData | None, ...]):
+        self.__dict__.update(face=face, block_data=block_data)
+        if len(block_data) != len(face.blocks):
             raise ValueError("one data entry per block required")
         mid = len(face.blocks) // 2
-        for k, data in enumerate(self.block_data):
+        types = face.block_types
+        for k, data in enumerate(block_data):
             if face.type.family != "A" and k < mid:
                 if data is not None:
                     raise ValueError("negative-side blocks carry no data")
                 continue
             if data is None:
                 raise ValueError(f"missing data for block {k}")
-            want = _block_perm_type(face, k)
+            want = types[k]
             if want is None:
                 if data.perm is not None:
                     raise ValueError(f"block {k} takes no permutation")
@@ -98,19 +96,6 @@ class PeriodicOrder:
 
     def __repr__(self):
         return f"PeriodicOrder(face={self.face!r}, data={self.block_data})"
-
-
-def _block_perm_type(face: FanFace, k: int) -> AffineType | None:
-    """The permutation type attached to block k, or None if trivial."""
-    typ = face.type
-    blk = face.blocks[k]
-    if typ.family == "A":
-        return AffineType("A", len(blk)) if len(blk) >= 2 else None
-    mid = len(face.blocks) // 2
-    if k != mid:
-        return AffineType("A", len(blk)) if len(blk) >= 2 else None
-    c = (len(blk) - 1) // 2 if typ.family in ("B", "C") else len(blk) // 2
-    return AffineType("C", c) if c >= 1 else None
 
 
 def periodic_order(face: FanFace, reversed_blocks=(), perms=None) -> PeriodicOrder:
@@ -317,7 +302,7 @@ def normalize(o: PeriodicOrder) -> PeriodicOrder:
             else:
                 out.append(data)
             continue
-        ptype = _block_perm_type(face, k)
+        ptype = face.block_types[k]
         if ptype is None or (typ.family == "D" and len(blk) == 2):
             out.append(BlockData())
             continue
@@ -358,7 +343,7 @@ def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
                                 for blk in face.blocks))
     data = list(o.block_data)
     for k, d in enumerate(data):
-        ptype = _block_perm_type(face, k)
+        ptype = face.block_types[k]
         if d is None or ptype is None:
             continue
         u = d.perm or identity(ptype)
@@ -380,13 +365,15 @@ def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
 # type-D twists
 
 
-@dataclass(frozen=True)
-class DTwist:
+class DTwist(_Record):
     """A base order whose central block is {+-i, +-j}, plus the choice of
     one of its two A~1 root classes to toggle."""
 
-    base: PeriodicOrder
-    pair: tuple[int, int]  # (i, j) with 1 <= i < j <= n: the +-{i,j} class
+    _fields = ("base", "pair")
+
+    def __init__(self, base: PeriodicOrder, pair: tuple[int, int]):
+        # pair: (i, j) with 1 <= i < j <= n, the +-{i,j} class
+        self.__dict__.update(base=base, pair=pair)
 
 
 def d_twist_set(d: DTwist) -> BiclosedTriple:

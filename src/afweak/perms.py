@@ -12,20 +12,22 @@ with i < j is an inversion of w when w^{-1}(i) > w^{-1}(j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidWindow, NotARoot, ParityViolation, TypeMismatch
-from .roots import AffineType, Root, canonical_root, signed_residue
+from .roots import (AffineType, Root, _Record, _slot_setters, canonical_root,
+                    signed_residue)
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePermutation:
+class AffinePermutation(_Record):
     """Window notation: the values f(1), ..., f(M) (family A) or f(1),
     ..., f(n) (signed families, extended by symmetry and periodicity)."""
 
-    type: AffineType
-    window: tuple[int, ...]
+    __slots__ = _fields = ("type", "window")
+
+    def __init__(self, type: AffineType, window: tuple[int, ...]):
+        _set_type(self, type)
+        _set_window(self, window)
 
     def __call__(self, x: int) -> int:
         typ = self.type
@@ -46,6 +48,9 @@ class AffinePermutation:
     def __repr__(self):
         win = ",".join(map(str, self.window))
         return f"AffinePermutation({self.type.family}{self.type.n}:[{win}])"
+
+
+_set_type, _set_window = _slot_setters(AffinePermutation)
 
 
 def identity(typ: AffineType) -> AffinePermutation:

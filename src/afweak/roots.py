@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -34,8 +33,58 @@ from .errors import AfweakError, DependentRoots, NotARoot, TooLarge
 FAMILIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True, slots=True)
-class AffineType:
+class _Record:
+    """A frozen record, the base of every afweak record class.
+
+    A subclass names its fields (two or more) in ``_fields`` and sets
+    them in its own ``__init__``, past the refusing ``__setattr__``: a
+    slotted record through its slots' ``__set__``, any other through its
+    ``__dict__``.  After that nothing is assigned or deleted.  Two records
+    are equal iff they are of the same class and their fields are equal
+    in order; hash and repr read the same fields.  A plain class:
+    defining a record generates no code, so importing a layer stays
+    cheap."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy set the fields past __setattr__; the state is
+        # the __dict__, or (None, slot values) for a slotted record
+        for values in state if state.__class__ is tuple else (state,):
+            for name, value in (values or {}).items():
+                object.__setattr__(self, name, value)
+
+
+def _slot_setters(cls):
+    """The ``__set__`` of each slot of a slotted record class, in order."""
+    return (getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class AffineType(_Record):
     """One of the classical affine families with its rank parameter.
 
     Family A with parameter n is the group usually written with subscript
@@ -43,21 +92,32 @@ class AffineType:
     windows of length n with modulus 2n + 1.
     """
 
-    family: str
-    n: int
-    # M, stored once: n for A, 2n + 1 for B, C, D (read on every root)
-    modulus: int = field(init=False, repr=False, compare=False)
+    # M, stored once: n for A, 2n + 1 for B, C, D (read on every root);
+    # not a field, so not read by ==, hash or repr
+    __slots__ = ("family", "n", "modulus")
+    _fields = ("family", "n")
 
-    def __post_init__(self):
-        if type(self.n) is not int:
-            raise TypeError(f"the rank n must be an int, not {self.n!r}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        least = 2 if self.family == "D" else 1
-        if self.n < least:
-            raise ValueError(f"family {self.family} needs n >= {least}")
-        object.__setattr__(self, "modulus",
-                           self.n if self.family == "A" else 2 * self.n + 1)
+    def __init__(self, family: str, n: int):
+        if type(n) is not int:
+            raise TypeError(f"the rank n must be an int, not {n!r}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        least = 2 if family == "D" else 1
+        if n < least:
+            raise ValueError(f"family {family} needs n >= {least}")
+        _set_family(self, family)
+        _set_n(self, n)
+        _set_modulus(self, n if family == "A" else 2 * n + 1)
+
+    # == and hash written out for the two records hashed on every window
+    # lookup: reading the slots inline beats the generic attrgetter
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.n) == (other.family, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.n))
 
     @property
     def dim(self) -> int:
@@ -68,23 +128,36 @@ class AffineType:
         return f"AffineType({self.family!r}, {self.n})"
 
 
+_set_family, _set_n, _set_modulus = _slot_setters(AffineType)
+
+
 def signed_residue(typ: AffineType, x: int) -> int:
     """Reduce x into [-n, n] modulo M for the signed families (0 allowed)."""
     m = typ.modulus
     return (x + typ.n) % m - typ.n
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(_Record):
     """A canonical positive root ``e~_j - e~_i``.
 
     Instances should be produced through :func:`canonical_root`, which
     validates admissibility and normal form.
     """
 
-    type: AffineType
-    i: int
-    j: int
+    __slots__ = _fields = ("type", "i", "j")
+
+    def __init__(self, type: AffineType, i: int, j: int):
+        _set_type(self, type)
+        _set_i(self, i)
+        _set_j(self, j)
+
+    def __eq__(self, other):  # as AffineType's
+        if other.__class__ is self.__class__:
+            return (self.type, self.i, self.j) == (other.type, other.i, other.j)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.type, self.i, self.j))
 
     @property
     def height(self) -> int:
@@ -109,6 +182,9 @@ class Root:
 
     def __repr__(self):
         return f"Root({self.type.family}{self.type.n}:{self.i},{self.j})"
+
+
+_set_type, _set_i, _set_j = _slot_setters(Root)
 
 
 def delta_height(r: Root) -> int:
@@ -459,8 +535,7 @@ def _finite_spans(typ: AffineType):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RankTwoSubsystem:
+class RankTwoSubsystem(_Record):
     """A full rank-2 subsystem with its betweenness order.
 
     For the finite kinds ``positive_roots`` is the complete ordered list;
@@ -468,9 +543,11 @@ class RankTwoSubsystem:
     is produced on demand by :meth:`ordered_window`.
     """
 
-    kind: str  # "A1xA1" | "A2" | "B2" | "Atilde1"
-    type: AffineType
-    positive_roots: tuple[Root, ...]
+    _fields = ("kind", "type", "positive_roots")
+
+    def __init__(self, kind: str, type: AffineType, positive_roots: tuple[Root, ...]):
+        # kind: "A1xA1" | "A2" | "B2" | "Atilde1"
+        self.__dict__.update(kind=kind, type=type, positive_roots=positive_roots)
 
     def ordered_window(self, h: int) -> tuple[Root, ...]:
         """Members of height <= h in betweenness order."""

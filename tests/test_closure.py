@@ -1,6 +1,5 @@
 """The windowed oracle layer: closure, interior, certificates, B_infinity."""
 
-import dataclasses
 import itertools
 import os
 import random
@@ -176,12 +175,13 @@ def test_a_pass_certificate_is_shared_and_a_failure_is_fresh():
     with pytest.raises(NotBiclosed) as err:
         classify(bad)
     assert err.value.witness == first and err.value.witness is not first
-    # slotted: no per-instance dict, and the repr of the plain dataclass
+    # slotted: no per-instance dict, frozen, and the repr over the fields
     res = TryJoinResult(False, None, first)
     for obj in (first, res):
         assert not hasattr(obj, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'ok'"):
             obj.ok = True
+        assert obj.ok is False
     assert repr(ok[0]) == (
         "FiniteBiclosedCertificate(ok=True, witness=None, violated=None)")
     assert repr(res) == f"TryJoinResult(ok=False, triple=None, witness={first!r})"
@@ -366,9 +366,10 @@ def test_window_set_contract():
     full = window_set(typ, h, window)
     assert above not in a and above not in full
     assert canonical_root(A2, 0, 1) not in full
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'mask'"):
         a.mask = 0
-    # the repr of the frozen dataclass over (type, H, members)
+    assert a.mask == b.mask != 0
+    # the repr over (type, H, members)
     assert repr(WindowSet(A2, 3, [])) == (
         "WindowSet(type=AffineType('A', 2), H=3, members=frozenset())")
     assert repr(window_set(A2, 3, [canonical_root(A2, 0, 3)])) == (

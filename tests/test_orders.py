@@ -25,7 +25,6 @@ from afweak.fan import (
 )
 from afweak.orders import (
     DTwist,
-    _block_perm_type,
     _central_inversion_roots,
     _central_order_perm,
     _order_key,
@@ -151,7 +150,7 @@ def test_precedes_and_render_match_the_reference():
             for k in range(first, len(face.blocks)):
                 if rng.random() < 0.5:
                     rev.append(k)
-                ptype = _block_perm_type(face, k)
+                ptype = face.block_types[k]
                 if ptype is not None:
                     u = word(ptype, [rng.randrange(len(simple_reflections(ptype)))
                                      for _ in range(rng.randrange(6))])
@@ -341,7 +340,7 @@ def test_central_inversion_roots_match_the_height_scan():
         for n in (2, 3, 4):
             for face in enumerate_faces(AffineType(fam, n)):
                 mid = len(face.blocks) // 2
-                ptype = _block_perm_type(face, mid)
+                ptype = face.block_types[mid]
                 if ptype is None:
                     continue
                 gens = simple_reflections(ptype)

@@ -1,6 +1,5 @@
 """Root canonicalization, windows and rank-2 subsystems."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -72,9 +71,13 @@ def test_the_modulus_is_stored_once_and_ignored_by_equality():
         odd = AffineType(typ.family, typ.n)
         object.__setattr__(odd, "modulus", -1)
         assert odd == typ and hash(odd) == hash(typ) and repr(odd) == repr(typ)
-    assert [(f.name, f.init, f.compare, f.repr) for f in dataclasses.fields(AffineType)] == [
-        ("family", True, True, True), ("n", True, True, True),
-        ("modulus", False, False, False)]
+    # family and n are set by the constructor, compared and shown; the
+    # modulus is none of these
+    assert AffineType(family="B", n=3) == AffineType("B", 3)
+    assert AffineType("B", 3) != AffineType("B", 4) and AffineType("B", 3) != AffineType("C", 3)
+    assert repr(AffineType(family="B", n=3)) == "AffineType('B', 3)"
+    with pytest.raises(TypeError, match="modulus"):
+        AffineType("B", 3, modulus=7)
 
 
 def test_root_indices_and_window_heights_must_be_ints():
