@@ -401,6 +401,7 @@ def _cmd_build(args):
 def _cmd_order(args):
     from . import orders as _orders
 
+    _at_least("--width", args.width, 0)
     o = order_from_json(_load(args.infile))
     if args.normalize:
         o = _orders.normalize(o)
@@ -416,8 +417,10 @@ def _cmd_order(args):
 def _cmd_join(args, mode: str):
     from . import lattice as _lattice
 
+    if args.n is not None and not args.type:
+        raise InputError("--n needs --type")
     ts = [load_any_triple(_load(p)) for p in args.infile]
-    if args.type and args.n is not None:
+    if args.n is not None:
         typ = _type_option(args.type, args.n)
     else:
         typ = ts[0].type
@@ -500,6 +503,7 @@ def _cmd_faces(args):
 def _cmd_hasse(args):
     from .fan import path_component_poset
 
+    _at_least("--bound", args.bound, 0)
     face, phi = _face_and_phi(_type_option(args.family, args.n), args)
     frag = path_component_poset(face, phi, args.bound)
     if args.dot:

@@ -945,18 +945,14 @@ def path_component_poset(face: FanFace, phi_prime, bound: int,
     decomp = parahoric(face)
     phi = frozenset(phi_prime)
     decomp.check_ids(phi, "phi_prime")
-    per_comp = []
+    per_comp, total = [], 1
     for comp in decomp.components:
-        elems = sorted(
-            elements_up_to_length(comp.ctype, bound).items(),
-            key=lambda kv: (kv[1], kv[0].window),
-        )
-        per_comp.append((comp, elems))
-    total = 1
-    for _, elems in per_comp:
+        # stop enumerating once the product of the sizes passes the guard
+        elems = elements_up_to_length(comp.ctype, bound, node_guard // total)
         total *= len(elems)
-    if total > node_guard:
-        raise TooLarge(f"{total} nodes exceed the guard {node_guard}")
+        if total > node_guard:
+            raise TooLarge(f"at least {total} nodes exceed the guard {node_guard}")
+        per_comp.append((comp, sorted(elems.items(), key=lambda kv: (kv[1], kv[0].window))))
     nodes = []
     for combo in itertools.product(*(range(len(e)) for _, e in per_comp)):
         invs = []
@@ -972,14 +968,15 @@ def path_component_poset(face: FanFace, phi_prime, bound: int,
                 label_parts.append(f"{comp.id}:{list(u.window)}")
         nodes.append((size, tuple(invs), " ".join(label_parts) or "e"))
     nodes.sort(key=lambda n: (n[0], n[2]))
+    by_size = {}
+    for b, (sb, _, _) in enumerate(nodes):
+        by_size.setdefault(sb, []).append(b)
     covers = []
     for a, (sa, ia, _) in enumerate(nodes):
-        for b, (sb, ib, _) in enumerate(nodes):
-            if sb != sa + 1:
-                continue
+        for b in by_size.get(sa + 1, ()):
             if all(
                 (xa <= xb if not rev else xb <= xa)
-                for (xa, rev), (xb, _) in zip(ia, ib)
+                for (xa, rev), (xb, _) in zip(ia, nodes[b][1])
             ):
                 covers.append((a, b))
     base_size = min((n[0] for n in nodes), default=0)

@@ -12,11 +12,11 @@ int operations on nearly every entry.
 The periodic order model bridges relations and triples both ways: iota
 writes the relation of a triple's order, and pi reads the order that a
 relation encodes and writes its relation back, which certifies it.
-Family C reduces to family A by the negation involution sigma, whose
-fixed points the C-orders are.  A C join or meet projects through pi
-once; whether the result is sigma-fixed and whether its pull-back
-embeds onto it are decided on threshold relations, against the iota of
-that result.
+A C-order is a negation-invariant order of Z, so its relation over
+residues 0..M-1 is a fixed point of the negation involution sigma.  pi
+is the one projection for families A and C: a C join or meet closes the
+relations like an A join and pi reads the C order straight off the
+closed relation, once it is sigma-fixed.
 For B/D only the experimental windowed try_join is offered, plus
 exhaustive joins in the finite groups behind the non-sublattice
 counterexample.
@@ -312,20 +312,28 @@ def iota(t: BiclosedTriple) -> ThresholdRelation:
 
 
 def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
-    """Project a translation-invariant order onto its family-A triple.
+    """Project a translation-invariant order onto its family-A or
+    family-C triple.
 
     pi reads the order that r encodes and writes its relation back: the
     face from which entries are finite, each block's orientation from
     whether a diagonal entry is empty, and its permutation from the
     in-block inversion counts (``fan._from_inversions``), complemented in
-    a reversed block; all three are read off the entries' ends.  Only the
-    relation of a genuine order equals the relation written back; any
-    other r raises NotAnOrder.
+    a reversed block; all three are read off the entries' ends.  A
+    family-C order is the negation-invariant order that r encodes over
+    residues 0..M-1, so r must be sigma-fixed (else
+    SigmaFixednessViolated); its blocks are read as in family A and
+    folded into the C face (v > n is v - M), and the centre's permutation
+    becomes the C element of window (u(1), ..., u(c)).  Only the relation
+    of a genuine order equals the relation written back; any other r
+    raises NotAnOrder.
     """
-    if typ.family != "A" or typ.modulus != r.M:
-        raise TypeMismatch("pi needs the family-A type matching the modulus")
-    m, v = r.M, r.V
+    if typ.family not in ("A", "C") or typ.modulus != r.M:
+        raise TypeMismatch("pi needs the family-A or family-C type matching the modulus")
+    m, v, signed = r.M, r.V, typ.family == "C"
     check_order(r)
+    if signed and sigma_relation(r) != r:
+        raise SigmaFixednessViolated("the relation is not sigma-fixed")
     fin = [[e is None or _ends(e)[1] < inf for e in row] for row in v]
     equal, after = [], []
     for a in range(m):
@@ -335,10 +343,13 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
                 equal.append((a, b))
             else:
                 after.append((b, a) if fa else (a, b))
-    face = FanFace(typ, tuple(_ordered_blocks(range(m), equal, after, NotAnOrder)))
-    data = []
-    for blk in face.blocks:
-        reps = sorted(blk)
+    blocks = _ordered_blocks(range(m), equal, after, NotAnOrder)
+    if signed:
+        blocks = [frozenset(x - m if x > typ.n else x for x in blk) for blk in blocks]
+    face = FanFace(typ, tuple(blocks))
+    mid = len(blocks) // 2 if signed else 0
+    data = [None] * mid
+    for k, reps in enumerate(face.relabeling.reps[mid:], mid):
         reversed_ = v[reps[0]][reps[0]] is not None
         counts = []
         for (p, a), (q, b) in itertools.permutations(enumerate(reps), 2):
@@ -352,8 +363,10 @@ def pi(r: ThresholdRelation, typ: AffineType) -> BiclosedTriple:
         if len(reps) > 1:
             try:
                 perm = _from_inversions(AffineType("A", len(reps)), counts)
+                if signed and k == mid:
+                    perm = from_window(face.block_types[k], perm.window[:len(reps) // 2])
             except InvalidWindow as e:
-                raise NotAnOrder(f"block {reps} has no element: {e}") from e
+                raise NotAnOrder(f"block {list(reps)} has no element: {e}") from e
         data.append(BlockData(reversed_, perm))
     o = PeriodicOrder(face, tuple(data))
     if _relation(o) != r:
@@ -399,29 +412,36 @@ def _operands(xs, typ: AffineType | None, family: str, name: str):
     return xs, typ
 
 
-def _top(typ: AffineType) -> BiclosedTriple:
-    face = origin_face(typ)
-    return build_biclosed(face, frozenset(parahoric(face).ids()), {})
-
-
 def _closed_union(rels) -> ThresholdRelation:
     return threshold_closure(reduce(ThresholdRelation.union, rels))
 
 
-def join_A(xs, typ: AffineType | None = None) -> BiclosedTriple:
-    """Exact join in the family-A extended weak order."""
-    xs, typ = _operands(xs, typ, "A", "join_A")
+def _join(xs, typ: AffineType | None, family: str) -> BiclosedTriple:
+    """pi of the closed union of the operands' relations; with no
+    operands, the bottom of the order."""
+    xs, typ = _operands(xs, typ, family, f"join_{family}")
     if not xs:
         return build_biclosed(origin_face(typ), frozenset(), {})
     return pi(_closed_union(map(iota, xs)), typ)
 
 
+def _meet(xs, typ: AffineType | None, family: str) -> BiclosedTriple:
+    """The complement-dual join; with no operands, the top of the order."""
+    xs, typ = _operands(xs, typ, family, f"meet_{family}")
+    if not xs:
+        face = origin_face(typ)
+        return build_biclosed(face, frozenset(parahoric(face).ids()), {})
+    return pi(_closed_union(iota(x).complement() for x in xs).complement(), typ)
+
+
+def join_A(xs, typ: AffineType | None = None) -> BiclosedTriple:
+    """Exact join in the family-A extended weak order."""
+    return _join(xs, typ, "A")
+
+
 def meet_A(xs, typ: AffineType | None = None) -> BiclosedTriple:
     """Exact meet, as the complement-dual join."""
-    xs, typ = _operands(xs, typ, "A", "meet_A")
-    if not xs:
-        return _top(typ)
-    return pi(_closed_union(iota(x).complement() for x in xs).complement(), typ)
+    return _meet(xs, typ, "A")
 
 
 # ---------------------------------------------------------------------------
@@ -444,77 +464,29 @@ def embed_c(t: BiclosedTriple) -> BiclosedTriple:
 
 
 def restrict_c(t: BiclosedTriple, typ: AffineType) -> BiclosedTriple:
-    """Pull a sigma-fixed family-A triple back to its C-triple."""
-    amb = t.type
-    if amb != a_ambient(typ) or typ.family != "C":
+    """Pull a sigma-fixed family-A triple back to its C-triple: the
+    family-C projection pi of its threshold relation, which raises
+    SigmaFixednessViolated unless t is sigma-fixed."""
+    if t.type != a_ambient(typ) or typ.family != "C":
         raise TypeMismatch("restrict_c needs the matching C type")
-    m = typ.modulus
-    blocks = []
-    for blk in t.face.blocks:
-        blocks.append(frozenset(v if v <= typ.n else v - m for v in blk))
-    face = FanFace(typ, tuple(blocks))
-    top = len(blocks) - 1
-    # the C-face has the blocks of t's face at the same positions
-    over = parahoric(t.face).by_block
-    phi = set()
-    wmap = {}
-    for comp in parahoric(face).components:
-        (a_comp,) = over[comp.block]
-        u = t.component_w(a_comp.id)
-        if comp.kind == "central":
-            u = from_window(comp.ctype, tuple(u(k) for k in range(1, comp.ctype.n + 1)))
-        elif (a_comp.id in t.phi_prime) != (over[top - comp.block][0].id in t.phi_prime):
-            raise SigmaFixednessViolated("phi_prime is not sigma-symmetric")
-        wmap[comp.id] = u
-        if a_comp.id in t.phi_prime:
-            phi.add(comp.id)
-    return build_biclosed(face, frozenset(phi), wmap)
-
-
-def _pull_back(t: BiclosedTriple, typ: AffineType, what: str) -> BiclosedTriple:
-    """restrict_c of a family-A result, checked to be a sigma-fixed point
-    that the C-result embeds onto.
-
-    Both checks compare threshold relations against rel = iota(t), with
-    no further projection: pi(iota(t)) == t, and iota writes every
-    singleton class increasing, which sigma_relation keeps.  So
-    sigma(t) == t iff sigma_relation(rel) == rel, and embed_c(out) == t
-    iff iota(out) == rel.  The relation the join closed is no substitute
-    for rel: pi drops a singleton class's orientation, so that relation
-    may hold a decreasing singleton that rel writes increasing.
-    """
-    rel = iota(t)
-    if sigma_relation(rel) != rel:
-        raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
-    out = restrict_c(t, typ)
-    if iota(out) != rel:
-        raise SigmaFixednessViolated("pull-back does not embed correctly")
-    return out
+    return pi(iota(t), typ)
 
 
 def join_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
     """Exact join in family C.
 
-    The inputs' threshold relations are united and closed in the family-A
-    ambient and projected once by pi; the result is pulled back by
-    restrict_c after its sigma-fixedness and the pull-back's embedding
-    are checked on threshold relations (see _pull_back).
+    The inputs' threshold relations are united and closed as in family A,
+    and the closed relation is read as a C order by the family-C
+    projection pi, which checks that it is sigma-fixed and certifies the
+    order by writing its relation back; no family-A triple is built.
     """
-    xs, typ = _operands(xs, typ, "C", "join_C")
-    if not xs:
-        return build_biclosed(origin_face(typ), frozenset(), {})
-    joined = pi(_closed_union(map(iota, xs)), a_ambient(typ))
-    return _pull_back(joined, typ, "join")
+    return _join(xs, typ, "C")
 
 
 def meet_C(xs, typ: AffineType | None = None) -> BiclosedTriple:
     """Exact meet in family C: the complement-dual route of join_C, with
-    one pi and the same relation-level checks."""
-    xs, typ = _operands(xs, typ, "C", "meet_C")
-    if not xs:
-        return _top(typ)
-    comp = _closed_union(iota(x).complement() for x in xs)
-    return _pull_back(pi(comp.complement(), a_ambient(typ)), typ, "meet")
+    one family-C pi."""
+    return _meet(xs, typ, "C")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .errors import (
     InvalidTwist,
     NotARoot,
     OutOfDomain,
+    TooLarge,
     TypeMismatch,
 )
 from .fan import (
@@ -177,8 +178,15 @@ def compare(o: PeriodicOrder, a: int, b: int) -> str:
     return "precedes" if precedes(o, a, b) else "succeeds"
 
 
+# the most integers render lists
+MAX_RENDER_SPAN = 100_000
+
+
 def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
-    """The ground integers of [lo, hi] listed in order."""
+    """The ground integers of [lo, hi] listed in order; TooLarge, before
+    anything is listed, for more than MAX_RENDER_SPAN integers."""
+    if hi - lo + 1 > MAX_RENDER_SPAN:
+        raise TooLarge(f"[{lo}, {hi}] holds more than {MAX_RENDER_SPAN} integers")
     m = o.type.modulus
     pts = [
         x
@@ -193,7 +201,13 @@ def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
 
 
 def inversion_set(o: PeriodicOrder) -> BiclosedTriple:
-    """The biclosed triple of {roots (i, j) : i > j in the order}."""
+    """The biclosed triple of {roots (i, j) : i > j in the order}.
+
+    A block's permutation is its component's element.  That holds for a
+    family-C centre too, a lone component relabeled by the same rho (see
+    _central_order_perm); a B or D centre's element is peeled from the
+    roots that its block permutation inverts.
+    """
     face = o.face
     signed = face.type.family != "A"
     decomp = parahoric(face)
@@ -207,7 +221,7 @@ def inversion_set(o: PeriodicOrder) -> BiclosedTriple:
         data = o.data_at(k)
         if data.reversed:
             phi.update(c.id for c in comps)
-        if signed and k == mid:
+        if k == mid and face.type.family in ("B", "D"):
             wmap.update(_recover_w(decomp, _central_inversion_roots(o, k)))
         elif data.perm is not None:
             wmap[comps[0].id] = data.perm

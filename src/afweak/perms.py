@@ -276,11 +276,13 @@ def root_action(w: AffinePermutation, r: Root) -> tuple[int, Root]:
     return sign, canonical_root(r.type, a, b)
 
 
-def elements_up_to_length(typ: AffineType, bound: int):
+def elements_up_to_length(typ: AffineType, bound: int, limit: int | None = None):
     """BFS over the Cayley graph: {w : l(w) <= bound} with exact lengths.
 
     Returns a dict w -> length.  Cayley-graph distance from the identity
-    equals Coxeter length, so no inversion counting is needed here.
+    equals Coxeter length, so no inversion counting is needed here.  With
+    a limit, the search stops after the first length at which it has found
+    more than limit elements, and returns those.
     """
     gens = simple_reflections(typ)
     seen = {identity(typ): 0}
@@ -293,5 +295,7 @@ def elements_up_to_length(typ: AffineType, bound: int):
                 if u not in seen:
                     seen[u] = depth
                     nxt.append(u)
+        if limit is not None and len(seen) > limit:
+            break
         frontier = nxt
     return seen

@@ -9,14 +9,17 @@ import itertools
 from fractions import Fraction
 from math import gcd, inf
 
-from afweak.closure import FiniteBiclosedCertificate, WindowSet, _window_index, _window_planes
-from afweak.errors import AfweakError, NotAnOrder, NotARoot, OutOfDomain
-from afweak.fan import FanFace, _recover_w, _rho, build_biclosed, parahoric
+from afweak.closure import (FiniteBiclosedCertificate, WindowSet, _window_index,
+                            _window_planes, is_biclosed, stable_close, window_set)
+from afweak.errors import (AfweakError, NotAnOrder, NotARoot, OutOfDomain,
+                           SigmaFixednessViolated, TypeMismatch)
+from afweak.fan import FanFace, _recover_w, _rho, build_biclosed, classify, parahoric
 from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
-from afweak.lattice import _RAYS, ThresholdRelation, _eps, check_order, iota
-from afweak.orders import BlockData, PeriodicOrder
-from afweak.perms import invert, max_displacement
+from afweak.lattice import (_RAYS, ThresholdRelation, TryJoinResult, _eps, a_ambient,
+                            check_order, embed_c, iota, sigma, sigma_relation)
+from afweak.orders import BlockData, PeriodicOrder, _central_inversion_roots
+from afweak.perms import from_window, invert, max_displacement
 from afweak.roots import (
     AffineType,
     RankTwoSubsystem,
@@ -260,6 +263,94 @@ def _reference_pi(r, typ):
     return build_biclosed(face, frozenset(phi), _recover_w(decomp, x_roots))
 
 
+def _reference_succeeds(r, x, y):
+    """ThresholdRelation.succeeds read through IntSet entries."""
+    if x > y:
+        return not _reference_succeeds(r, y, x)
+    a, b = x % r.M, y % r.M
+    return (y - b) // r.M - (x - a) // r.M in r.entry(a, b)
+
+
+# The family-C route before pi read C orders, kept as the reference: the
+# family-A projection of the closed relation is pulled back block by block
+# (_reference_restrict_c) after two checks, decided on relations
+# (_reference_pull_back) or by projecting again
+# (_reference_projected_pull_back).
+
+
+def _reference_restrict_c(t, typ):
+    """Pull a sigma-fixed family-A triple back to its C-triple."""
+    amb = t.type
+    if amb != a_ambient(typ) or typ.family != "C":
+        raise TypeMismatch("restrict_c needs the matching C type")
+    m = typ.modulus
+    blocks = []
+    for blk in t.face.blocks:
+        blocks.append(frozenset(v if v <= typ.n else v - m for v in blk))
+    face = FanFace(typ, tuple(blocks))
+    top = len(blocks) - 1
+    # the C-face has the blocks of t's face at the same positions
+    over = parahoric(t.face).by_block
+    phi = set()
+    wmap = {}
+    for comp in parahoric(face).components:
+        (a_comp,) = over[comp.block]
+        u = t.component_w(a_comp.id)
+        if comp.kind == "central":
+            u = from_window(comp.ctype, tuple(u(k) for k in range(1, comp.ctype.n + 1)))
+        elif (a_comp.id in t.phi_prime) != (over[top - comp.block][0].id in t.phi_prime):
+            raise SigmaFixednessViolated("phi_prime is not sigma-symmetric")
+        wmap[comp.id] = u
+        if a_comp.id in t.phi_prime:
+            phi.add(comp.id)
+    return build_biclosed(face, frozenset(phi), wmap)
+
+
+def _reference_pull_back(t, typ, what):
+    """restrict_c of a family-A result, checked to be a sigma-fixed point
+    that the C-result embeds onto.
+
+    Both checks compare threshold relations against rel = iota(t), with
+    no further projection: pi(iota(t)) == t, and iota writes every
+    singleton class increasing, which sigma_relation keeps.  So
+    sigma(t) == t iff sigma_relation(rel) == rel, and embed_c(out) == t
+    iff iota(out) == rel.  The relation the join closed is no substitute
+    for rel: pi drops a singleton class's orientation, so that relation
+    may hold a decreasing singleton that rel writes increasing.
+    """
+    rel = iota(t)
+    if sigma_relation(rel) != rel:
+        raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
+    out = _reference_restrict_c(t, typ)
+    if iota(out) != rel:
+        raise SigmaFixednessViolated("pull-back does not embed correctly")
+    return out
+
+
+def _reference_projected_pull_back(t, typ, what):
+    """_reference_pull_back with both checks decided by projecting through
+    pi again: sigma(t) == t, and embed_c of the pull-back is t."""
+    if sigma(t) != t:
+        raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
+    out = _reference_restrict_c(t, typ)
+    if embed_c(out) != t:
+        raise SigmaFixednessViolated("pull-back does not embed correctly")
+    return out
+
+
+def _reference_try_join(xs, h):
+    """try_join certifying twice: is_biclosed on the 2h closure, then
+    classify, which runs is_biclosed on it again."""
+    xs = list(xs)
+    typ = xs[0].type
+    big = stable_close(typ, window_set(typ, 2 * h, filter(
+        lambda r: any(x.member(r) for x in xs), root_window(typ, 2 * h))).mask, h)
+    cert = is_biclosed(big)
+    if not cert.ok:
+        return TryJoinResult(False, None, cert)
+    return TryJoinResult(True, classify(big), None)
+
+
 def _block_position_fn(o, k):
     """Position of a ground integer inside block k (larger = later): rho
     over the block's residues, then the inverse block permutation, negated
@@ -304,6 +395,30 @@ def _reference_central_inversion_roots(o, k):
             if (r.i, r.j) == (i, j) and pos(i) > pos(j):
                 out.add(r)
     return out
+
+
+def _reference_inversion_set(o):
+    """orders.inversion_set before a family-C centre took its block
+    permutation as its element: every signed centre peels the roots that
+    its block permutation inverts."""
+    face = o.face
+    signed = face.type.family != "A"
+    decomp = parahoric(face)
+    mid = len(face.blocks) // 2
+    phi = set()
+    wmap = {}
+    for k in range(mid if signed else 0, len(face.blocks)):
+        comps = decomp.by_block[k]
+        if not comps:
+            continue
+        data = o.data_at(k)
+        if data.reversed:
+            phi.update(c.id for c in comps)
+        if signed and k == mid:
+            wmap.update(_recover_w(decomp, _central_inversion_roots(o, k)))
+        elif data.perm is not None:
+            wmap[comps[0].id] = data.perm
+    return build_biclosed(face, frozenset(phi), wmap)
 
 
 def _reference_precedes(o, a, b):

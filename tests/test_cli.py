@@ -499,16 +499,44 @@ def test_malformed_input_is_a_usage_error(tmp_path, text):
         ["hasse", "--family", "A", "--n", "3", "--face", "nope", "--bound", "2"],
         ["hasse", "--family", "A", "--n", "3", "--face", "[[0, 1], [2]]",
          "--phi-blocks", "[{}]", "--bound", "2"],
+        ["hasse", "--family", "A", "--n", "3", "--face", "[[0, 1, 2]]", "--bound", "-1"],
+        ["order", "--in", "{order}", "--render", "--width", "-3"],
+        ["join", "--in", "{triple}", "{triple}", "--n", "2"],
+        ["meet", "--in", "{triple}", "{triple}", "--n", "2"],
     ],
     ids=["build-face", "build-face-not-list", "build-phi-blocks",
          "build-phi-blocks-item", "build-w", "build-w-item", "build-w-nested",
-         "hasse-face", "hasse-phi-blocks-item"],
+         "hasse-face", "hasse-phi-blocks-item", "hasse-bound", "order-width",
+         "join-n-without-type", "meet-n-without-type"],
 )
-def test_malformed_option_is_a_usage_error(args):
+def test_malformed_option_is_a_usage_error(args, tmp_path):
+    # {order} and {triple} name input files that are themselves well formed
+    files = {"{order}": {"family": "A", "n": 2, "blocks": [[1], [0]]},
+             "{triple}": triple_to_json(triple_of_element(
+                 simple_reflections(AffineType("C", 2))[0]))}
+    args = [_write(tmp_path, "in.json", files[a]) if a in files else a for a in args]
     child = _child(*args)
     err = child.stderr.decode()
     assert child.returncode == 2, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert child.stdout == b""
+
+
+def test_a_hasse_guard_refuses_before_enumerating(capsys):
+    # the component elements are enumerated only until the product of
+    # their counts passes the node guard, whatever the bound
+    face = ["--family", "A", "--n", "3", "--face", "[[0, 1, 2]]"]
+    start = time.perf_counter()
+    assert run(["hasse", *face, "--bound", "1000000"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("TooLarge: at least ")
+
+
+def test_a_wide_render_is_refused_before_listing(tmp_path, capsys):
+    path = _write(tmp_path, "o.json", {"family": "A", "n": 2, "blocks": [[1], [0]]})
+    assert run(["order", "--in", path, "--render", "--width", str(10 ** 9)]) == 1
+    assert capsys.readouterr().err == (
+        "TooLarge: [-1000000000, 1000000000] holds more than 100000 integers\n")
 
 
 def test_negative_heights_are_usage_errors(tmp_path):
@@ -530,17 +558,18 @@ def test_negative_heights_are_usage_errors(tmp_path):
 
 
 def test_join_under_optimize_matches_in_process(tmp_path, capsys):
-    # the order checks behind join are raises, so python -O keeps them
+    # the order checks behind join are raises, so python -O keeps them:
+    # the family-A ones and pi's sigma check and write-back of a C order
     rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")))
-    typ = AffineType("A", 5)
-    paths = [
-        _write(tmp_path, f"t{k}.json", triple_to_json(random_triple(typ, rng)))
-        for k in range(2)
-    ]
-    child = _child("join", "--in", *paths, flags=("-O",))
-    assert child.returncode == 0, child.stderr.decode()
-    assert run(["join", "--in", *paths]) == 0
-    assert child.stdout == capsys.readouterr().out.encode()
+    for typ in (AffineType("A", 5), AffineType("C", 3)):
+        paths = [
+            _write(tmp_path, f"t{k}.json", triple_to_json(random_triple(typ, rng)))
+            for k in range(2)
+        ]
+        child = _child("join", "--in", *paths, flags=("-O",))
+        assert child.returncode == 0, child.stderr.decode()
+        assert run(["join", "--in", *paths]) == 0
+        assert child.stdout == capsys.readouterr().out.encode()
 
 
 def test_check_child_matches_in_process(tmp_path, capsys):

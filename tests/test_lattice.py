@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 from functools import reduce
 from math import inf
 
@@ -70,9 +71,13 @@ from references import (
     _perturbed_relations,
     _reference_check_order,
     _reference_pi,
+    _reference_projected_pull_back,
+    _reference_pull_back,
     _reference_relation,
+    _reference_succeeds,
     _reference_threshold_closure,
     _reference_transitive,
+    _reference_try_join,
     full_shape,
     is_finite,
     max_finite,
@@ -346,14 +351,6 @@ def test_threshold_closure_sweep_branches_match_the_general_operations(monkeypat
             mp.setattr(IntSet, "minkowski", general_operation)
             mp.setattr(IntSet, "issubset", general_operation)
             assert _outcome(lattice._check_transitive, r) == want, r
-
-
-def _reference_succeeds(r, x, y):
-    """ThresholdRelation.succeeds read through IntSet entries."""
-    if x > y:
-        return not _reference_succeeds(r, y, x)
-    a, b = x % r.M, y % r.M
-    return (y - b) // r.M - (x - a) // r.M in r.entry(a, b)
 
 
 def _in_shape(s):
@@ -731,23 +728,20 @@ def test_meet_C():
             assert join_C([m, x]) == x and meet_C([j, x]) == x
 
 
-def _pull_back_reference(t, typ, what):
-    """lattice._pull_back with both checks decided by projecting through
-    pi again: sigma(t) == t, and embed_c of the pull-back is t."""
-    if sigma(t) != t:
-        raise SigmaFixednessViolated(f"{what} of sigma-fixed points moved")
-    out = restrict_c(t, typ)
-    if embed_c(out) != t:
-        raise SigmaFixednessViolated("pull-back does not embed correctly")
-    return out
-
-
 def _result(f, *args):
     """f(*args), or the type and message of the domain error it raises."""
     try:
         return f(*args)
     except AfweakError as err:
         return f"{type(err).__name__}: {err}"
+
+
+def _answer(f, *args):
+    """f(*args), or the type of the domain error it raises."""
+    try:
+        return f(*args)
+    except AfweakError as err:
+        return type(err).__name__
 
 
 def _drawn_triple(typ, rng):
@@ -768,24 +762,31 @@ def _drawn_triple(typ, rng):
     return build_biclosed(face, phi, w)
 
 
-def test_pull_back_checks_match_the_projected_reference():
-    # the relation-level checks of _pull_back decide what the pi-based
-    # reference decides, on ambient triples that are sigma-fixed or not,
-    # on the join and meet results of C triples and on embed_c images
+def test_c_projection_matches_the_pull_back_references():
+    # the family-C pi decides what the pull-back of the family-A
+    # projection decides, with its checks on relations or by projecting
+    # again: on ambient triples that are sigma-fixed or not, on the join
+    # and meet results of C triples and on embed_c images
     rng = random.Random(SEED + 47)
     raised = set()
     for n in (1, 2, 3, 4):
         typ = AffineType("C", n)
         for _ in range(60):
             t = _drawn_triple(a_ambient(typ), rng)
-            out = _result(lattice._pull_back, t, typ, "join")
-            assert out == _result(_pull_back_reference, t, typ, "join"), t
-            raised.add(isinstance(out, str))
+            out = _answer(restrict_c, t, typ)
+            for reference in (_reference_pull_back, _reference_projected_pull_back):
+                assert out == _answer(reference, t, typ, "join"), t
+            raised.add(out == "SigmaFixednessViolated")
     assert raised == {True, False}
     # the meet of this pair splits two reversed blocks into singletons
-    # that its closed relation still holds decreasing
-    pairs = [tuple(build_biclosed(face_from_blocks(C2, blocks), ["blk2"], {})
-                   for blocks in ([[-2, 1], [0], [-1, 2]], [[1, 2], [0], [-2, -1]]))]
+    # that its closed relation still holds decreasing, where iota of the
+    # meet writes them increasing
+    pinned = tuple(build_biclosed(face_from_blocks(C2, blocks), ["blk2"], {})
+                   for blocks in ([[-2, 1], [0], [-1, 2]], [[1, 2], [0], [-2, -1]]))
+    closed = lattice._closed_union(iota(x).complement() for x in pinned).complement()
+    decreasing = {a for a in range(C2.modulus) if closed.V[a][a] is not None}
+    assert decreasing == {1, 4} and not any(iota(meet_C(pinned)).V[a][a] for a in decreasing)
+    pairs = [pinned]
     for typ, count in ((C1, 10), (C2, 20), (C3, 12), (C4, 6)):
         pairs += [(random_triple(typ, rng, 2), random_triple(typ, rng, 2))
                   for _ in range(count)]
@@ -793,14 +794,15 @@ def test_pull_back_checks_match_the_projected_reference():
     for x, y in pairs:
         for op, amb_op, what in ((join_C, join_A, "join"), (meet_C, meet_A, "meet")):
             ambient = amb_op([embed_c(x), embed_c(y)])
-            expect = _result(_pull_back_reference, ambient, x.type, what)
+            expect = _result(_reference_projected_pull_back, ambient, x.type, what)
             assert _result(op, [x, y]) == expect, (op.__name__, x, y)
-            assert _result(lattice._pull_back, ambient, x.type, what) == expect
+            assert _result(_reference_pull_back, ambient, x.type, what) == expect
+            assert _result(restrict_c, ambient, x.type) == expect
         embedded.append((x, embed_c(x)))
     # the embedding predicate on matching and on mismatched pairs
     agree = set()
     for (x, e), (y, _) in zip(embedded, embedded[1:] + embedded[:1]):
-        assert lattice._pull_back(e, x.type, "meet") == x
+        assert restrict_c(e, x.type) == x
         for z in (x, y) if x.type == y.type else (x,):
             same = embed_c(z) == e
             assert same == (iota(z) == iota(e))
@@ -808,32 +810,100 @@ def test_pull_back_checks_match_the_projected_reference():
     assert agree == {True, False}
 
 
-def test_pull_back_raises_when_the_ambient_result_moves(monkeypatch):
+def test_c_projection_raises_when_the_relation_moves(monkeypatch):
     # join_A and meet_A of sigma-fixed points are sigma-fixed, so a moved
-    # ambient result is faked by replacing the projection
+    # closed relation is faked by replacing the closure
     rng = random.Random(SEED + 49)
     x, y = random_triple(C2, rng, 2), random_triple(C2, rng, 2)
     draws = (random_triple(a_ambient(C2), rng, 2) for _ in range(100))
     moved = next(t for t in draws if sigma(t) != t)
-    monkeypatch.setattr(lattice, "pi", lambda r, typ: moved)
-    for op, what in ((join_C, "join"), (meet_C, "meet")):
-        with pytest.raises(SigmaFixednessViolated,
-                           match=f"^{what} of sigma-fixed points moved$"):
-            op([x, y])
+    message = "^the relation is not sigma-fixed$"
+    with pytest.raises(SigmaFixednessViolated, match=message):
+        restrict_c(moved, C2)
+    for op, rel in ((join_C, iota(moved)), (meet_C, iota(moved).complement())):
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_closed_union", lambda rels: rel)
+            with pytest.raises(SigmaFixednessViolated, match=message):
+                op([x, y])
 
 
-def test_pull_back_raises_when_the_restriction_does_not_embed(monkeypatch):
+def test_c_projection_raises_when_the_order_read_is_not_the_relations(monkeypatch):
+    # a genuine relation writes back the order read off it, so a wrong
+    # order is faked by replacing the order pi builds
     rng = random.Random(SEED + 50)
     x, y = random_triple(C3, rng, 2), random_triple(C3, rng, 2)
     bottom, top = join_C([], C3), meet_C([], C3)
     for op in (join_C, meet_C):
         right = op([x, y])
-        other = bottom if right != bottom else top
+        other = order_from_triple(bottom if right != bottom else top)
         with monkeypatch.context() as patch:
-            patch.setattr(lattice, "restrict_c", lambda t, typ: other)
-            with pytest.raises(SigmaFixednessViolated,
-                               match="^pull-back does not embed correctly$"):
+            patch.setattr(lattice, "PeriodicOrder", lambda face, data: other)
+            with pytest.raises(NotAnOrder, match="^the relation is not that of the"
+                                                 " order it encodes$"):
                 op([x, y])
+
+
+# relations over the residues of C1 that pi refuses, each at one check
+_C1_REFUSED = [
+    (((None, None, None), (None, (1, inf), None), (None, (2, 2), None)),
+     NotAnOrder, "inversion (1,1) factors through non-inversions via 0"),
+    ((((1, 1), (0, 1), None), (None, None, None), ((1, 2), (1, 2), None)),
+     NotAnOrder, "diagonal class 0 is partially reversed"),
+    ((((1, inf), (0, inf), (0, inf)), ((1, inf), None, (0, inf)), (None, (1, 2), None)),
+     SigmaFixednessViolated, "the relation is not sigma-fixed"),
+    (((None, (0, inf), (0, inf)), ((1, inf), None, (0, 1)), ((1, inf), (1, inf), None)),
+     NotAnOrder, "strict comparison inside a block"),
+    (((None, (0, inf), (0, inf)), ((1, inf), None, None), ((1, inf), (1, 1), None)),
+     NotAnOrder, "block [0, 1, 2] has no element: window values collide modulo M"),
+    (((None, (0, inf), (0, inf)), ((1, inf), None, None), ((1, inf), (1, 2), None)),
+     NotAnOrder, "the relation is not that of the order it encodes"),
+]
+
+
+def test_c_projection_raise_paths():
+    # each check of the family-C pi refuses one pinned relation; the
+    # family-A route refuses every one of them too
+    for rows, error, message in _C1_REFUSED:
+        r = ThresholdRelation(3, rows)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            pi(r, C1)
+        with pytest.raises(NotAnOrder):
+            _reference_pull_back(pi(r, a_ambient(C1)), C1, "join")
+    for typ in (AffineType("B", 1), C2):
+        with pytest.raises(TypeMismatch, match="^pi needs the family-A or family-C type"
+                                               " matching the modulus$"):
+            pi(ThresholdRelation(3, _C1_REFUSED[0][0]), typ)
+    # closed sigma-symmetrized hand-built relations: pi answers or refuses
+    # where the family-A projection and its pull-back do
+    rng = random.Random(SEED + 55)
+    seen = set()
+    for _ in range(200):
+        typ = rng.choice((C1, C2))
+        r = _hand_built(rng, typ.modulus)
+        r = _outcome(threshold_closure, r.union(sigma_relation(r)))
+        if isinstance(r, str):
+            continue
+        r = ThresholdRelation(typ.modulus, r)
+        want = _result(pi, r, a_ambient(typ))
+        if not isinstance(want, str):
+            want = _result(_reference_pull_back, want, typ, "join")
+        assert _result(pi, r, typ) == want, r
+        seen.add(isinstance(want, str))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("op", [join_C, meet_C])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_c_joins_write_one_relation_per_operand_and_one_certificate(monkeypatch, op, k):
+    # k iota relations and pi's write-back: no family-A triple is built,
+    # so no relation is written for one
+    rng = random.Random(SEED + 56)
+    xs = [random_triple(C3, rng, 4) for _ in range(k)]
+    calls = []
+    writer = lattice._relation
+    monkeypatch.setattr(lattice, "_relation", lambda o: calls.append(o) or writer(o))
+    op(xs)
+    assert len(calls) == k + 1 and all(o.type == C3 for o in calls)
 
 
 def test_lattice_answers_match_the_committed_file():
@@ -989,19 +1059,6 @@ def test_try_join_returns_the_certificate_of_a_non_biclosed_closure(monkeypatch)
     assert res.witness.witness is not None and res.witness.violated == "coclosed"
 
 
-def _try_join_reference(xs, h):
-    """try_join certifying twice: is_biclosed on the 2h closure, then
-    classify, which runs is_biclosed on it again."""
-    xs = list(xs)
-    typ = xs[0].type
-    big = stable_close(typ, window_set(typ, 2 * h, filter(
-        lambda r: any(x.member(r) for x in xs), root_window(typ, 2 * h))).mask, h)
-    cert = is_biclosed(big)
-    if not cert.ok:
-        return TryJoinResult(False, None, cert)
-    return TryJoinResult(True, classify(big), None)
-
-
 def test_try_join_matches_the_two_step_reference():
     rng = random.Random(SEED + 52)
     for typ in (B3, D3, D4):
@@ -1009,7 +1066,7 @@ def test_try_join_matches_the_two_step_reference():
             for _ in range(5):
                 xs = [random_triple(typ, rng, 3), random_triple(typ, rng, 3)]
                 assert _try_join_outcome(xs, h) == _try_join_outcome(
-                    xs, h, _try_join_reference
+                    xs, h, _reference_try_join
                 ), xs
 
 

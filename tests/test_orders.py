@@ -1,6 +1,7 @@
 """Periodic orders: comparison semantics, moves, triple conversions."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -51,6 +52,7 @@ from afweak.verify import all_triples
 from references import (
     _block_position_fn,
     _reference_central_inversion_roots,
+    _reference_inversion_set,
     _reference_precedes,
     _reference_render,
 )
@@ -178,6 +180,27 @@ def test_inversion_set_round_trip_exhaustive():
                 assert len(t.phi_prime & splits) == 1
                 continue
             assert inversion_set(o) == t
+
+
+def test_c_centre_element_is_its_block_permutation():
+    # a family-C centre is one component relabeled by rho, so its block
+    # permutation is its element: inversion_set takes it where the
+    # reference peels the roots that the permutation inverts
+    rng = random.Random(int(os.environ.get("AFWEAK_SEED", "0")) + 9)
+    for n, count in ((1, 100), (2, 500), (3, 600), (4, 400)):
+        typ = AffineType("C", n)
+        faces = enumerate_faces(typ)
+        for _ in range(count):
+            face = rng.choice(faces)
+            mid = len(face.blocks) // 2
+            perms = {}
+            for k, ptype in enumerate(face.block_types[mid:], mid):
+                if ptype is not None:
+                    gens = len(simple_reflections(ptype))
+                    perms[k] = word(ptype, [rng.randrange(gens) for _ in range(rng.randrange(7))])
+            reversed_ = [k for k in range(mid, len(face.blocks)) if rng.random() < 0.3]
+            o = periodic_order(face, reversed_, perms)
+            assert inversion_set(o) == _reference_inversion_set(o), o
 
 
 def test_block_relabeling_numbers_each_block_onto_z():
