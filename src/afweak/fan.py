@@ -3,11 +3,10 @@
 A face of the finite Coxeter fan is an ordered set partition (plain for
 family A, signed for B/C, type-D signed for D).  Its parahoric subgroup
 decomposes into affine components; a biclosed set is described exactly by
-a face F, a union of components Phi' and one component element each, with
-membership decided by the sign of the face functional on a root and, on
-the zero part, by Phi'-membership xored with the component inversions.
-Both are constant on a residue class (i mod M, j mod M), so a window is
-read per class, with the component inversions xored in on the zero part.
+a face F, a union of components Phi' and one component element each.  The
+set is the inversion set of the triple's periodic order, a D-twist's one
+A~1 class toggled on top, so membership and windows are read off that
+order's position table (``orders._SetTable``), built once per triple.
 
 The face functional is never realized in coordinates: its sign on
 e~_j - e~_i is the difference of the block indices of the residues.
@@ -172,12 +171,6 @@ class FanFace(_Record):
                 c = (len(b) - 1) // 2 if family in ("B", "C") else len(b) // 2
                 out.append(AffineType("C", c) if c >= 1 else None)
         return tuple(out)
-
-    def pairing_sign(self, r: Root) -> int:
-        """Sign of <f, r> for f in the relative interior of the face."""
-        bo = self.block_of
-        d = bo[self.residue(r.j)] - bo[self.residue(r.i)]
-        return (d > 0) - (d < 0)
 
     def one_indexed_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks with family-A residue 0 printed as M (one-indexed labels)."""
@@ -486,7 +479,8 @@ def phi_prime_from_blocks(face: FanFace, positions) -> frozenset[str]:
 
 
 class BiclosedTriple(_Record):
-    """The canonical description (F, Phi', w) of a biclosed set."""
+    """The canonical description (F, Phi', w) of a biclosed set; ``member``
+    and ``window`` read the set off ``order_table``, built on first use."""
 
     _fields = ("face", "phi_prime", "w")
 
@@ -500,25 +494,20 @@ class BiclosedTriple(_Record):
         return self.face.type
 
     @cached_property
-    def inv_global(self) -> frozenset[Root]:
-        """The component inversions as global roots, derived on first use."""
-        return _global_inversions(parahoric(self.face), self.w)
+    def order_table(self):
+        from .orders import _SetTable
+
+        return _SetTable(self)
 
     def w_map(self) -> dict[str, AffinePermutation]:
         return dict(self.w)
-
-    def component_w(self, cid: str) -> AffinePermutation:
-        for k, v in self.w:
-            if k == cid:
-                return v
-        return identity(parahoric(self.face).by_id(cid).ctype)
 
     def member(self, r: Root) -> bool:
         return membership(self, r)
 
     def window(self, h: int) -> _closure.WindowSet:
         guard_window(self.type, h)
-        return _closure.WindowSet.from_mask(self.type, h, _window_mask(self, h))
+        return _closure.WindowSet.from_mask(self.type, h, self.order_table.window_mask(h))
 
     def __repr__(self):
         ws = {k: list(v.window) for k, v in self.w}
@@ -557,8 +546,11 @@ def build_biclosed(face: FanFace, phi_prime, w=None) -> BiclosedTriple:
         items.append((comp.id, u))
     items.sort(key=lambda kv: kv[0])
     # only splitA1 images can fail to be roots: check them when building
-    split = [kv for kv in items if decomp.by_id(kv[0]).kind == "splitA1"]
-    _global_inversions(decomp, split)
+    for cid, u in items:
+        comp = decomp.by_id(cid)
+        if comp.kind == "splitA1":
+            for loc in inversions(u):
+                comp.to_global(loc)
     return _interned(BiclosedTriple(decomp.face, phi, _interned(tuple(items))))
 
 
@@ -568,59 +560,13 @@ def _interned(value):
     return value
 
 
-def _global_inversions(decomp: ParahoricDecomposition, w) -> frozenset[Root]:
-    return frozenset(
-        decomp.by_id(cid).to_global(loc) for cid, u in w for loc in inversions(u)
-    )
-
-
 def membership(t: BiclosedTriple, r: Root) -> bool:
-    """Exact membership of a root in the biclosed set of a triple."""
+    """Exact membership of a root (i, j) in the biclosed set of a triple:
+    i comes after j in the triple's order, the two position keys of its
+    ``order_table`` compared, and flipped on a D-twist's toggled class."""
     if r.type != t.type:
         raise TypeMismatch("root and triple types differ")
-    sign = t.face.pairing_sign(r)
-    if sign:
-        return sign < 0
-    decomp = parahoric(t.face)
-    comp = decomp.component_of_root(r)
-    return (comp.id in t.phi_prime) != (r in t.inv_global)
-
-
-@lru_cache(maxsize=64)
-def _residue_classes(typ: AffineType, h: int) -> tuple[tuple[Root, int], ...]:
-    """root_window(typ, h) grouped by residue pair (i mod M, j mod M): a
-    representative root and the mask of the class per pair.  The face
-    sign and the component are constant on a class."""
-    m = typ.modulus
-    classes: dict[tuple[int, int], list] = {}
-    for k, r in enumerate(root_window(typ, h)):
-        classes.setdefault((r.i % m, r.j % m), [r, 0])[1] |= 1 << k
-    return tuple((rep, mask) for rep, mask in classes.values())
-
-
-def _base_masks(face: FanFace, phi_prime, h: int) -> tuple[int, int]:
-    """The height-h window masks of B(F, Phi') with identity component
-    elements and of its zero part Phi_F, read once per residue class."""
-    decomp = parahoric(face)
-    mask = zero = 0
-    for rep, cls in _residue_classes(face.type, h):
-        sign = face.pairing_sign(rep)
-        if sign < 0:
-            mask |= cls
-        elif sign == 0:
-            zero |= cls
-            if decomp.component_of_root(rep).id in phi_prime:
-                mask |= cls
-    return mask, zero
-
-
-def _window_mask(t: BiclosedTriple, h: int) -> int:
-    """The height-h window mask of t: the base mask with the component
-    inversions xored in on the zero part.  Unguarded, for any h."""
-    mask, zero = _base_masks(t.face, t.phi_prime, h)
-    index = _closure._window_index(t.type, h)[1]
-    flip = sum(1 << index[r] for r in t.inv_global if r in index)
-    return mask ^ (flip & zero)
+    return t.order_table.member(r)
 
 
 def triple_of_element(w: AffinePermutation) -> BiclosedTriple:
@@ -785,7 +731,7 @@ def classify(s) -> BiclosedTriple:
         raise UnstableWindow(
             f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
         ) from e
-    if _window_mask(t, s.H) != s.mask:
+    if t.order_table.window_mask(s.H) != s.mask:
         raise UnstableWindow("classification does not round-trip; enlarge the window")
     return t
 
@@ -793,12 +739,13 @@ def classify(s) -> BiclosedTriple:
 def _classify_from_bits(typ, true_bits, mask, h) -> BiclosedTriple:
     """The triple with the given asymptotic class bits whose height-h
     window mask is mask: the bits give (F, Phi'), and the difference from
-    the window of B(F, Phi') gives the component inversions.  Unguarded."""
+    the window of B(F, Phi') gives the component inversions, which lie on
+    the zero part Phi_F, the window cells inside one block.  Unguarded."""
     bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
-    face, phi = _face_from_bits(typ, bits)
-    base, zero = _base_masks(face, phi, h)
-    diff = mask ^ base
-    if diff & ~zero:
+    base = build_biclosed(*_face_from_bits(typ, bits))
+    face, phi, table = base.face, base.phi_prime, base.order_table
+    diff = mask ^ table.window_mask(h)
+    if diff & ~table.zero_mask(h):
         raise UnstableWindow(
             "membership mismatch off the zero part; enlarge the window"
         )
@@ -910,14 +857,12 @@ def act(v: AffinePermutation, t: BiclosedTriple) -> BiclosedTriple:
     """
     if v.type != t.type:
         raise TypeMismatch("action type mismatch")
-    from .orders import inversion_set, order_from_triple, relabel
+    from .orders import _twist_split, inversion_set, order_from_triple, relabel
 
-    twist = [c for c in parahoric(t.face).components
-             if c.kind == "splitA1" and c.id in t.phi_prime]
-    if len(twist) != 1:
-        return inversion_set(relabel(order_from_triple(t), v))
-    (comp,) = twist
-    out = act(v, build_biclosed(t.face, t.phi_prime - {comp.id}, t.w_map()))
+    base, comp = _twist_split(t)
+    out = inversion_set(relabel(order_from_triple(base), v))
+    if comp is None:
+        return out
     _, img = root_action(v, comp.global_simple_roots()[0])
     toggle = parahoric(out.face).component_of_root(img).id
     return build_biclosed(out.face, out.phi_prime ^ {toggle}, out.w_map())

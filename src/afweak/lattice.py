@@ -34,8 +34,8 @@ from .errors import (InvalidWindow, NotAnOrder, NotBiclosed, SigmaFixednessViola
 from .fan import (BiclosedTriple, FanFace, build_biclosed, classify, origin_face,
                   parahoric, _from_inversions, _ordered_blocks)
 from .intset import _EMPTY, IntSet
-from .orders import (BlockData, PeriodicOrder, _positions, inversion_set,
-                     order_from_triple)
+from .orders import (BlockData, PeriodicOrder, _order_entry, _positions,
+                     inversion_set, order_from_triple)
 from .perms import from_window
 from .roots import AffineType, _Record, _slot_setters
 
@@ -282,23 +282,19 @@ def _relation(o: PeriodicOrder) -> ThresholdRelation:
     the central block places the multiples of M and a block below the
     centre mirrors its negation, so a family-C order yields, over
     residues 0..M-1, the relation of its sigma-fixed family-A order.
-    Cells across blocks are None or the ray from eps; in-block cells, a
-    run from eps or a ray, overwrite them.
+    Cells across blocks are None or the ray from eps; in-block cells are
+    ``orders._order_entry``, the formula that also writes a triple's
+    window cells.
     """
     m = o.type.modulus
-    block, pos, steps = _positions(o)
+    block, place = _positions(o)
     v = [[_RAYS[a >= b] if block[b] < ka else None for b in range(m)]
          for a, ka in enumerate(block)]
-    for reps, s in steps:
+    for reps in o.face.relabeling.reps:
         for a in reps:
-            row, pa = v[a], pos[a]
+            row = v[a]
             for b in reps:
-                # a comes after b + dM  iff  pa - pos[b] > d * s
-                lo = 0 if a < b else 1
-                if s < 0:
-                    row[b] = max(lo, (pos[b] - pa) // -s + 1), inf
-                elif (hi := (pa - pos[b] - 1) // s) >= lo:
-                    row[b] = lo, hi
+                row[b] = _order_entry(a, b, block, place)
     return ThresholdRelation(m, tuple(map(tuple, v)))
 
 

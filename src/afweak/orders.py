@@ -12,8 +12,9 @@ relabeling (``FanFace.relabeling``, read by ``fan._rho``/``_rho_inv``).
 One position table (``_positions``) built from it places every integer
 in all four families: its block and its position there, the negative
 side mirrored.  ``precedes`` and ``render`` compare those keys, and
-``lattice._relation`` writes its cells from the same table; ``relabel``
-and the central block conversions map integers through the same rho.
+``lattice._relation`` and a triple's membership and windows
+(``_SetTable``) read their cells off the same table; ``relabel`` and
+the central block conversions map integers through the same rho.
 
 Conversions to and from biclosed triples realize the combinatorial order
 models, including the type-D twist sets that no single total order can
@@ -22,6 +23,10 @@ W-action on biclosed sets.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial
+from math import inf
 
 from .errors import (
     DRepresentationRequired,
@@ -50,7 +55,7 @@ from .perms import (
     multiply,
     reflection,
 )
-from .roots import AffineType, Root, _Record, canonical_root
+from .roots import AffineType, Root, _Record, canonical_root, pair_class_keys, root_window
 
 
 class BlockData(_Record):
@@ -124,42 +129,47 @@ def standard_order(typ: AffineType) -> PeriodicOrder:
 
 
 def _positions(o: PeriodicOrder):
-    """block[a] and pos[a] for each residue a in 0..M-1, and per block
-    its sorted residues and step: a + qM sits at pos[a] + q * step.
+    """block[a] and place for each residue a in 0..M-1: a + qM sits at
+    position place[a] + q * place[M + a] in block block[a].
 
     The blocks and their residues are the face's relabeling table
     (``FanFace.relabeling``, where a signed centre also holds residue 0).
     Residue a sits at its index i there, mapped by the inverse block
-    permutation and negated in a reversed block; step is +-len(reps),
-    negative when reversed.  A signed family's block below the centre
-    mirrors its negation, pos_k(a) = -pos_{2 mid - k}(-a), where -a has
-    the index ~i over the mirror's residues.
+    permutation and negated in a reversed block; its step place[M + a] is
+    +-len(reps), negative when reversed.  A signed family's block below
+    the centre mirrors its negation, pos_k(a) = -pos_{2 mid - k}(-a),
+    where -a has the index ~i over the mirror's residues.
     """
-    face = o.face
+    face, m = o.face, o.type.modulus
     block, _, reps = face.relabeling
     signed, top = o.type.family != "A", len(face.blocks) - 1
-    pos, steps = [0] * o.type.modulus, []
+    place = [0] * 2 * m
     for k, rs in enumerate(reps):
         j = top - k if signed and 2 * k < top else k
         data = o.data_at(j)
         uinv, sign = data.perm and invert(data.perm), -1 if data.reversed != (j != k) else 1
+        step = -len(rs) if data.reversed else len(rs)
         for i, a in enumerate(rs):
             i = i if j == k else ~i
-            pos[a] = sign * (uinv(i) if uinv else i)
-        steps.append((rs, -len(rs) if data.reversed else len(rs)))
-    return block, pos, steps
+            place[a], place[m + a] = sign * (uinv(i) if uinv else i), step
+    return block, place
 
 
-def _order_key(o: PeriodicOrder):
-    """x -> (block, position) of x; the order compares these keys."""
-    block, pos, steps = _positions(o)
-    m = o.type.modulus
+def _order_entry(a: int, b: int, block, place):
+    """{d >= eps(a, b) : a comes after b + dM} for a and b in one block of
+    step s, as None, a run (lo, hi) or a ray (lo, inf): a comes after
+    b + dM iff place[a] - place[b] > d * s (``_positions``)."""
+    lo, s = 0 if a < b else 1, place[len(block) + a]
+    if s < 0:
+        return max(lo, (place[b] - place[a]) // -s + 1), inf
+    hi = (place[a] - place[b] - 1) // s
+    return (lo, hi) if hi >= lo else None
 
-    def key(x: int) -> tuple[int, int]:
-        q, a = divmod(x, m)
-        return block[a], pos[a] + q * steps[block[a]][1]
 
-    return key
+def _key(block, place, x: int) -> tuple[int, int]:
+    """(block, position) of x; the order of ``_positions`` compares these."""
+    q, a = divmod(x, len(block))
+    return block[a], place[a] + q * place[len(block) + a]
 
 
 def precedes(o: PeriodicOrder, a: int, b: int) -> bool:
@@ -170,7 +180,7 @@ def precedes(o: PeriodicOrder, a: int, b: int) -> bool:
         raise OutOfDomain("multiples of the modulus are outside the order")
     if a == b:
         raise OutOfDomain("comparing an integer with itself")
-    key = _order_key(o)
+    key = partial(_key, *_positions(o))
     return key(a) < key(b)
 
 
@@ -193,7 +203,7 @@ def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
         for x in range(lo, hi + 1)
         if o.type.family == "A" or x % m != 0
     ]
-    return sorted(pts, key=_order_key(o))
+    return sorted(pts, key=partial(_key, *_positions(o)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +269,7 @@ def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
     decomp = parahoric(face)
     mid = len(face.blocks) // 2
     data: list[BlockData | None] = [None] * mid if signed else []
+    w = t.w_map()
     for k in range(len(data), len(face.blocks)):
         comps = decomp.by_block[k]
         selected = t.phi_prime & {c.id for c in comps}
@@ -269,17 +280,20 @@ def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
         if not comps:
             u = None
         elif signed and k == mid:
-            u = _central_order_perm(face, {c.id: t.component_w(c.id) for c in comps})
+            u = _central_order_perm(face, {c.id: w[c.id] for c in comps if c.id in w})
         else:
-            u = t.component_w(comps[0].id)
+            u = w.get(comps[0].id)
         data.append(
             BlockData(bool(selected), None if u is None or u.is_identity() else u)
         )
     return PeriodicOrder(face, tuple(data))
 
 
-def _central_order_perm(face: FanFace, wmap) -> AffinePermutation:
-    """Realize central component elements as one C-type block permutation."""
+def _central_order_perm(face: FanFace, wmap) -> AffinePermutation | None:
+    """Realize non-identity central component elements as one C-type block
+    permutation; None when there are none."""
+    if not wmap:
+        return None
     mid = len(face.blocks) // 2
     c = len(face.relabeling.reps[mid]) // 2
     if len(parahoric(face).by_block[mid]) == 1:
@@ -373,6 +387,71 @@ def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
         u = from_window(ptype, win)
         data[k] = BlockData(d.reversed, None if u.is_identity() else u)
     return PeriodicOrder(new, tuple(data))
+
+
+def _twist_split(t: BiclosedTriple):
+    """(base, comp): a D-twist's untwisted triple and the split A~1 factor
+    whose roots the twist toggles, or (t, None) when t is no twist."""
+    twist = [c for c in parahoric(t.face).components
+             if c.kind == "splitA1" and c.id in t.phi_prime]
+    if len(twist) != 1:
+        return t, None
+    return build_biclosed(t.face, t.phi_prime - {twist[0].id}, t.w_map()), twist[0]
+
+
+class _SetTable:
+    """A triple's set, read off the position table (``_positions``) of its
+    untwisted order (``_twist_split``): root (i, j) is in the set iff i
+    comes after j, flipped on ``toggle``, a twist's A~1 residue pairs."""
+
+    __slots__ = ("type", "block", "place", "toggle")
+
+    def __init__(self, t: BiclosedTriple):
+        base, comp = _twist_split(t)
+        self.block, place = _positions(order_from_triple(base))
+        self.type, self.place, self.toggle = t.type, tuple(place), ()
+        if comp is not None:
+            m, decomp = t.type.modulus, parahoric(t.face)
+            self.toggle = frozenset((a % m, b % m) for a, b in pair_class_keys(t.type)
+                                    if decomp.component_of_pair(a, b) is comp)
+
+    def member(self, r: Root) -> bool:
+        after = _key(self.block, self.place, r.i) > _key(self.block, self.place, r.j)
+        return after != ((r.i % self.type.modulus, r.j % self.type.modulus) in self.toggle)
+
+    def window_mask(self, h: int) -> int:
+        """The height-h window, cell by cell (``_window_cells``): whole or
+        empty across blocks, else the entry's shifts, toggled cells flipped."""
+        block, mask = self.block, 0
+        for a, b, ds, prefix in _window_cells(self.type, h):
+            if block[a] != block[b]:
+                mask |= prefix[-1] if block[a] > block[b] else 0
+                continue
+            e = _order_entry(a, b, block, self.place)
+            if e is not None:
+                mask |= prefix[bisect_right(ds, e[1])] ^ prefix[bisect_left(ds, e[0])]
+            if (a, b) in self.toggle:
+                mask ^= prefix[-1]
+        return mask
+
+    def zero_mask(self, h: int) -> int:
+        """The height-h window of Phi_F: the cells inside one block."""
+        block = self.block
+        return sum(prefix[-1] for a, b, _, prefix in _window_cells(self.type, h)
+                   if block[a] == block[b])
+
+
+@lru_cache(maxsize=64)
+def _window_cells(typ: AffineType, h: int):
+    """root_window(typ, h) by residue pair (a, b): the shifts d of its
+    roots (a + qM, b + (q + d)M), ascending as the window lists roots by
+    height, and prefix masks, prefix[k] holding the first k roots."""
+    m, cells = typ.modulus, {}
+    for k, r in enumerate(root_window(typ, h)):
+        ds, prefix = cells.setdefault((r.i % m, r.j % m), ([], [0]))
+        ds.append(r.j // m - r.i // m)
+        prefix.append(prefix[-1] | 1 << k)
+    return tuple((a, b, ds, prefix) for (a, b), (ds, prefix) in cells.items())
 
 
 # ---------------------------------------------------------------------------

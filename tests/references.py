@@ -10,16 +10,19 @@ from fractions import Fraction
 from math import gcd, inf
 
 from afweak.closure import (FiniteBiclosedCertificate, WindowSet, _window_index,
-                            _window_planes, is_biclosed, stable_close, window_set)
-from afweak.errors import (AfweakError, NotAnOrder, NotARoot, OutOfDomain,
-                           SigmaFixednessViolated, TypeMismatch)
-from afweak.fan import FanFace, _recover_w, _rho, build_biclosed, classify, parahoric
+                            _window_planes, b_infinity, is_biclosed, stable_close,
+                            window_set)
+from afweak.errors import (AfweakError, ComponentMismatch, NotAnOrder, NotARoot,
+                           NotBiclosed, OutOfDomain, SigmaFixednessViolated,
+                           TypeMismatch, UnpairedPhiPrime, UnstableWindow)
+from afweak.fan import (FanFace, _classify_from_bits, _face_from_bits, _phi_from_bits,
+                        _recover_w, _rho, build_biclosed, classify, parahoric)
 from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
 from afweak.lattice import (_RAYS, ThresholdRelation, TryJoinResult, _eps, a_ambient,
                             check_order, embed_c, iota, sigma, sigma_relation)
 from afweak.orders import BlockData, PeriodicOrder, _central_inversion_roots
-from afweak.perms import from_window, invert, max_displacement
+from afweak.perms import from_window, identity, inversions, invert, max_displacement
 from afweak.roots import (
     AffineType,
     RankTwoSubsystem,
@@ -29,8 +32,12 @@ from afweak.roots import (
     _pair_of_finite_root,
     _pivots,
     _plane_key,
+    all_class_keys,
     canonical_root,
+    finite_class,
     negate_class,
+    pair_class_keys,
+    primitive_direction,
     root_window,
     vector_to_root,
 )
@@ -295,7 +302,7 @@ def _reference_restrict_c(t, typ):
     wmap = {}
     for comp in parahoric(face).components:
         (a_comp,) = over[comp.block]
-        u = t.component_w(a_comp.id)
+        u = t.w_map().get(a_comp.id, identity(a_comp.ctype))
         if comp.kind == "central":
             u = from_window(comp.ctype, tuple(u(k) for k in range(1, comp.ctype.n + 1)))
         elif (a_comp.id in t.phi_prime) != (over[top - comp.block][0].id in t.phi_prime):
@@ -766,3 +773,266 @@ def _reference_failing_lengths(s):
         if trace != sorted(trace) and trace != sorted(trace, reverse=True):
             lengths.append(len(plane))
     return lengths
+
+
+# The component-inversion path that the order table (orders._SetTable)
+# replaced, kept as the reference: the component elements' inversions
+# mapped to global roots, membership by the face sign and, on the zero
+# part, by Phi' xored with those roots, and a window read per residue
+# class with them xored in on the zero part.
+
+
+def _reference_pairing_sign(face, r):
+    """Sign of <f, r> for f in the relative interior of the face."""
+    bo = face.block_of
+    d = bo[face.residue(r.j)] - bo[face.residue(r.i)]
+    return (d > 0) - (d < 0)
+
+
+@functools.lru_cache(maxsize=4096)
+def _reference_inv_global(t):
+    """The component inversions of t as global roots."""
+    decomp = parahoric(t.face)
+    return frozenset(
+        decomp.by_id(cid).to_global(loc) for cid, u in t.w for loc in inversions(u)
+    )
+
+
+def _reference_membership(t, r):
+    if r.type != t.type:
+        raise TypeMismatch("root and triple types differ")
+    sign = _reference_pairing_sign(t.face, r)
+    if sign:
+        return sign < 0
+    decomp = parahoric(t.face)
+    comp = decomp.component_of_root(r)
+    return (comp.id in t.phi_prime) != (r in _reference_inv_global(t))
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_residue_classes(typ, h):
+    """root_window(typ, h) grouped by residue pair (i mod M, j mod M): a
+    representative root and the mask of the class per pair.  The face
+    sign and the component are constant on a class."""
+    m = typ.modulus
+    classes = {}
+    for k, r in enumerate(root_window(typ, h)):
+        classes.setdefault((r.i % m, r.j % m), [r, 0])[1] |= 1 << k
+    return tuple((rep, mask) for rep, mask in classes.values())
+
+
+def _reference_base_masks(face, phi_prime, h):
+    """The height-h window masks of B(F, Phi') with identity component
+    elements and of its zero part Phi_F, read once per residue class."""
+    decomp = parahoric(face)
+    mask = zero = 0
+    for rep, cls in _reference_residue_classes(face.type, h):
+        sign = _reference_pairing_sign(face, rep)
+        if sign < 0:
+            mask |= cls
+        elif sign == 0:
+            zero |= cls
+            if decomp.component_of_root(rep).id in phi_prime:
+                mask |= cls
+    return mask, zero
+
+
+def _reference_window_mask(t, h):
+    """The base mask with the component inversions xored in on the zero
+    part.  Unguarded, for any h."""
+    mask, zero = _reference_base_masks(t.face, t.phi_prime, h)
+    index = _window_index(t.type, h)[1]
+    flip = sum(1 << index[r] for r in _reference_inv_global(t) if r in index)
+    return mask ^ (flip & zero)
+
+
+# The per-root paths that the residue-class window masks replaced, kept
+# as the reference on the component path above: a window asks membership
+# root by root, and classification compares that membership with the base
+# triple's.
+
+
+def _reference_window(t, h):
+    return frozenset(r for r in root_window(t.type, h) if _reference_membership(t, r))
+
+
+def _reference_classify_from_bits(typ, true_bits, member, h):
+    bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
+    face, phi = _face_from_bits(typ, bits)
+    base = build_biclosed(face, phi, {})
+    x = set()
+    for r in root_window(typ, h):
+        if member(r) != _reference_membership(base, r):
+            if _reference_pairing_sign(face, r) != 0:
+                raise UnstableWindow(
+                    "membership mismatch off the zero part; enlarge the window"
+                )
+            x.add(r)
+    return build_biclosed(face, phi, _recover_w(parahoric(face), x))
+
+
+def _reference_classify(s):
+    cert = is_biclosed(s)
+    if not cert.ok:
+        raise NotBiclosed(
+            f"window trace violates the {cert.violated} condition", cert
+        )
+    bits, stable = b_infinity(s)
+    if not stable:
+        raise UnstableWindow("b_infinity unstable; enlarge the window")
+    try:
+        t = _reference_classify_from_bits(
+            s.type, dict.fromkeys(bits, True), s.__contains__, s.H)
+    except NotBiclosed as e:
+        raise UnstableWindow(
+            f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
+        ) from e
+    if _reference_window(t, s.H) != s.members:
+        raise UnstableWindow("classification does not round-trip; enlarge the window")
+    return t
+
+
+def _reference_per_root_try_join(xs, h):
+    typ = xs[0].type
+    union = window_set(typ, 2 * h, filter(
+        lambda r: any(x.member(r) for x in xs), root_window(typ, 2 * h)))
+    big = stable_close(typ, union.mask, h)
+    try:
+        return TryJoinResult(True, _reference_classify(big), None)
+    except NotBiclosed as e:
+        return TryJoinResult(False, None, e.witness)
+
+
+# The windowed reference for act: classify an exact membership oracle.
+
+
+def classify_oracle(typ, member, settle):
+    """Classify an exact membership oracle whose asymptotic class
+    behavior has settled by the given height."""
+    h = settle + 4
+    bits = {}
+    for key in all_class_keys(typ):
+        vals = {member(r) for r in root_window(typ, h)
+                if r.height >= settle and finite_class(r) == key}
+        if len(vals) != 1:
+            raise UnstableWindow("asymptotic membership did not settle")
+        bits[key] = vals.pop()
+    for _ in range(4):
+        try:
+            mask = sum(1 << k for k, r in enumerate(root_window(typ, h))
+                       if member(r))
+            out = _classify_from_bits(typ, bits, mask, h)
+        except UnstableWindow:
+            h *= 2
+            continue
+        if all(out.member(r) == member(r) for r in root_window(typ, h)):
+            return out
+        h *= 2
+    raise UnstableWindow("oracle classification did not stabilize")
+
+
+# The id-building paths that the decomposition's block maps replaced,
+# kept as the reference: component ids are built from the block position
+# and the components searched by id.
+
+
+def _reference_component_of_root(decomp, r):
+    face = decomp.face
+    if _reference_pairing_sign(face, r) != 0:
+        return None
+    pos = face.block_of[face.residue(r.i)]
+    if face.type.family == "A":
+        cid = f"blk{pos}"
+    else:
+        mid = len(face.blocks) // 2
+        if pos != mid:
+            cid = f"blk{mid + abs(pos - mid)}"
+        else:
+            splits = [c for c in decomp.components if c.kind == "splitA1"]
+            if splits:
+                fin = finite_class(r)
+                return next(c for c in splits if fin in (
+                    primitive_direction(c.gamma),
+                    negate_class(primitive_direction(c.gamma))))
+            cid = "ctr"
+    return next(c for c in decomp.components if c.id == cid)
+
+
+def _reference_component_class_keys(comp):
+    keys = {finite_class(comp.to_global(loc)) for loc in root_window(comp.ctype, 1)}
+    return keys | {negate_class(k) for k in keys}
+
+
+def _reference_phi_prime_from_blocks(face, positions):
+    decomp = parahoric(face)
+    positions = set(positions)
+    if face.type.family == "A":
+        ids = {f"blk{k}" for k in positions}
+    else:
+        mid = len(face.blocks) // 2
+        ids = set()
+        for k in positions:
+            if k == mid:
+                # a middle without a component names an unknown id
+                ids |= {c.id for c in decomp.components
+                        if c.kind in ("central", "splitA1")} or {"ctr"}
+                continue
+            partner = 2 * mid - k
+            if partner not in positions:
+                raise UnpairedPhiPrime(
+                    f"block {k} selected without its negative {partner}")
+            ids.add(f"blk{max(k, partner)}")
+    known = set(decomp.ids())
+    if not ids <= known:
+        raise ComponentMismatch(f"unknown components {sorted(ids - known)}")
+    return frozenset(ids)
+
+
+# The face reader that counting levels replaced, kept as the reference:
+# a union-find of the equal pairs, a transitive closure of the block
+# order, and a merge of the family-D middle singletons.
+
+
+def _reference_face_from_bits(typ, bits):
+    keyvec = pair_class_keys(typ)
+    if typ.family == "A":
+        ground = list(range(typ.modulus))
+    else:
+        ground = [v for v in range(-typ.n, typ.n + 1) if v != 0]
+    equal, after = [], []
+    for (a, b), key in keyvec.items():
+        if a > b and (b, a) in keyvec:
+            continue
+        in_ab, in_ba = bits[key], bits[keyvec[(b, a)]]
+        if in_ab == in_ba:
+            equal.append((a, b))
+        else:
+            after.append((a, b) if in_ab else (b, a))
+    blist = _reference_ordered_blocks(ground, equal, after, NotBiclosed)
+    if typ.family != "A":
+        self_neg = [b for b in blist if frozenset(-v for v in b) == b]
+        if len(self_neg) > 1:
+            raise NotBiclosed("several self-negated blocks")
+        if self_neg:
+            mid = blist.index(self_neg[0])
+            if typ.family in ("B", "C"):
+                blist[mid] = frozenset(self_neg[0] | {0})
+        else:
+            if len(blist) % 2:
+                raise NotBiclosed("odd block count without a self-negated block")
+            mid = len(blist) // 2
+            lower, upper = blist[mid - 1], blist[mid]
+            if typ.family == "D" and len(upper) == 1:
+                v = next(iter(upper))
+                if lower != frozenset({-v}):
+                    raise NotBiclosed("unmergeable middle blocks")
+                blist[mid - 1: mid + 1] = [frozenset({v, -v})]
+            elif typ.family == "D":
+                blist[mid:mid] = [frozenset()]
+            else:
+                blist[mid:mid] = [frozenset({0})]
+    try:
+        face = FanFace(typ, tuple(blist))
+    except ValueError as e:
+        raise NotBiclosed(f"asymptotic data gives no face: {e}") from e
+    return face, _phi_from_bits(face, bits)

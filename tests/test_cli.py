@@ -101,6 +101,10 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path):
         (["faces", "--family", "B", "--n", "2"], {"lattice", "intset", "verify"}),
         (["order", "--in", order, "--render"], {"lattice", "intset", "verify"}),
         (["classify", "--in", window], {"lattice", "intset", "verify"}),
+        # a twisted face: the window is read off the base order's table
+        (["build", "--family", "D", "--n", "3", "--face", "[[-3],[-2,-1,1,2],[3]]",
+          "--phi", "ctrA1:1,2", "--w", "ctrA1:1,-2=s0", "--height", "4"],
+         {"lattice", "intset", "verify"}),
         (["join", "--in", a, b], {"verify"}),
         (["verify", "all"], set()),
     ):

@@ -29,6 +29,7 @@ from afweak.perms import (
 )
 from afweak.roots import AffineType, root_window
 from afweak.verify import all_triples, random_triple
+from references import _reference_inv_global
 
 A4 = AffineType("A", 4)
 SMALL_RANKS = (AffineType("C", 1), AffineType("B", 1))
@@ -59,7 +60,7 @@ def test_small_rank_groups_full_loop():
     # the inversion data.
     for typ in SMALL_RANKS:
         for t in all_triples(typ, 3):
-            h = 2 * max([r.height for r in t.inv_global], default=1) + 4
+            h = 2 * max([r.height for r in _reference_inv_global(t)], default=1) + 4
             assert classify(t.window(h)) == t
             o = order_from_triple(t)
             assert inversion_set(o) == t
@@ -160,7 +161,7 @@ def test_larger_ranks_spot_checks():
     assert ("central", "B", 2) in kinds  # rank-2 central B factors occur
     for _ in range(15):
         t = random_triple(B3, rng, 2)
-        h = max(6, 2 * max([r.height for r in t.inv_global], default=1) + 2)
+        h = max(6, 2 * max([r.height for r in _reference_inv_global(t)], default=1) + 2)
         assert classify(t.window(h)) == t
         assert inversion_set(order_from_triple(t)) == t
 
@@ -173,7 +174,7 @@ def test_larger_ranks_spot_checks():
     assert ("splitA1", "A", 2) in kinds and ("central", "D", 3) in kinds
     for _ in range(8):
         t = random_triple(D4, rng, 2)
-        h = max(6, 2 * max([r.height for r in t.inv_global], default=1) + 2)
+        h = max(6, 2 * max([r.height for r in _reference_inv_global(t)], default=1) + 2)
         assert classify(t.window(h)) == t
 
     C3 = AffineType("C", 3)

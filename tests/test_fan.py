@@ -1,18 +1,14 @@
 """Fan faces, parahoric decompositions, triples, classification, action."""
 
+import collections
 import itertools
 import os
 import random
+import sys
 
 import pytest
 
-from afweak.closure import (
-    WindowSet,
-    b_infinity,
-    is_biclosed,
-    stable_close,
-    window_set,
-)
+from afweak.closure import WindowSet, b_infinity, is_biclosed, window_set
 from afweak.errors import (
     AfweakError,
     ComponentMismatch,
@@ -23,13 +19,11 @@ from afweak.errors import (
 )
 from afweak.fan import (
     BiclosedTriple,
-    FanFace,
-    _classify_from_bits,
+    Component,
     _face_from_bits,
     _peel,
     _phi_from_bits,
     _recover_w,
-    _window_mask,
     act,
     build_biclosed,
     classify,
@@ -38,7 +32,6 @@ from afweak.fan import (
     face_from_blocks,
     face_poset,
     global_element,
-    membership,
     origin_face,
     parahoric,
     path_component_poset,
@@ -65,15 +58,26 @@ from afweak.roots import (
     AffineType,
     all_class_keys,
     canonical_root,
-    finite_class,
-    negate_class,
     pair_class_keys,
-    primitive_direction,
     root_window,
     window_size,
 )
 from afweak.verify import all_triples, random_triple
-from references import _reference_ordered_blocks
+import references
+from references import (
+    _reference_base_masks,
+    _reference_classify,
+    _reference_component_class_keys,
+    _reference_component_of_root,
+    _reference_face_from_bits,
+    _reference_inv_global,
+    _reference_pairing_sign,
+    _reference_per_root_try_join,
+    _reference_phi_prime_from_blocks,
+    _reference_window,
+    _reference_window_mask,
+    classify_oracle,
+)
 
 A2 = AffineType("A", 2)
 A3 = AffineType("A", 3)
@@ -90,31 +94,7 @@ SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 
 
 # the windowed reference for act: classify the membership oracle of v.B
-
-
-def classify_oracle(typ, member, settle):
-    """Classify an exact membership oracle whose asymptotic class
-    behavior has settled by the given height."""
-    h = settle + 4
-    bits = {}
-    for key in all_class_keys(typ):
-        vals = {member(r) for r in root_window(typ, h)
-                if r.height >= settle and finite_class(r) == key}
-        if len(vals) != 1:
-            raise UnstableWindow("asymptotic membership did not settle")
-        bits[key] = vals.pop()
-    for _ in range(4):
-        try:
-            mask = sum(1 << k for k, r in enumerate(root_window(typ, h))
-                       if member(r))
-            out = _classify_from_bits(typ, bits, mask, h)
-        except UnstableWindow:
-            h *= 2
-            continue
-        if all(out.member(r) == member(r) for r in root_window(typ, h)):
-            return out
-        h *= 2
-    raise UnstableWindow("oracle classification did not stabilize")
+# (references.classify_oracle)
 
 
 def act_oracle(v, t):
@@ -127,7 +107,7 @@ def act_oracle(v, t):
         sign, img = root_action(vinv, r)
         return t.member(img) if sign == 1 else not t.member(img)
 
-    inv_heights = [r.height for r in t.inv_global] or [0]
+    inv_heights = [r.height for r in _reference_inv_global(t)] or [0]
     settle = max(inv_heights) + 2 * max_displacement(v) + 4
     return classify_oracle(t.type, member, settle)
 
@@ -195,8 +175,7 @@ def test_split_component_rejects_a_negative_image(monkeypatch):
 
 
 def test_build_rejects_a_bad_split_image(monkeypatch):
-    # inv_global is derived on first use; a bad splitA1 image still fails
-    # the build itself
+    # a bad splitA1 image fails the build itself, not a later read
     face = origin_face(D2)
     comp = parahoric(face).components[0]
     u = simple_reflections(comp.ctype)[0]
@@ -256,10 +235,10 @@ def test_membership_zero_part_xor():
     t = build_biclosed(f, phi, {"blk1": u})
     base = build_biclosed(f, phi, {})
     for r in root_window(A4, 6):
-        assert t.member(r) == (base.member(r) != (r in t.inv_global))
+        assert t.member(r) == (base.member(r) != (r in _reference_inv_global(t)))
     e_triple = build_biclosed(f, frozenset(), {})
     for r in root_window(A4, 6):
-        if f.pairing_sign(r) == 0:
+        if _reference_pairing_sign(f, r) == 0:
             comp = decomp.component_of_root(r)
             assert e_triple.member(r) == (comp.id in e_triple.phi_prime)
 
@@ -429,6 +408,11 @@ def _twisted(t, rng):
     return build_biclosed(t.face, phi, t.w_map())
 
 
+def _is_twist(t):
+    return len(t.phi_prime & {c.id for c in parahoric(t.face).components
+                              if c.kind == "splitA1"}) == 1
+
+
 def _sample_triples(typ, rng, count):
     """Random triples, every other one of family D twisted when it can be."""
     out = []
@@ -502,7 +486,7 @@ def test_action_formula_on_parahoric():
     rhs = build_biclosed(f, phi, wmap)
     assert lhs == rhs
     for r in root_window(A4, 6):
-        assert rhs.member(r) == (base.member(r) != (r in rhs.inv_global))
+        assert rhs.member(r) == (base.member(r) != (r in _reference_inv_global(rhs)))
 
 
 def test_action_free_on_orbit():
@@ -534,9 +518,9 @@ def test_inversion_read_off_matches_peel():
             gens = simple_reflections(c.ctype)
             wmap[c.id] = word(c.ctype, [rng.randrange(len(gens))
                                         for _ in range(rng.randrange(9))])
-        x = set(build_biclosed(f, [], wmap).inv_global)
+        x = set(_reference_inv_global(build_biclosed(f, [], wmap)))
         assert _recover_w(decomp, x) == _peel(decomp, x)
-        zero = [r for r in root_window(typ, 3) if f.pairing_sign(r) == 0]
+        zero = [r for r in root_window(typ, 3) if _reference_pairing_sign(f, r) == 0]
         for _ in range(3):
             y = x ^ set(rng.sample(zero, min(len(zero), rng.randrange(1, 4))))
             try:
@@ -606,63 +590,7 @@ def test_face_poset_counts():
     assert dims.count(3) == 6 and dims.count(2) == 6 and dims.count(1) == 1
 
 
-# The per-root paths that the residue-class window masks replaced, kept
-# as the reference: a window asks membership root by root, and
-# classification compares that membership with the base triple's.
-
-
-def _reference_window(t, h):
-    return frozenset(r for r in root_window(t.type, h) if membership(t, r))
-
-
-def _reference_classify_from_bits(typ, true_bits, member, h):
-    bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
-    face, phi = _face_from_bits(typ, bits)
-    base = build_biclosed(face, phi, {})
-    x = set()
-    for r in root_window(typ, h):
-        if member(r) != base.member(r):
-            if face.pairing_sign(r) != 0:
-                raise UnstableWindow(
-                    "membership mismatch off the zero part; enlarge the window"
-                )
-            x.add(r)
-    return build_biclosed(face, phi, _recover_w(parahoric(face), x))
-
-
-def _reference_classify(s):
-    cert = is_biclosed(s)
-    if not cert.ok:
-        raise NotBiclosed(
-            f"window trace violates the {cert.violated} condition", cert
-        )
-    bits, stable = b_infinity(s)
-    if not stable:
-        raise UnstableWindow("b_infinity unstable; enlarge the window")
-    try:
-        t = _reference_classify_from_bits(
-            s.type, dict.fromkeys(bits, True), s.__contains__, s.H)
-    except NotBiclosed as e:
-        raise UnstableWindow(
-            f"asymptotic data inconsistent at this cutoff ({e}); enlarge the window"
-        ) from e
-    if _reference_window(t, s.H) != s.members:
-        raise UnstableWindow("classification does not round-trip; enlarge the window")
-    return t
-
-
-def _reference_try_join(xs, h):
-    typ = xs[0].type
-    union = window_set(typ, 2 * h, filter(
-        lambda r: any(x.member(r) for x in xs), root_window(typ, 2 * h)))
-    big = stable_close(typ, union.mask, h)
-    try:
-        return TryJoinResult(True, _reference_classify(big), None)
-    except NotBiclosed as e:
-        return TryJoinResult(False, None, e.witness)
-
-
-def test_window_masks_match_per_root_membership():
+def test_window_masks_match_per_root_membership(monkeypatch):
     rng = random.Random(SEED + 61)
     cases = [(typ, list(all_triples(typ, 3)), 4) for typ in (A3, C2, D2)]
     cases += [(AffineType(f, n), _sample_triples(AffineType(f, n), rng, 12), None)
@@ -672,28 +600,95 @@ def test_window_masks_match_per_root_membership():
         top = MAX_WINDOW_ROOTS // window_size(typ, 0) - 1  # the guard height
         above = root_window(typ, top + 3)
         for t in triples:
-            twists += len(t.phi_prime & {c.id for c in parahoric(t.face).components
-                                         if c.kind == "splitA1"}) == 1
-            want = sum(1 << k for k, r in enumerate(above) if membership(t, r))
+            twists += _is_twist(t)
+            want = _reference_window_mask(t, top + 3)
             # the height-h window is the first window_size(typ, h) roots;
             # the random triples sweep every height up to the guard
             for h in [*range(low_heights or top), top]:
                 low = (1 << window_size(typ, h)) - 1
                 assert t.window(h).mask == want & low, (t, h)
             assert t.window(top).members == _reference_window(t, top)
-            assert _window_mask(t, top + 3) == want, t
+            assert t.order_table.window_mask(top + 3) == want, t
+            assert all(t.member(r) == (want >> k & 1) for k, r in enumerate(above)), t
             with pytest.raises(TooLarge):
                 t.window(top + 1)
     assert twists >= 20
-    # a window reads the component inversions on the zero part only, as
-    # membership does: an inversion planted off it changes nothing
+    # seeded triples of every family at h = 1..8, the base and zero masks
+    # of their faces too, and every D2-D4 triple of length <= 2
+    wide = [(AffineType(f, n), _sample_triples(AffineType(f, n), rng, 8), range(1, 9))
+            for f, ns in (("A", (3, 4, 5, 6)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
+                          ("D", (3, 4, 5))) for n in ns]
+    wide += [(AffineType("D", n), all_triples(AffineType("D", n), 2), (1,))
+             for n in (2, 3, 4)]
+    bases = set()
+    for typ, triples, heights in wide:
+        for t in triples:
+            twists += _is_twist(t)
+            for h in heights:
+                want = _reference_window_mask(t, h)
+                assert t.order_table.window_mask(h) == want, (t, h)
+                if window_size(typ, h) <= MAX_WINDOW_ROOTS:
+                    assert t.window(h).mask == want, (t, h)
+                bases.add((t.face, t.phi_prime, h))
+            assert all(t.member(r) == (want >> k & 1)
+                       for k, r in enumerate(root_window(typ, h))), t
+    for face, phi, h in bases:
+        table = build_biclosed(face, phi).order_table
+        assert (table.window_mask(h), table.zero_mask(h)) == (
+            _reference_base_masks(face, phi, h)), (face, phi, h)
+    assert twists >= 100
+    # the reference reads the component inversions on the zero part only,
+    # as its membership does: an inversion planted off it changes nothing
     t = build_biclosed(face_from_blocks(A4, [{1, 3}, {0, 2}]), set(),
                        {"blk1": reflection(A2, 0, 1)})
-    off = next(r for r in root_window(A4, 2) if t.face.pairing_sign(r))
-    planted = BiclosedTriple(t.face, t.phi_prime, t.w)
-    planted.__dict__["inv_global"] = t.inv_global | {off}
-    assert planted.window(4).members == _reference_window(planted, 4) == (
-        t.window(4).members)
+    off = next(r for r in root_window(A4, 2) if _reference_pairing_sign(t.face, r))
+    monkeypatch.setattr(references, "_reference_inv_global",
+                        lambda s, inv=_reference_inv_global(t): inv | {off})
+    assert _reference_window_mask(t, 4) == t.window(4).mask
+    assert _reference_window(t, 4) == t.window(4).members
+
+
+def test_a_set_is_read_without_component_inversions(monkeypatch):
+    # window and member read one order table per triple: no component
+    # element's inversions are mapped to global roots, and the order is
+    # built at most once.  A split D~2 centre's element is left out: its
+    # block permutation is realized through global_element's reduced word.
+    calls = collections.Counter()
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    rng = random.Random(SEED + 65)
+    drawn = [t for typ in (A4, B3, AffineType("C", 3), D3, D4)
+             for t in _sample_triples(typ, rng, 20)]
+    for typ in (D3, D4):
+        for _ in range(5):
+            t = random_triple(typ, rng)
+            while not any(c.kind == "splitA1" for c in parahoric(t.face).components):
+                t = random_triple(typ, rng)
+            drawn.append(_twisted(t, rng))
+    triples = []
+    for t in drawn:
+        split = {c.id for c in parahoric(t.face).components if c.kind == "splitA1"}
+        w = tuple((cid, u) for cid, u in t.w if cid not in split)
+        triples.append(BiclosedTriple(t.face, t.phi_prime, w))  # nothing cached
+    for module in [m for name, m in sys.modules.items() if name.startswith("afweak")]:
+        for name in ("inversions", "order_from_triple"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(Component, "to_global", counting("to_global", Component.to_global))
+    for t in triples:
+        calls.clear()
+        t.window(3)
+        for r in root_window(t.type, 3):
+            t.member(r)
+        assert calls["inversions"] == calls["to_global"] == 0, (t, calls)
+        assert calls["order_from_triple"] <= 1, (t, calls)
+    assert sum(bool(t.w) for t in triples) >= 30
+    assert sum(map(_is_twist, triples)) >= 10
 
 
 def _outcome(f, *args):
@@ -726,67 +721,10 @@ def test_mask_outcomes_match_the_per_root_reference():
             kinds.add(type(got) if isinstance(got, BiclosedTriple) else got[0])
         for xs in (triples[:2], triples[2:], triples[1:3]) if join_h else ():
             got = _outcome(try_join, xs, join_h)
-            assert got == _outcome(_reference_try_join, xs, join_h), xs
+            assert got == _outcome(_reference_per_root_try_join, xs, join_h), xs
             kinds.add(type(got) if isinstance(got, TryJoinResult) else got[0])
     assert kinds == {BiclosedTriple, TryJoinResult, NotBiclosed, UnstableWindow}
 
-
-
-# The id-building paths that the decomposition's block maps replaced,
-# kept as the reference: component ids are built from the block position
-# and the components searched by id.
-
-
-def _reference_component_of_root(decomp, r):
-    face = decomp.face
-    if face.pairing_sign(r) != 0:
-        return None
-    pos = face.block_of[face.residue(r.i)]
-    if face.type.family == "A":
-        cid = f"blk{pos}"
-    else:
-        mid = len(face.blocks) // 2
-        if pos != mid:
-            cid = f"blk{mid + abs(pos - mid)}"
-        else:
-            splits = [c for c in decomp.components if c.kind == "splitA1"]
-            if splits:
-                fin = finite_class(r)
-                return next(c for c in splits if fin in (
-                    primitive_direction(c.gamma),
-                    negate_class(primitive_direction(c.gamma))))
-            cid = "ctr"
-    return next(c for c in decomp.components if c.id == cid)
-
-
-def _reference_component_class_keys(comp):
-    keys = {finite_class(comp.to_global(loc)) for loc in root_window(comp.ctype, 1)}
-    return keys | {negate_class(k) for k in keys}
-
-
-def _reference_phi_prime_from_blocks(face, positions):
-    decomp = parahoric(face)
-    positions = set(positions)
-    if face.type.family == "A":
-        ids = {f"blk{k}" for k in positions}
-    else:
-        mid = len(face.blocks) // 2
-        ids = set()
-        for k in positions:
-            if k == mid:
-                # a middle without a component names an unknown id
-                ids |= {c.id for c in decomp.components
-                        if c.kind in ("central", "splitA1")} or {"ctr"}
-                continue
-            partner = 2 * mid - k
-            if partner not in positions:
-                raise UnpairedPhiPrime(
-                    f"block {k} selected without its negative {partner}")
-            ids.add(f"blk{max(k, partner)}")
-    known = set(decomp.ids())
-    if not ids <= known:
-        raise ComponentMismatch(f"unknown components {sorted(ids - known)}")
-    return frozenset(ids)
 
 
 def _ids_or_error(f, *args):
@@ -832,56 +770,6 @@ def test_component_maps_match_the_id_reference():
                     _reference_phi_prime_from_blocks, face, pick), (face, pick)
             subsets += len(picks)
     assert subsets > 10000
-
-
-# The face reader that counting levels replaced, kept as the reference:
-# a union-find of the equal pairs, a transitive closure of the block
-# order, and a merge of the family-D middle singletons.
-
-
-def _reference_face_from_bits(typ, bits):
-    keyvec = pair_class_keys(typ)
-    if typ.family == "A":
-        ground = list(range(typ.modulus))
-    else:
-        ground = [v for v in range(-typ.n, typ.n + 1) if v != 0]
-    equal, after = [], []
-    for (a, b), key in keyvec.items():
-        if a > b and (b, a) in keyvec:
-            continue
-        in_ab, in_ba = bits[key], bits[keyvec[(b, a)]]
-        if in_ab == in_ba:
-            equal.append((a, b))
-        else:
-            after.append((a, b) if in_ab else (b, a))
-    blist = _reference_ordered_blocks(ground, equal, after, NotBiclosed)
-    if typ.family != "A":
-        self_neg = [b for b in blist if frozenset(-v for v in b) == b]
-        if len(self_neg) > 1:
-            raise NotBiclosed("several self-negated blocks")
-        if self_neg:
-            mid = blist.index(self_neg[0])
-            if typ.family in ("B", "C"):
-                blist[mid] = frozenset(self_neg[0] | {0})
-        else:
-            if len(blist) % 2:
-                raise NotBiclosed("odd block count without a self-negated block")
-            mid = len(blist) // 2
-            lower, upper = blist[mid - 1], blist[mid]
-            if typ.family == "D" and len(upper) == 1:
-                v = next(iter(upper))
-                if lower != frozenset({-v}):
-                    raise NotBiclosed("unmergeable middle blocks")
-                blist[mid - 1: mid + 1] = [frozenset({v, -v})]
-            elif typ.family == "D":
-                blist[mid:mid] = [frozenset()]
-            else:
-                blist[mid:mid] = [frozenset({0})]
-    try:
-        face = FanFace(typ, tuple(blist))
-    except ValueError as e:
-        raise NotBiclosed(f"asymptotic data gives no face: {e}") from e
-    return face, _phi_from_bits(face, bits)
 
 
 def _face_bits(face, phi):
