@@ -30,6 +30,7 @@ from .errors import (
     ComponentMismatch,
     InvalidWindow,
     NotBiclosed,
+    ParityViolation,
     TooLarge,
     TypeMismatch,
     UnpairedPhiPrime,
@@ -40,14 +41,10 @@ from .perms import (
     identity,
     inversions,
     invert,
-    multiply,
-    reflection,
     root_action,
-    simple_reflections,
     _simple_pairs,
     elements_up_to_length,
     from_window,
-    word,
 )
 from .roots import (
     AffineType,
@@ -65,7 +62,10 @@ from .roots import (
     signed_residue,
     vector_to_root,
 )
-from . import closure as _closure
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:  # the closure layer loads where a window is built or read
+    from . import closure as _closure
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,23 @@ class Component(_Record):
         face, k = self.face, self.block
         return canonical_root(face.type, _rho_inv(face, k, r.i), _rho_inv(face, k, r.j))
 
+    def to_local(self, r: Root) -> Root:
+        """The root of the component's own group that ``to_global`` maps
+        to r, a root of this component: a splitA1 root gamma + k delta is
+        (1, 2k + 2) and -gamma + k delta is (0, 2k - 1); any other is
+        relabeled by ``_rho``, a signed block's root over the mirror block
+        through its negative (-j, -i)."""
+        if self.kind == "splitA1":
+            vec = r.vector()
+            k = vec[-1]
+            if vec[:-1] == self.gamma:
+                return canonical_root(self.ctype, 1, 2 * k + 2)
+            return canonical_root(self.ctype, 0, 2 * k - 1)
+        face, i, j = self.face, r.i, r.j
+        if face.block_of[face.residue(i)] != self.block:
+            i, j = -j, -i
+        return canonical_root(self.ctype, _rho(face, i), _rho(face, j))
+
     def global_simple_roots(self) -> tuple[Root, ...]:
         out = []
         for i, j in _simple_pairs(self.ctype):
@@ -506,8 +523,10 @@ class BiclosedTriple(_Record):
         return membership(self, r)
 
     def window(self, h: int) -> _closure.WindowSet:
+        from .closure import WindowSet
+
         guard_window(self.type, h)
-        return _closure.WindowSet.from_mask(self.type, h, self.order_table.window_mask(h))
+        return WindowSet.from_mask(self.type, h, self.order_table.window_mask(h))
 
     def __repr__(self):
         ws = {k: list(v.window) for k, v in self.w}
@@ -576,68 +595,32 @@ def triple_of_element(w: AffinePermutation) -> BiclosedTriple:
     return build_biclosed(face, frozenset(), wmap)
 
 
-def global_element(face: FanFace, w_map) -> AffinePermutation:
-    """Realize a family of component elements as one global permutation."""
-    decomp = parahoric(face)
-    typ = face.type
-    out = identity(typ)
-    for cid, u in sorted(dict(w_map).items()):
-        comp = decomp.by_id(cid)
-        word = _local_word(u)
-        gens = [reflection(typ, r.i, r.j) for r in comp.global_simple_roots()]
-        for s in word:
-            out = multiply(out, gens[s])
-    return out
-
-
-def _local_word(u: AffinePermutation) -> list[int]:
-    """A reduced word for u, as indices into its simple reflections."""
-    gens = simple_reflections(u.type)
-    simple_roots = [
-        canonical_root(u.type, i, j) for i, j in _simple_pairs(u.type)
-    ]
-    word = []
-    cur = u
-    while cur != identity(u.type):
-        inv = inversions(cur)
-        s = next(k for k, a in enumerate(simple_roots) if a in inv)
-        word.append(s)
-        cur = multiply(gens[s], cur)
-    return word
-
-
 def _recover_w(decomp: ParahoricDecomposition, x: set[Root]):
-    """Split a finite Phi_F-inversion set into component elements.
-
-    Family A reads each element off its inversions in time linear in the
-    set (``_from_inversions``); the signed families peel.
+    """Split a finite Phi_F-inversion set into component elements, each
+    read off its inversion counts in time linear in the set: a root is
+    taken onto its component's group (``Component.to_local``), family-A
+    components (blocks and split A~1 factors) read with
+    ``_from_inversions`` and B/C/D centres with ``_from_signed_inversions``.
+    Every element is certified by writing its inversions back, so a set
+    that is no inversion set of W_F raises NotBiclosed.
     """
-    if decomp.face.type.family == "A":
-        return _recover_w_a(decomp, x)
-    return _peel(decomp, x)
-
-
-def _recover_w_a(decomp: ParahoricDecomposition, x: set[Root]):
-    face = decomp.face
     local: dict[str, set[Root]] = {}
     for r in x:
         comp = decomp.component_of_root(r)
         if comp is None:
             raise NotBiclosed("the zero part is not a parahoric inversion set")
-        local.setdefault(comp.id, set()).add(
-            canonical_root(comp.ctype, _rho(face, r.i), _rho(face, r.j)))
+        local.setdefault(comp.id, set()).add(comp.to_local(r))
     out = {}
-    for comp in decomp.components:
-        inv = local.get(comp.id)
-        if inv is None:
-            continue
+    for cid, inv in local.items():
+        comp = decomp.by_id(cid)
+        read = _from_inversions if comp.ctype.family == "A" else _from_signed_inversions
         try:
-            u = _from_inversions(comp.ctype, ((r.i, r.j, 1) for r in inv))
+            u = read(comp.ctype, ((r.i, r.j, 1) for r in inv))
         except InvalidWindow:
             u = None
         if u is None or inversions(u) != inv:
             raise NotBiclosed("the zero part is not a parahoric inversion set")
-        out[comp.id] = u
+        out[cid] = u
     return out
 
 
@@ -659,37 +642,73 @@ def _from_inversions(typ: AffineType, counts) -> AffinePermutation:
     return invert(from_window(typ, [p + shift[p % m] for p in range(1, m + 1)]))
 
 
-def _peel(decomp: ParahoricDecomposition, x: set[Root]):
-    """Repeatedly strip a simple root of W_F from x, transforming the rest
-    by the corresponding reflection; the letters assemble left-to-right
-    into the component words."""
-    typ = decomp.face.type
-    simples = []
-    for comp in decomp.components:
-        for k, root in enumerate(comp.global_simple_roots()):
-            simples.append((comp, k, root, reflection(typ, root.i, root.j)))
-    words: dict[str, list[int]] = {}
-    x = set(x)
-    guard = len(x) + 1
-    while x:
-        guard -= 1
-        if guard < 0:
-            raise NotBiclosed("the zero part is not a parahoric inversion set")
-        hit = next((s for s in simples if s[2] in x), None)
-        if hit is None:
-            raise NotBiclosed("the zero part is not a parahoric inversion set")
-        comp, k, root, refl = hit
-        x.remove(root)
-        nxt = set()
-        for r in x:
-            sign, img = root_action(refl, r)
-            if sign != 1:
-                raise NotBiclosed("inversion peel left the positive system")
-            nxt.add(img)
-        x = nxt
-        words.setdefault(comp.id, []).append(k)
-    return {comp.id: word(comp.ctype, words[comp.id])
-            for comp in decomp.components if comp.id in words}
+def _from_signed_inversions(typ: AffineType, counts) -> AffinePermutation:
+    """The element u of the signed type typ (B, C or D of rank c, M =
+    2c + 1) with, for each (p, q, n) of counts, n translation classes of
+    inversions (p, q); InvalidWindow when no element has these counts.
+
+    u is read through its sigma-fixed family-A embedding on M letters,
+    as ``_from_inversions`` reads: v = u^{-1} moves a by the inversions
+    through a, each root (p, q) standing for the pair and its negative
+    (-q, -p).  The pairs that are not roots of typ are not in the counts:
+    (a, kM), inverted iff v(a) > kM, and (a, -a + dM) for odd d in B and
+    every d in D, inverted iff 2v(a) > dM.  Their share of v(a) - a is
+    U(v(a)) - U(a), with U counting the thresholds kM and dM/2 below its
+    argument, so v(a) solves level(x) = level(a) + shift[a] for level(x)
+    = x - U(x).  Per period the level rises by M - 1, M - 2 or M - 3
+    (C, B, D) and repeats one value in B (at the residues +-c) and two
+    in D (at +-c and at +-1).  So v is found up to the exchanges
+    t_{c,c+1} and t_{-1,1}, which toggle unseen pairs only, and
+    ``_signed_variant`` picks the exchange that lies in typ.
+    """
+    m, c, family = typ.modulus, typ.n, typ.family
+    shift = [0] * m
+    for p, q, n in counts:
+        shift[p % m] += n
+        shift[q % m] -= n
+        if (p + q) % m:
+            shift[-q % m] += n
+            shift[-p % m] -= n
+    # level(s) for 0 <= s < M is s, less 1 above M/2 in B and D; a period
+    # adds M less its thresholds: kM, and dM/2 for odd d (B) or any d (D)
+    level = [s if family == "C" else s - (s > c) for s in range(m)]
+    rise = m - {"C": 1, "B": 2, "D": 3}[family]
+    window = []
+    for a in range(1, c + 1):
+        t = level[a] + shift[a]
+        window.append(min(s + (t - level[s]) // rise * m
+                          for s in range(1, m) if (t - level[s]) % rise == 0))
+    return _signed_variant(typ, invert(from_window(AffineType("C", c), window)))
+
+
+def _exchange_windows(family: str, u: AffinePermutation) -> list[tuple[int, ...]]:
+    """The windows of u (type C~c) and of its products u t with the
+    exchanges that family's roots do not see: t_{c,c+1} (B and D), which
+    swaps u(c) for u(c + 1) = M - u(c), and t_{-1,1} (D), which swaps u(1)
+    for u(-1) = -u(1).  The first toggles only pairs (a, -a + dM) of odd
+    d, no roots in B or D, the second only those of even d, no roots in
+    D, so all the windows share the family's inversions."""
+    windows = [u.window]
+    if family != "C":
+        windows.append(u.window[:-1] + (u.type.modulus - u.window[-1],))
+    if family == "D":
+        windows += [(-w[0],) + w[1:] for w in windows]
+    return windows
+
+
+def _signed_variant(typ: AffineType, u: AffinePermutation) -> AffinePermutation:
+    """The element of the signed type typ among u (type C~c) and its
+    exchanges (``_exchange_windows``): the one with typ's parities, so
+    the element of typ whose inversions are u's roots of typ; u itself
+    in family C.  InvalidWindow when none has them."""
+    if u.type == typ:
+        return u
+    for window in _exchange_windows(typ.family, u):
+        try:
+            return from_window(typ, window)
+        except ParityViolation:
+            continue
+    raise InvalidWindow(f"no exchange of {list(u.window)} lies in {typ}")
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +728,8 @@ def classify(s) -> BiclosedTriple:
     ({-1},{-2,0,2},{1}), Phi' = {ctr} and w = {ctr: [-5]} classifies as a
     chamber triple from its windows at h = 1 to 4.
     """
+    from . import closure as _closure
+
     if not isinstance(s, _closure.WindowSet):
         from .orders import PeriodicOrder, inversion_set
 
@@ -741,6 +762,8 @@ def _classify_from_bits(typ, true_bits, mask, h) -> BiclosedTriple:
     window mask is mask: the bits give (F, Phi'), and the difference from
     the window of B(F, Phi') gives the component inversions, which lie on
     the zero part Phi_F, the window cells inside one block.  Unguarded."""
+    from .closure import _bits
+
     bits = {k: k in true_bits and true_bits[k] for k in all_class_keys(typ)}
     base = build_biclosed(*_face_from_bits(typ, bits))
     face, phi, table = base.face, base.phi_prime, base.order_table
@@ -750,7 +773,7 @@ def _classify_from_bits(typ, true_bits, mask, h) -> BiclosedTriple:
             "membership mismatch off the zero part; enlarge the window"
         )
     roots = root_window(typ, h)
-    wmap = _recover_w(parahoric(face), {roots[k] for k in _closure._bits(diff)})
+    wmap = _recover_w(parahoric(face), {roots[k] for k in _bits(diff)})
     return build_biclosed(face, phi, wmap)
 
 

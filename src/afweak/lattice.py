@@ -28,7 +28,6 @@ import itertools
 from functools import lru_cache, reduce
 from math import inf
 
-from . import closure as _closure
 from .errors import (InvalidWindow, NotAnOrder, NotBiclosed, SigmaFixednessViolated,
                      TooLarge, TypeMismatch)
 from .fan import (BiclosedTriple, FanFace, build_biclosed, classify, origin_face,
@@ -38,6 +37,10 @@ from .orders import (BlockData, PeriodicOrder, _order_entry, _positions,
                      inversion_set, order_from_triple)
 from .perms import from_window
 from .roots import AffineType, _Record, _slot_setters
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:  # the closure layer loads where try_join closes a window
+    from . import closure as _closure
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +602,12 @@ def try_join(xs, h: int) -> TryJoinResult:
         raise TypeMismatch("mixed types in try_join")
     if h < 1:
         raise ValueError(f"try_join needs a cutoff h >= 1, not {h}")
+    from .closure import stable_close
+
     union = 0
     for x in xs:
         union |= x.window(2 * h).mask
-    big = _closure.stable_close(typ, union, h)
+    big = stable_close(typ, union, h)
     try:
         return TryJoinResult(True, classify(big), None)
     except NotBiclosed as e:

@@ -19,7 +19,13 @@ the central block conversions map integers through the same rho.
 Conversions to and from biclosed triples realize the combinatorial order
 models, including the type-D twist sets that no single total order can
 describe; relabeling an order through a group element realizes the
-W-action on biclosed sets.
+W-action on biclosed sets.  A signed centre's C-type block permutation
+and its component elements convert into each other without listing a
+root (``_central_elements``, ``_central_order_perm``): a lone centre's
+element is the permutation up to the exchanges that its family does not
+see (``fan._signed_variant``), and a split D~2's A~1 factors are read off
+the inversion counts on their roots gamma, through the same count reader
+as a set's elements (``fan._from_signed_inversions``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from math import inf
 from .errors import (
     DRepresentationRequired,
     InvalidTwist,
-    NotARoot,
     OutOfDomain,
     TooLarge,
     TypeMismatch,
@@ -40,22 +45,17 @@ from .fan import (
     BiclosedTriple,
     FanFace,
     build_biclosed,
-    global_element,
     parahoric,
-    _recover_w,
+    _exchange_windows,
+    _from_inversions,
+    _from_signed_inversions,
+    _interned,
     _rho,
     _rho_inv,
+    _signed_variant,
 )
-from .perms import (
-    AffinePermutation,
-    from_window,
-    identity,
-    invert,
-    inversions,
-    multiply,
-    reflection,
-)
-from .roots import AffineType, Root, _Record, canonical_root, pair_class_keys, root_window
+from .perms import AffinePermutation, from_window, identity, invert
+from .roots import AffineType, Root, _Record, pair_class_keys, root_window
 
 
 class BlockData(_Record):
@@ -213,10 +213,10 @@ def render(o: PeriodicOrder, lo: int, hi: int) -> list[int]:
 def inversion_set(o: PeriodicOrder) -> BiclosedTriple:
     """The biclosed triple of {roots (i, j) : i > j in the order}.
 
-    A block's permutation is its component's element.  That holds for a
-    family-C centre too, a lone component relabeled by the same rho (see
-    _central_order_perm); a B or D centre's element is peeled from the
-    roots that its block permutation inverts.
+    A block's permutation is its component's element.  A signed centre's
+    C-type block permutation gives its elements through
+    ``_central_elements``, read off the permutation itself: no root is
+    listed.
     """
     face = o.face
     signed = face.type.family != "A"
@@ -231,31 +231,45 @@ def inversion_set(o: PeriodicOrder) -> BiclosedTriple:
         data = o.data_at(k)
         if data.reversed:
             phi.update(c.id for c in comps)
-        if k == mid and face.type.family in ("B", "D"):
-            wmap.update(_recover_w(decomp, _central_inversion_roots(o, k)))
-        elif data.perm is not None:
+        if data.perm is None:
+            continue
+        if signed and k == mid:
+            wmap.update(_central_elements(face, comps, data.perm))
+        else:
             wmap[comps[0].id] = data.perm
     return build_biclosed(face, frozenset(phi), wmap)
 
 
-def _central_inversion_roots(o: PeriodicOrder, k: int) -> set[Root]:
-    """Family-admissible roots inverted by the forward central order.
+def _central_elements(face: FanFace, comps, u: AffinePermutation):
+    """The elements of the central components comps whose inversions are
+    the roots that the C-type block permutation u inverts (through rho,
+    which commutes with negation and with +M).
 
-    They are the images under rho^-1 of the local inversions of the
-    C-type block permutation (rho commutes with negation and with +M);
-    family D drops i = -j and family B its odd long pairs."""
-    u = o.data_at(k).perm
-    if u is None:
-        return set()
-    face = o.face
-    out = set()
-    for p in inversions(u):
-        try:
-            out.add(canonical_root(face.type, _rho_inv(face, k, p.i),
-                                   _rho_inv(face, k, p.j)))
-        except NotARoot:
-            continue
+    A lone centre's element is the exchange of u that lies in its type
+    (``fan._signed_variant``; u itself in family C).  A split D~2 factor's
+    element is its A~1 element with n inversions (``_from_inversions``),
+    n the signed count of the pairs (p, q + kM) of its root gamma that u
+    inverts, with v = u^{-1}: n = (v(p) - v(q)) // M - (p - q) // M, the
+    multiples of M between p - q and v(p) - v(q).
+    """
+    if len(comps) == 1:
+        return {comps[0].id: _signed_variant(comps[0].ctype, u)}
+    v, m = invert(u), u.type.modulus
+    out = {}
+    for comp, (p, q) in _split_factors(face):
+        n = (v(p) - v(q)) // m - (p - q) // m
+        out[comp.id] = _from_inversions(comp.ctype, [(1, 2, n)])
     return out
+
+
+def _split_factors(face: FanFace):
+    """The two A~1 factors of a split central D~2, each with its root
+    gamma relabeled onto the centre: the centre's residues z1 < z2 become
+    1 and 2, so gamma = e_z2 - e_z1 is (1, 2) and e_z2 + e_z1 is (-1, 2)."""
+    decomp = parahoric(face)
+    z1, z2 = face.relabeling.reps[len(face.blocks) // 2][1:3]
+    return ((decomp.component_of_pair(z1, z2), (1, 2)),
+            (decomp.component_of_pair(-z1, z2), (-1, 2)))
 
 
 def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
@@ -290,20 +304,24 @@ def order_from_triple(t: BiclosedTriple) -> PeriodicOrder:
 
 
 def _central_order_perm(face: FanFace, wmap) -> AffinePermutation | None:
-    """Realize non-identity central component elements as one C-type block
-    permutation; None when there are none."""
+    """The C-type block permutation of non-identity central component
+    elements; None when there are none.  The inverse of
+    ``_central_elements``: a lone component is relabeled by the same rho,
+    so its element already is the block permutation, and a split D~2's
+    two A~1 factors give the D~2 element with their inversions, each
+    factor's signed count n = v(1) - 1 (v = u^{-1}) on its root gamma
+    (``fan._from_signed_inversions``)."""
     if not wmap:
         return None
     mid = len(face.blocks) // 2
     c = len(face.relabeling.reps[mid]) // 2
     if len(parahoric(face).by_block[mid]) == 1:
-        # the lone central component is relabeled by the same rho, so its
-        # element already is the block permutation
         (u,) = wmap.values()
         return from_window(AffineType("C", c), u.window)
-    g = global_element(face, wmap)
-    window = tuple(_rho(face, g(_rho_inv(face, mid, k))) for k in range(1, c + 1))
-    return from_window(AffineType("C", c), window)
+    counts = [(p, q, invert(wmap[comp.id])(1) - 1)
+              for comp, (p, q) in _split_factors(face) if comp.id in wmap]
+    u = _from_signed_inversions(AffineType("D", 2), counts)
+    return from_window(AffineType("C", c), u.window)
 
 
 def normalize(o: PeriodicOrder) -> PeriodicOrder:
@@ -338,16 +356,10 @@ def normalize(o: PeriodicOrder) -> PeriodicOrder:
             out.append(data)
             continue
         u = data.perm if data.perm is not None else identity(ptype)
-        c = ptype.n
-        moves = [reflection(ptype, c, c + 1)]
-        if typ.family == "D":
-            moves.append(reflection(ptype, -1, 1))
-        # the moves are commuting involutions (a D centre with a
-        # permutation has c >= 2), so the orbit is u times their products
-        variants = {u}
-        for t_ in moves:
-            variants |= {multiply(x, t_) for x in variants}
-        best = min(variants, key=lambda v: v.window)
+        # the moves are the exchanges, commuting involutions (a D centre
+        # with a permutation has c >= 2), so the orbit is u times their
+        # products
+        best = from_window(ptype, min(_exchange_windows(typ.family, u)))
         out.append(
             BlockData(data.reversed, None if best.is_identity() else best)
         )
@@ -391,12 +403,14 @@ def relabel(o: PeriodicOrder, v: AffinePermutation) -> PeriodicOrder:
 
 def _twist_split(t: BiclosedTriple):
     """(base, comp): a D-twist's untwisted triple and the split A~1 factor
-    whose roots the twist toggles, or (t, None) when t is no twist."""
+    whose roots the twist toggles, or (t, None) when t is no twist.  The
+    base keeps t's validated parts, so it is not built again."""
     twist = [c for c in parahoric(t.face).components
              if c.kind == "splitA1" and c.id in t.phi_prime]
     if len(twist) != 1:
         return t, None
-    return build_biclosed(t.face, t.phi_prime - {twist[0].id}, t.w_map()), twist[0]
+    phi = _interned(t.phi_prime - {twist[0].id})
+    return _interned(BiclosedTriple(t.face, phi, t.w)), twist[0]
 
 
 class _SetTable:

@@ -242,22 +242,27 @@ def max_displacement(w: AffinePermutation) -> int:
 
 
 def inversions(w: AffinePermutation) -> frozenset[Root]:
-    """The finite set N(w) of canonical roots inverted by w."""
+    """The finite set N(w) of canonical roots inverted by w: the pairs
+    (i, j), i < j <= i + 2 * displacement, with w^{-1}(i) > w^{-1}(j),
+    each root counted once, at its canonical pair."""
     typ = w.type
     m = typ.modulus
     winv = _inverse(w)
     disp = max(max_displacement(w), max_displacement(winv))
-    out = set()
     first = range(m) if typ.family == "A" else range(1, m)
+    lo = first.start
+    pos = [winv(x) for x in range(lo, first.stop + 2 * disp)]
+    out = set()
     for i in first:
+        at = pos[i - lo]
         for j in range(i + 1, i + 2 * disp + 1):
+            if at < pos[j - lo]:
+                continue
             try:
                 r = canonical_root(typ, i, j)
             except NotARoot:
                 continue
-            if r.i != i or r.j != j:
-                continue  # count each root once, at its canonical pair
-            if winv(i) > winv(j):
+            if r.i == i and r.j == j:
                 out.add(r)
     return frozenset(out)
 

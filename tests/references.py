@@ -21,8 +21,10 @@ from afweak.intset import _EMPTY as EMPTY
 from afweak.intset import IntSet, _canon
 from afweak.lattice import (_RAYS, ThresholdRelation, TryJoinResult, _eps, a_ambient,
                             check_order, embed_c, iota, sigma, sigma_relation)
-from afweak.orders import BlockData, PeriodicOrder, _central_inversion_roots
-from afweak.perms import from_window, identity, inversions, invert, max_displacement
+from afweak.orders import BlockData, PeriodicOrder
+from afweak.perms import (_simple_pairs, from_window, identity, inversions, invert,
+                          max_displacement, multiply, reflection, root_action,
+                          simple_reflections, word)
 from afweak.roots import (
     AffineType,
     RankTwoSubsystem,
@@ -378,9 +380,9 @@ def _block_position_fn(o, k):
 
 
 def _reference_central_inversion_roots(o, k):
-    """orders._central_inversion_roots before it read the block
-    permutation: every admissible root up to twice the displacement of
-    the central block, kept where the forward order inverts it."""
+    """The roots that a signed centre's forward order inverts: every
+    admissible root up to twice the displacement of the central block,
+    kept where the forward order inverts it."""
     face = o.face
     typ = face.type
     m = typ.modulus
@@ -405,9 +407,9 @@ def _reference_central_inversion_roots(o, k):
 
 
 def _reference_inversion_set(o):
-    """orders.inversion_set before a family-C centre took its block
-    permutation as its element: every signed centre peels the roots that
-    its block permutation inverts."""
+    """orders.inversion_set before a signed centre's elements were read
+    off its block permutation: every signed centre peels the roots that
+    its forward order inverts, listed by the height scan."""
     face = o.face
     signed = face.type.family != "A"
     decomp = parahoric(face)
@@ -422,10 +424,74 @@ def _reference_inversion_set(o):
         if data.reversed:
             phi.update(c.id for c in comps)
         if signed and k == mid:
-            wmap.update(_recover_w(decomp, _central_inversion_roots(o, k)))
+            wmap.update(_peel(decomp, _reference_central_inversion_roots(o, k)))
         elif data.perm is not None:
             wmap[comps[0].id] = data.perm
     return build_biclosed(face, frozenset(phi), wmap)
+
+
+def _peel(decomp, x):
+    """The inversion-set reader that fan._recover_w (inversion counts)
+    replaced for the signed families: repeatedly strip a simple root of
+    W_F from x, transforming the rest by the corresponding reflection;
+    the letters assemble left-to-right into the component words."""
+    typ = decomp.face.type
+    simples = []
+    for comp in decomp.components:
+        for k, root in enumerate(comp.global_simple_roots()):
+            simples.append((comp, k, root, reflection(typ, root.i, root.j)))
+    words = {}
+    x = set(x)
+    guard = len(x) + 1
+    while x:
+        guard -= 1
+        if guard < 0:
+            raise NotBiclosed("the zero part is not a parahoric inversion set")
+        hit = next((s for s in simples if s[2] in x), None)
+        if hit is None:
+            raise NotBiclosed("the zero part is not a parahoric inversion set")
+        comp, k, root, refl = hit
+        x.remove(root)
+        nxt = set()
+        for r in x:
+            sign, img = root_action(refl, r)
+            if sign != 1:
+                raise NotBiclosed("inversion peel left the positive system")
+            nxt.add(img)
+        x = nxt
+        words.setdefault(comp.id, []).append(k)
+    return {comp.id: word(comp.ctype, words[comp.id])
+            for comp in decomp.components if comp.id in words}
+
+
+def global_element(face, w_map):
+    """A family of component elements realized as one global permutation,
+    each a reduced word (``_local_word``) in its component's global simple
+    reflections: the route orders._central_order_perm took for a split
+    D~2 centre before it read the centre off inversion counts."""
+    decomp = parahoric(face)
+    typ = face.type
+    out = identity(typ)
+    for cid, u in sorted(dict(w_map).items()):
+        comp = decomp.by_id(cid)
+        gens = [reflection(typ, r.i, r.j) for r in comp.global_simple_roots()]
+        for s in _local_word(u):
+            out = multiply(out, gens[s])
+    return out
+
+
+def _local_word(u):
+    """A reduced word for u, as indices into its simple reflections."""
+    gens = simple_reflections(u.type)
+    simple_roots = [canonical_root(u.type, i, j) for i, j in _simple_pairs(u.type)]
+    letters = []
+    cur = u
+    while cur != identity(u.type):
+        inv = inversions(cur)
+        s = next(k for k, a in enumerate(simple_roots) if a in inv)
+        letters.append(s)
+        cur = multiply(gens[s], cur)
+    return letters
 
 
 def _reference_precedes(o, a, b):
@@ -868,7 +934,7 @@ def _reference_classify_from_bits(typ, true_bits, member, h):
                     "membership mismatch off the zero part; enlarge the window"
                 )
             x.add(r)
-    return build_biclosed(face, phi, _recover_w(parahoric(face), x))
+    return build_biclosed(face, phi, _peel(parahoric(face), x))
 
 
 def _reference_classify(s):

@@ -17,7 +17,6 @@ from afweak.fan import (
     dominant_chamber,
     enumerate_faces,
     face_from_blocks,
-    global_element,
     parahoric,
     phi_prime_from_blocks,
     triple_of_element,
@@ -53,7 +52,7 @@ from afweak.roots import (
     root_window,
 )
 from afweak.verify import all_triples, random_triple
-from references import _reference_inv_global
+from references import _reference_inv_global, global_element
 
 SEED = int(os.environ.get("AFWEAK_SEED", "0"))
 

@@ -21,7 +21,6 @@ from afweak.fan import (
     BiclosedTriple,
     Component,
     _face_from_bits,
-    _peel,
     _phi_from_bits,
     _recover_w,
     act,
@@ -31,7 +30,6 @@ from afweak.fan import (
     enumerate_faces,
     face_from_blocks,
     face_poset,
-    global_element,
     origin_face,
     parahoric,
     path_component_poset,
@@ -65,6 +63,7 @@ from afweak.roots import (
 from afweak.verify import all_triples, random_triple
 import references
 from references import (
+    _peel,
     _reference_base_masks,
     _reference_classify,
     _reference_component_class_keys,
@@ -77,6 +76,7 @@ from references import (
     _reference_window,
     _reference_window_mask,
     classify_oracle,
+    global_element,
 )
 
 A2 = AffineType("A", 2)
@@ -502,34 +502,69 @@ def test_action_free_on_orbit():
             seen.add(img)
 
 
+def _read_off_agrees_with_peel(decomp, x):
+    """_recover_w and the reference peel give the same elements for x, or
+    both raise NotBiclosed; True when they read elements."""
+    try:
+        want = _peel(decomp, x)
+    except NotBiclosed:
+        with pytest.raises(NotBiclosed):
+            _recover_w(decomp, x)
+        return False
+    assert _recover_w(decomp, x) == want, (decomp.face, x)
+    return True
+
+
 def test_inversion_read_off_matches_peel():
-    # family A reads component elements off their inversions; the peel
-    # must agree on inversion sets and reject the same non-inversion sets
+    # every component kind reads its element off its inversion counts;
+    # the peel must agree on inversion sets and reject the same
+    # non-inversion sets
     rng = random.Random(23)
+    faces = []
     for _ in range(120):
         typ = AffineType("A", rng.randrange(3, 7))
         blocks = [[] for _ in range(rng.randrange(1, 4))]
         for v in range(typ.modulus):
             blocks[rng.randrange(len(blocks))].append(v)
-        f = face_from_blocks(typ, [b for b in blocks if b])
+        faces.append(face_from_blocks(typ, [b for b in blocks if b]))
+    # B2-B4, C2-C4 and D2-D4: the origin (a centre of full rank), random
+    # faces and, in family D, random faces with a split D~2 centre
+    for f, n in itertools.product("BCD", (2, 3, 4)):
+        typ = AffineType(f, n)
+        every = enumerate_faces(typ)
+        faces += [origin_face(typ)] + [every[rng.randrange(len(every))] for _ in range(25)]
+        if f == "D":
+            split = [g for g in every if len(g.blocks[len(g.blocks) // 2]) == 4]
+            faces += [split[rng.randrange(len(split))] for _ in range(15)]
+    kinds, read = collections.Counter(), 0
+    for f in faces:
         decomp = parahoric(f)
         wmap = {}
         for c in decomp.components:
             gens = simple_reflections(c.ctype)
             wmap[c.id] = word(c.ctype, [rng.randrange(len(gens))
                                         for _ in range(rng.randrange(9))])
+            kinds[c.kind] += not wmap[c.id].is_identity()
         x = set(_reference_inv_global(build_biclosed(f, [], wmap)))
-        assert _recover_w(decomp, x) == _peel(decomp, x)
-        zero = [r for r in root_window(typ, 3) if _reference_pairing_sign(f, r) == 0]
+        assert _read_off_agrees_with_peel(decomp, x)
+        # perturbed sets: zero-part roots of the window toggled
+        zero = [r for r in root_window(f.type, 3) if _reference_pairing_sign(f, r) == 0]
         for _ in range(3):
             y = x ^ set(rng.sample(zero, min(len(zero), rng.randrange(1, 4))))
-            try:
-                want = _peel(decomp, y)
-            except NotBiclosed:
-                with pytest.raises(NotBiclosed):
-                    _recover_w(decomp, y)
-            else:
-                assert _recover_w(decomp, y) == want
+            read += _read_off_agrees_with_peel(decomp, y)
+    assert min(kinds[k] for k in ("ablock", "central", "splitA1")) >= 40, kinds
+    assert read >= 100
+    # every element of length <= 4 of each centre type the faces produce
+    centres = {c.ctype if c.kind == "central" else c.kind: (f, c)
+               for f in faces if f.type.family != "A"
+               for c in parahoric(f).components if c.kind != "ablock"}
+    assert set(centres) == {AffineType(f, n) for f in "BC" for n in (1, 2, 3, 4)} | {
+        D3, D4, "splitA1"}
+    for f, comp in centres.values():
+        decomp = parahoric(f)
+        for u in elements_up_to_length(comp.ctype, 4):
+            x = set(_reference_inv_global(build_biclosed(f, [], {comp.id: u})))
+            assert _read_off_agrees_with_peel(decomp, x)
     # roots off Phi_F: from a singleton block, and across two blocks
     for blocks, root in (([{0}, {1, 2, 3}], (0, 1)), ([{0, 1}, {2, 3}], (0, 2))):
         decomp = parahoric(face_from_blocks(A4, blocks))
@@ -651,8 +686,8 @@ def test_window_masks_match_per_root_membership(monkeypatch):
 def test_a_set_is_read_without_component_inversions(monkeypatch):
     # window and member read one order table per triple: no component
     # element's inversions are mapped to global roots, and the order is
-    # built at most once.  A split D~2 centre's element is left out: its
-    # block permutation is realized through global_element's reduced word.
+    # built at most once.  A split D~2 centre's block permutation comes
+    # from its factors' inversion counts too.
     calls = collections.Counter()
 
     def counting(name, f):
@@ -669,12 +704,9 @@ def test_a_set_is_read_without_component_inversions(monkeypatch):
             t = random_triple(typ, rng)
             while not any(c.kind == "splitA1" for c in parahoric(t.face).components):
                 t = random_triple(typ, rng)
-            drawn.append(_twisted(t, rng))
-    triples = []
-    for t in drawn:
-        split = {c.id for c in parahoric(t.face).components if c.kind == "splitA1"}
-        w = tuple((cid, u) for cid, u in t.w if cid not in split)
-        triples.append(BiclosedTriple(t.face, t.phi_prime, w))  # nothing cached
+            drawn += [t, _twisted(t, rng)]
+    # copies, so nothing is cached
+    triples = [BiclosedTriple(t.face, t.phi_prime, t.w) for t in drawn]
     for module in [m for name, m in sys.modules.items() if name.startswith("afweak")]:
         for name in ("inversions", "order_from_triple"):
             if hasattr(module, name):
@@ -689,6 +721,7 @@ def test_a_set_is_read_without_component_inversions(monkeypatch):
         assert calls["order_from_triple"] <= 1, (t, calls)
     assert sum(bool(t.w) for t in triples) >= 30
     assert sum(map(_is_twist, triples)) >= 10
+    assert sum(any(cid.startswith("ctrA1:") for cid, _ in t.w) for t in triples) >= 10
 
 
 def _outcome(f, *args):

@@ -8,7 +8,7 @@ from math import inf
 
 import pytest
 
-from afweak import lattice
+from afweak import closure, lattice
 from afweak.closure import is_biclosed, stable_close, window_set
 from afweak.errors import (
     AfweakError,
@@ -1056,7 +1056,7 @@ def test_try_join_returns_the_certificate_of_a_non_biclosed_closure(monkeypatch)
     # replaced stable_close reaches the failure branch
     bad = window_set(D2, 4, [canonical_root(D2, 1, 7)])
     assert not is_biclosed(bad).ok
-    monkeypatch.setattr(lattice._closure, "stable_close", lambda typ, inside, h: bad)
+    monkeypatch.setattr(closure, "stable_close", lambda typ, inside, h: bad)
     tu = triple_of_element(reflection(D2, 1, 2))
     res = try_join([tu, tu], 2)
     assert res == TryJoinResult(False, None, is_biclosed(bad))

@@ -16,7 +16,6 @@ from afweak.fan import (
     _rho,
     _rho_inv,
     build_biclosed,
-    global_element,
     classify,
     dominant_chamber,
     enumerate_faces,
@@ -27,7 +26,7 @@ from afweak.fan import (
 )
 from afweak.orders import (
     DTwist,
-    _central_inversion_roots,
+    _central_elements,
     _central_order_perm,
     _key,
     _positions,
@@ -44,6 +43,7 @@ from afweak.orders import (
 from afweak.perms import (
     from_window,
     identity,
+    inversions,
     multiply,
     reflection,
     simple_reflections,
@@ -58,6 +58,7 @@ from references import (
     _reference_inversion_set,
     _reference_precedes,
     _reference_render,
+    global_element,
 )
 
 A2 = AffineType("A", 2)
@@ -270,6 +271,36 @@ def test_central_order_perm_of_one_component():
             assert _central_order_perm(f, {comp.id: u}) == want
 
 
+def test_central_order_perm_of_a_split_centre():
+    # a split D~2 centre's block permutation comes from its two A~1
+    # factors' inversion counts; compare with the global realization
+    # through reduced words, and read the factors back off it
+    rng = random.Random(6)
+    checked = 0
+    for typ in (D2, D3, AffineType("D", 4)):
+        for f in enumerate_faces(typ):
+            mid = len(f.blocks) // 2
+            comps = parahoric(f).by_block[mid]
+            if len(comps) != 2:
+                continue
+            for _ in range(4):
+                wmap = {c.id: word(c.ctype, [rng.randrange(2) for _ in range(rng.randrange(7))])
+                        for c in comps if rng.random() < 0.8}
+                wmap = {cid: u for cid, u in wmap.items() if not u.is_identity()}
+                got = _central_order_perm(f, wmap)
+                if not wmap:
+                    assert got is None
+                    continue
+                g = global_element(f, wmap)
+                assert got == from_window(AffineType("C", 2), [
+                    _rho(f, g(_rho_inv(f, mid, k))) for k in (1, 2)]), (f, wmap)
+                back = {cid: u for cid, u in _central_elements(f, comps, got).items()
+                        if not u.is_identity()}
+                assert back == wmap, (f, wmap)
+                checked += 1
+    assert checked >= 100
+
+
 def test_normalize_central_moves():
     # a central swap move: orders by u and by u*t give one biclosed set
     for typ, c in ((B2, 2), (D3, 3)):
@@ -359,7 +390,8 @@ def test_d_twist_in_bigger_rank():
 def test_central_inversion_roots_match_the_height_scan():
     # every face of B2-B4, C2-C4 and D2-D4 with a central block
     # permutation, six random words of length 0-6 each, forward or
-    # reversed
+    # reversed: the central elements that inversion_set reads off the
+    # block permutation invert exactly the roots the forward order does
     rng = random.Random(7)
     orders = nonempty = 0
     for fam in "BCD":
@@ -369,13 +401,16 @@ def test_central_inversion_roots_match_the_height_scan():
                 ptype = face.block_types[mid]
                 if ptype is None:
                     continue
+                central = parahoric(face).by_block[mid]
                 gens = simple_reflections(ptype)
                 for _ in range(6):
                     u = word(ptype, [rng.randrange(len(gens))
                                      for _ in range(rng.randrange(7))])
                     o = periodic_order(face, [mid] if rng.random() < 0.5 else [],
                                        {mid: None if u.is_identity() else u})
-                    got = _central_inversion_roots(o, mid)
+                    w = inversion_set(o).w_map()
+                    got = {c.to_global(r) for c in central if c.id in w
+                           for r in inversions(w[c.id])}
                     assert got == _reference_central_inversion_roots(o, mid), o
                     orders += 1
                     nonempty += bool(got)
